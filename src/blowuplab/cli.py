@@ -542,8 +542,7 @@ def _reproduce_fig3(args) -> int:
             A0=1.0, dt=0.01, t_end=200.0, n_paths=100,
             master_seed=args.seed,
         )
-        batch = ensemble._simulate_chunk(spec, range(spec.n_paths),
-                                         record_stride=spec.steps() // 400)
+        batch = ensemble.simulate_batch(spec, record_points=400)
         # the figure shows the paths that never exploded; absorbed ones
         # keep their pre-absorption segment and go blank afterwards
         keep = np.flatnonzero(~batch.exploded)

@@ -62,9 +62,8 @@ class ScenarioParams:
     """Parameter bundle for the growth scenarios.
 
     Unused fields stay ``None``; each operation validates only the
-    fields it reads.  Rates ``k``, ``r``, ``k1``, ``k2`` are per year,
-    ``sigma`` scales a unit-variance annual shock, and ``I``, ``A0``,
-    ``Y0``, ``c`` are dimensionless levels.
+    fields it reads.  Rates ``k`` and ``r`` are per year, ``R`` is the
+    annual growth factor, and ``I`` and ``c`` are dimensionless levels.
 
     When both ``R`` and ``r`` are given they must satisfy
     ``r == ln(R)`` exactly; set one and derive the other instead of
@@ -75,13 +74,7 @@ class ScenarioParams:
     I: float | None = None
     R: float | None = None
     r: float | None = None
-    n_exp: float | None = None
-    sigma: float | None = None
     c: float | None = None
-    k1: float | None = None
-    k2: float | None = None
-    A0: float | None = None
-    Y0: float | None = None
 
     def __post_init__(self) -> None:
         if self.R is not None and self.r is not None:
@@ -92,8 +85,6 @@ class ScenarioParams:
                     f"inconsistent rates: r={self.r!r} but ln(R)={math.log(self.R)!r}; "
                     "set one of R, r and leave the other None"
                 )
-        if self.sigma is not None and self.sigma < 0.0:
-            raise DomainError(f"volatility sigma must be >= 0, got {self.sigma!r}")
 
     def growth_coefficient(self) -> float:
         """Per-capability growth coefficient ``k``.

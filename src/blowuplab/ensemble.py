@@ -27,13 +27,15 @@ import numpy as np
 from .analysis import barometer
 from .errors import DomainError
 from .ode import DEFAULT_BLOWUP_THRESHOLD
-from .sde import StochasticModel, _derive_rng, _simulate_paths, hyperbolic_sde_model
+from .sde import (StochasticModel, _Batch, _derive_rng, _simulate_paths,
+                  _validate_grid, hyperbolic_sde_model)
 
 __all__ = [
     "EnsembleSpec",
     "EnsembleStats",
     "MaskingPoint",
     "run_ensemble",
+    "simulate_batch",
     "volatility_masking_scan",
 ]
 
@@ -58,20 +60,11 @@ class EnsembleSpec:
     threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def steps(self) -> int:
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
-        if not math.isfinite(self.t_end) or self.t_end <= 0.0:
-            raise DomainError(f"t_end must be positive, got {self.t_end!r}")
-        n = int(round(self.t_end / self.dt))
-        if n < 1:
-            raise DomainError("horizon shorter than one step")
-        return n
+        return _validate_grid(self.A0, self.dt, self.t_end)
 
     def validate(self) -> None:
         if self.model is None:
             raise DomainError("ensemble spec has no model bound")
-        if not math.isfinite(self.A0) or self.A0 <= 0.0:
-            raise DomainError(f"A0 must be positive, got {self.A0!r}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if int(self.master_seed) < 0:
@@ -85,27 +78,19 @@ class EnsembleSpec:
 class EnsembleStats:
     """Merged outcome statistics of one ensemble.
 
-    ``blowup_times`` holds the explosion times of exploded paths in
-    ascending order; ``quantiles`` maps the orders 5, 25, 50, 75, 95 to
-    times (``None`` when nothing exploded).  ``terminal_values`` are
-    the final levels of paths that neither exploded nor were absorbed,
-    in path order.  ``slopes`` has one entry per path (``nan`` where a
-    slope was not measurable); ``slope_mean``/``slope_std`` summarize
-    the measurable ones.
-
-    The remaining arrays are indexed by path: ``outcomes`` holds one of
+    The arrays are indexed by path: ``outcomes`` holds one of
     ``"exploded"``, ``"absorbed"``, ``"survived"``; ``event_times`` the
     explosion or absorption time (``nan`` for survivors);
     ``final_levels`` the last meaningful level (crossing sample for
     exploded paths, final value for survivors, ``nan`` for absorbed).
+    ``slopes`` has one entry per path (``nan`` where a slope was not
+    measurable); ``slope_mean``/``slope_std`` summarize the measurable
+    ones.
     """
 
     n_paths: int
     exploded_fraction: float
     absorbed_fraction: float
-    blowup_times: np.ndarray
-    quantiles: dict[int, float] | None
-    terminal_values: np.ndarray
     slopes: np.ndarray
     slope_mean: float | None
     slope_std: float | None
@@ -113,76 +98,88 @@ class EnsembleStats:
     event_times: np.ndarray
     final_levels: np.ndarray
 
+    @property
+    def blowup_times(self) -> np.ndarray:
+        """Explosion times of the exploded paths, in ascending order."""
+        return np.sort(self.event_times[self.outcomes == "exploded"])
 
-def _chunk_ranges(n_paths: int, chunk: int) -> list[range]:
-    return [range(lo, min(lo + chunk, n_paths))
-            for lo in range(0, n_paths, chunk)]
+    @property
+    def quantiles(self) -> dict[int, float] | None:
+        """Quantiles 5, 25, 50, 75, 95 of blowup_times; ``None`` if empty."""
+        times = self.blowup_times
+        if not times.size:
+            return None
+        return {q: float(np.quantile(times, q / 100.0)) for q in _QUANTILE_ORDERS}
+
+    @property
+    def terminal_values(self) -> np.ndarray:
+        """Final levels of the surviving paths, in path order."""
+        return self.final_levels[self.outcomes == "survived"]
 
 
-def _simulate_chunk(spec: EnsembleSpec, indices: range,
-                    record_stride: int | None = None):
-    rngs = [_derive_rng(int(spec.master_seed), i) for i in indices]
-    return _simulate_paths(spec.model, spec.A0, spec.dt, spec.steps(), rngs,
-                           spec.threshold, record_stride=record_stride)
+def simulate_batch(spec: EnsembleSpec, workers: int = 1,
+                   record_points: int | None = None) -> _Batch:
+    """Simulate every path of ``spec`` and merge the chunks in path order.
 
+    Chunks of ``_CHUNK_PATHS`` paths run on ``workers`` threads; the
+    result is the same for any ``workers`` because every path's draws
+    are fixed by ``(master_seed, path_index)``.  With ``record_points``
+    each level is also recorded every ``max(1, steps // record_points)``
+    steps and at the horizon, into ``series`` on the step grid
+    ``rec_steps`` (``nan`` once a path has ended).
+    """
+    spec.validate()
+    n_steps = spec.steps()
+    stride = None
+    if record_points is not None:
+        if record_points < 1:
+            raise DomainError(f"record_points must be >= 1, got {record_points!r}")
+        stride = max(1, n_steps // record_points)
 
-def _run_batches(spec: EnsembleSpec, workers: int,
-                 record_stride: int | None = None):
-    ranges = _chunk_ranges(spec.n_paths, _CHUNK_PATHS)
-    if workers <= 1 or len(ranges) == 1:
-        return [_simulate_chunk(spec, r, record_stride) for r in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_simulate_chunk, spec, r, record_stride)
-                   for r in ranges]
-        return [f.result() for f in futures]
+    def chunk(lo: int) -> _Batch:
+        rngs = [_derive_rng(int(spec.master_seed), i)
+                for i in range(lo, min(lo + _CHUNK_PATHS, spec.n_paths))]
+        return _simulate_paths(spec.model, spec.A0, spec.dt, n_steps, rngs,
+                               spec.threshold, record_stride=stride)
+
+    starts = range(0, spec.n_paths, _CHUNK_PATHS)
+    if workers <= 1 or len(starts) == 1:
+        batches = [chunk(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(chunk, starts))
+    merged = {name: np.concatenate([getattr(b, name) for b in batches])
+              for name in ("exploded", "absorbed", "alive", "event_time",
+                           "final_levels", "slopes")}
+    if stride is not None:
+        merged["series"] = np.concatenate([b.series for b in batches])
+    return replace(batches[0], **merged)
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """Simulate the ensemble and merge per-path outcomes into statistics.
 
     ``workers`` only sets the number of threads; the result is
-    identical for any value because every path's draws are fixed by
-    ``(master_seed, path_index)`` and chunks are merged in path order.
+    identical for any value (see :func:`simulate_batch`).
     """
-    spec.validate()
-    batches = _run_batches(spec, workers)
-
-    exploded = np.concatenate([b.exploded for b in batches])
-    absorbed = np.concatenate([b.absorbed for b in batches])
-    event_time = np.concatenate([b.event_time for b in batches])
-    alive = np.concatenate([b.alive for b in batches])
-    terminal = np.concatenate([b.terminal for b in batches])
-    slopes = np.concatenate([b.slopes for b in batches])
-    crossing = np.concatenate([b.final_value for b in batches])
-
-    outcomes = np.where(exploded, "exploded",
-                        np.where(absorbed, "absorbed", "survived"))
-    final_levels = np.full(spec.n_paths, math.nan)
-    final_levels[exploded] = crossing[exploded]
-    final_levels[alive] = terminal[alive]
-
+    batch = simulate_batch(spec, workers)
     n = spec.n_paths
-    blowup_times = np.sort(event_time[exploded])
-    quantiles = None
-    if blowup_times.size:
-        quantiles = {q: float(np.quantile(blowup_times, q / 100.0))
-                     for q in _QUANTILE_ORDERS}
+    outcomes = np.where(batch.exploded, "exploded",
+                        np.where(batch.absorbed, "absorbed", "survived"))
+    slopes = batch.slopes
     measurable = slopes[np.isfinite(slopes)]
     slope_mean = float(measurable.mean()) if measurable.size else None
     slope_std = float(measurable.std(ddof=1)) if measurable.size > 1 else None
     return EnsembleStats(
         n_paths=n,
-        exploded_fraction=float(np.count_nonzero(exploded)) / n,
-        absorbed_fraction=float(np.count_nonzero(absorbed)) / n,
-        blowup_times=blowup_times,
-        quantiles=quantiles,
-        terminal_values=terminal[alive],
+        exploded_fraction=float(np.count_nonzero(batch.exploded)) / n,
+        absorbed_fraction=float(np.count_nonzero(batch.absorbed)) / n,
         slopes=slopes,
         slope_mean=slope_mean,
         slope_std=slope_std,
         outcomes=outcomes,
-        event_times=event_time,
-        final_levels=final_levels,
+        event_times=batch.event_time,
+        final_levels=batch.final_levels,
     )
 
 
@@ -231,31 +228,17 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     points: list[MaskingPoint] = []
     for sigma in levels:
         spec = replace(template, model=hyperbolic_sde_model(k, sigma))
-        spec.validate()
-        n_steps = spec.steps()
-        stride = max(1, n_steps // record_points)
-        batches = _run_batches(spec, workers, record_stride=stride)
-
-        n_analyzed = 0
-        n_flagged = 0
-        n_exploded = 0
-        n_absorbed = 0
-        for batch in batches:
-            n_exploded += int(np.count_nonzero(batch.exploded))
-            n_absorbed += int(np.count_nonzero(batch.absorbed))
-            live = np.flatnonzero(batch.alive)
-            if not live.size:
-                continue
-            times = batch.rec_steps * spec.dt
-            if len(times) < window:
-                raise DomainError(
-                    f"recorded grid has {len(times)} samples, window needs {window}"
-                )
-            for lane in live:
-                series = batch.series[lane]
-                report = barometer(times, series, window, z_threshold)
-                n_analyzed += 1
-                n_flagged += int(report.flagged)
+        batch = simulate_batch(spec, workers, record_points)
+        live = np.flatnonzero(batch.alive)
+        times = batch.rec_steps * spec.dt
+        if live.size and len(times) < window:
+            raise DomainError(
+                f"recorded grid has {len(times)} samples, window needs {window}"
+            )
+        n_flagged = sum(int(barometer(times, batch.series[lane], window,
+                                      z_threshold).flagged)
+                        for lane in live)
+        n_analyzed = int(live.size)
         fraction = (n_flagged / n_analyzed) if n_analyzed else math.nan
         points.append(MaskingPoint(
             sigma=sigma,
@@ -263,7 +246,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
             n_analyzed=n_analyzed,
             n_flagged=n_flagged,
             flagged_fraction=fraction,
-            exploded_fraction=n_exploded / spec.n_paths,
-            absorbed_fraction=n_absorbed / spec.n_paths,
+            exploded_fraction=int(np.count_nonzero(batch.exploded)) / spec.n_paths,
+            absorbed_fraction=int(np.count_nonzero(batch.absorbed)) / spec.n_paths,
         ))
     return points

@@ -18,9 +18,9 @@ usual is the contract around finite-time blow-up:
   reported as having no blow-up.
 
 Step-size underflow without a threshold crossing raises
-:class:`~blowuplab.errors.StiffnessError`; a field that returns a
-non-finite derivative at a valid state raises
-:class:`~blowuplab.errors.FieldEvaluationError`.
+:class:`~blowuplab.errors.StiffnessError`; a field that raises, returns
+the wrong shape, or returns a non-finite derivative at a valid state
+raises :class:`~blowuplab.errors.FieldEvaluationError`.
 """
 
 from __future__ import annotations
@@ -202,6 +202,8 @@ def _try_step(rate: Callable, y: np.ndarray, f0: np.ndarray, h: float):
 
     Returns ``(y_new, f_new, err)`` or ``None`` when any stage went
     non-finite (the caller treats that as a failed step and shrinks).
+    A stage rate that raises or has the wrong shape raises
+    :class:`~blowuplab.errors.FieldEvaluationError`.
     """
     k = [f0]
     with np.errstate(all="ignore"):
@@ -214,7 +216,7 @@ def _try_step(rate: Callable, y: np.ndarray, f0: np.ndarray, h: float):
             y_stage = y + h * increment
             if not np.all(np.isfinite(y_stage)):
                 return None
-            k.append(np.asarray(rate(y_stage), dtype=float))
+            k.append(_call_rate(rate, y_stage, len(y)))
             if not np.all(np.isfinite(k[-1])):
                 return None
         # stage 7 state is exactly the 5th-order solution (FSAL)
@@ -346,7 +348,7 @@ class _Core:
         """
         probe = self.y + self.h_min * self.f
         with np.errstate(all="ignore"):
-            f_probe = np.asarray(self.rate(probe), dtype=float)
+            f_probe = _call_rate(self.rate, probe, self.dim)
         if not np.all(np.isfinite(f_probe)):
             raise FieldEvaluationError(
                 f"field becomes non-finite adjacent to t={self.t!r}, "
@@ -362,19 +364,7 @@ class _Core:
         )
 
     def _pole_event(self) -> "BlowUpEvent | None":
-        component = int(np.argmax(self.y))
-        peak = float(self.y[component])
-        fit = None
-        for span in (1e4, 1e8):
-            fit = _fit_tail_exponent(self.tail, component, peak / span, peak)
-            if fit is not None:
-                break
-        if fit is None:
-            return None
-        p, points = fit
-        if p <= 1.001:
-            return None
-        t_hat = _extrapolate_reciprocal(points, p)
+        t_hat = _tail_asymptote(self.tail, self.y)
         if t_hat is None:
             return None
         # the extrapolated asymptote must sit inside the stalled step's
@@ -501,30 +491,40 @@ def integrate(field: VectorField, state0, t_end: float,
     return Trajectory(times=times, states=states, blowup=blowup)
 
 
-def _fit_tail_exponent(tail, component: int, lo: float, hi: float):
-    """Least-squares slope of ln(rate) against ln(level) over a window."""
-    points = [(t, y[component], f[component]) for t, y, f in tail
-              if lo <= y[component] <= hi and f[component] > 0.0
-              and np.isfinite(y[component]) and np.isfinite(f[component])]
-    if len(points) < 5:
-        return None
-    log_v = np.log([v for _, v, _ in points])
-    log_r = np.log([r for _, _, r in points])
-    vc = log_v - log_v.mean()
-    denom = float(vc @ vc)
-    if denom <= 0.0:
-        return None
-    slope = float(vc @ (log_r - log_r.mean())) / denom
-    return slope, points
+def _tail_asymptote(tail, y: np.ndarray) -> float | None:
+    """Extrapolate the blow-up time from the recent trajectory tail.
 
-
-def _extrapolate_reciprocal(points, p: float):
-    """Fit ``A**(1-p)`` linearly in t and return its root.
-
-    For an exact power-law blow-up the transform is exactly linear and
-    hits zero at the asymptote; returns ``None`` when the fitted line
-    does not slope downward.
+    Takes the largest component of ``y`` and the tail samples within
+    four (failing that, eight) decades below its peak; fits the local
+    rate exponent ``p`` as the least-squares slope of ln(rate) against
+    ln(level); then fits ``A**(1-p)`` linearly in t and returns its
+    root.  For an exact power-law blow-up the transform is exactly
+    linear and hits zero at the asymptote.  Returns ``None`` when no
+    window holds five usable samples, when ``p`` is at fit-noise level
+    above 1 (there the reciprocal transform degenerates; log-corrected
+    blow-ups approach 1 from above much slower than this margin), or
+    when the fitted line does not slope downward.
     """
+    component = int(np.argmax(y))
+    peak = float(y[component])
+    for span in (1e4, 1e8):
+        lo = peak / span
+        points = [(t, s[component], f[component]) for t, s, f in tail
+                  if lo <= s[component] <= peak and f[component] > 0.0
+                  and np.isfinite(s[component]) and np.isfinite(f[component])]
+        if len(points) < 5:
+            continue
+        log_v = np.log([v for _, v, _ in points])
+        log_r = np.log([r for _, _, r in points])
+        vc = log_v - log_v.mean()
+        denom = float(vc @ vc)
+        if denom > 0.0:
+            break
+    else:
+        return None
+    p = float(vc @ (log_r - log_r.mean())) / denom
+    if p <= 1.001:
+        return None
     t = np.array([pt[0] for pt in points])
     w = np.array([pt[1] for pt in points]) ** (1.0 - p)
     t_ref = t.mean()
@@ -585,42 +585,29 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
             # the asymptote sits closer than one representable step;
             # that is as converged as double precision allows
             return core.pole
-        component = int(np.argmax(core.y))
-        peak = float(core.y[component])
-        fit = None
-        for span in (1e4, 1e8):
-            fit = _fit_tail_exponent(core.tail, component, peak / span, peak)
-            if fit is not None:
-                break
-        if fit is not None:
-            p, points = fit
-            # exclude exponents at fit-noise level above 1: there the
-            # reciprocal transform degenerates; log-corrected blow-ups
-            # approach 1 from above much slower than this margin
-            if p > 1.001:
-                t_hat = _extrapolate_reciprocal(points, p)
-                if t_hat is not None and t_hat > core.t:
-                    delta = t_hat - core.t
-                    tol = opts.blowup_tol if opts.blowup_tol is not None \
-                        else 1e-3 * t_hat
-                    # later crossings must be located finer than the
-                    # convergence test below requires
-                    core.crossing_xtol = tol / 16.0
-                    if delta <= tol / 4.0:
-                        return BlowUpEvent(
-                            t_low=float(core.t),
-                            t_high=float(t_hat + 3.0 * delta),
-                            estimate=float(t_hat),
-                            method="reciprocal-extrapolation",
-                        )
-                    if prev_delta is not None and \
-                            abs(delta - prev_delta) < 0.05 * prev_delta:
-                        plateau += 1
-                        if plateau >= 3:
-                            return None
-                    else:
-                        plateau = 0
-                    prev_delta = delta
+        t_hat = _tail_asymptote(core.tail, core.y)
+        if t_hat is not None and t_hat > core.t:
+            delta = t_hat - core.t
+            tol = opts.blowup_tol if opts.blowup_tol is not None \
+                else 1e-3 * t_hat
+            # later crossings must be located finer than the
+            # convergence test below requires
+            core.crossing_xtol = tol / 16.0
+            if delta <= tol / 4.0:
+                return BlowUpEvent(
+                    t_low=float(core.t),
+                    t_high=float(t_hat + 3.0 * delta),
+                    estimate=float(t_hat),
+                    method="reciprocal-extrapolation",
+                )
+            if prev_delta is not None and \
+                    abs(delta - prev_delta) < 0.05 * prev_delta:
+                plateau += 1
+                if plateau >= 3:
+                    return None
+            else:
+                plateau = 0
+            prev_delta = delta
         threshold *= threshold_boost
         if threshold > threshold_cap:
             return None

@@ -129,13 +129,23 @@ def _derive_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+@dataclass(frozen=True, eq=False)
 class _Batch:
-    """Raw output of the vectorized Euler-Maruyama loop."""
+    """Raw output of the vectorized Euler-Maruyama loop, one row per path.
 
-    __slots__ = (
-        "n_steps", "dt", "exploded", "absorbed", "event_time", "final_value",
-        "alive", "terminal", "slopes", "slope_counts", "rec_steps", "series",
-    )
+    ``final_levels`` holds the finite crossing sample of an exploded
+    path, the final value of a live one, and ``nan`` otherwise;
+    ``rec_steps`` and ``series`` are ``None`` unless recording.
+    """
+
+    exploded: np.ndarray
+    absorbed: np.ndarray
+    alive: np.ndarray
+    event_time: np.ndarray
+    final_levels: np.ndarray
+    slopes: np.ndarray
+    rec_steps: np.ndarray | None
+    series: np.ndarray | None
 
 
 def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
@@ -238,20 +248,10 @@ def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
         sxy = sty - st * sy / np.maximum(cnt, 1.0)
         slopes = np.where((cnt >= _MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
 
-    out = _Batch()
-    out.n_steps = n_steps
-    out.dt = dt
-    out.exploded = exploded
-    out.absorbed = absorbed
-    out.event_time = event_time
-    out.final_value = final_value
-    out.alive = alive
-    out.terminal = a.copy()
-    out.slopes = slopes
-    out.slope_counts = cnt
-    out.rec_steps = rec_steps
-    out.series = series
-    return out
+    return _Batch(exploded=exploded, absorbed=absorbed, alive=alive,
+                  event_time=event_time,
+                  final_levels=np.where(alive, a, final_value),
+                  slopes=slopes, rec_steps=rec_steps, series=series)
 
 
 def _validate_grid(A0: float, dt: float, t_end: float) -> int:
@@ -292,9 +292,9 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     exploded = bool(batch.exploded[0])
     absorbed = bool(batch.absorbed[0])
     event = float(batch.event_time[0]) if exploded or absorbed else None
-    if exploded and np.isfinite(batch.final_value[0]):
+    if exploded and np.isfinite(batch.final_levels[0]):
         times = np.append(times, event)
-        values = np.append(values, batch.final_value[0])
+        values = np.append(values, batch.final_levels[0])
     return PathResult(
         times=times, values=values,
         exploded=exploded,

@@ -1,9 +1,13 @@
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import blowuplab
 
 HEADLINE = {
     "k": 0.004619714575484712,
@@ -254,3 +258,26 @@ class TestReproduceFigures:
         assert (tmp_path / noisy["table"]).exists()
         header = (tmp_path / noisy["table"]).read_text().splitlines()[0]
         assert header.startswith("t,path_")
+
+
+PACKAGE = Path(blowuplab.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_names_of_sibling_modules(module):
+    # ensemble drives the Euler-Maruyama kernel in sde; no other module
+    # may depend on another's private helpers
+    allowed = {"sde"} if module == "ensemble" else set()
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in MODULES and node.value.id not in allowed \
+                and node.attr.startswith("_"):
+            reached.append(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.level \
+                and node.module not in allowed:
+            reached += [f"{node.module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_")]
+    assert reached == []

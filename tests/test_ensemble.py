@@ -1,15 +1,20 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowuplab import (
     DomainError,
     EnsembleSpec,
     em_path,
+    ensemble,
     hyperbolic_sde_model,
     pathwise_growth_slope,
     run_ensemble,
+    simulate_batch,
     volatility_masking_scan,
 )
 
@@ -86,6 +91,47 @@ class TestRunEnsemble:
                            dt=0.01, t_end=1.0, n_paths=4, master_seed=0)
         with pytest.raises(DomainError):
             run_ensemble(bad)
+
+
+class TestSimulateBatch:
+    # a low threshold and strong noise give exploded, absorbed and
+    # surviving paths within 100 steps
+    @settings(max_examples=15)
+    @given(n_paths=st.integers(1, 24), chunk=st.integers(1, 9),
+           workers=st.sampled_from([1, 2]),
+           record_points=st.one_of(st.none(), st.integers(1, 150)))
+    def test_chunks_and_workers_do_not_change_the_batch(
+            self, n_paths, chunk, workers, record_points):
+        spec = EnsembleSpec(model=hyperbolic_sde_model(1.0, 1.5), A0=1.0,
+                            dt=0.01, t_end=1.0, n_paths=n_paths,
+                            master_seed=5, threshold=5.0)
+        reference = simulate_batch(spec, record_points=record_points)
+        with mock.patch.object(ensemble, "_CHUNK_PATHS", chunk):
+            batch = simulate_batch(spec, workers=workers,
+                                   record_points=record_points)
+        for field in dataclasses.fields(reference):
+            name = field.name
+            expected, got = getattr(reference, name), getattr(batch, name)
+            if expected is None:
+                assert got is None and record_points is None
+            else:
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), name
+
+    def test_rows_follow_path_order(self):
+        spec = paper_spec(3, 77)
+        batch = simulate_batch(spec, record_points=100)
+        assert batch.series.shape == (3, len(batch.rec_steps))
+        for index in range(3):
+            path = em_path(spec.model, 1.0, 0.01, 30.0, seed=(77, index),
+                           record_every=int(batch.rec_steps[1]))
+            row = batch.series[index]
+            assert np.array_equal(path.values, row[np.isfinite(row)])
+
+    def test_rejects_nonpositive_record_points(self):
+        with pytest.raises(DomainError):
+            simulate_batch(paper_spec(2, 1), record_points=0)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from blowuplab import (
@@ -150,6 +151,20 @@ class TestIntegrate:
         with pytest.raises(FieldEvaluationError):
             integrate(scalar_field(lambda A: math.nan), [1.0], 1.0)
 
+    @pytest.mark.parametrize("rate", [
+        # overshoots below 0.5 inside a trial stage
+        lambda y: np.array([math.log(y[0] - 0.5) * y[0]]),
+        # right shape at the initial state only
+        lambda y: np.array([0.1 * y[0]]) if y[0] == 1.0
+        else np.array([0.1 * y[0], 1.0]),
+    ], ids=["raises-at-stage", "wrong-shape-at-stage"])
+    def test_stage_failures_are_field_errors(self, rate):
+        field = VectorField(1, rate)
+        with pytest.raises(FieldEvaluationError):
+            integrate(field, [1.0], 5.0)
+        with pytest.raises(FieldEvaluationError):
+            estimate_blowup_time(field, [1.0], 5.0)
+
     def test_option_validation(self):
         with pytest.raises(DomainError):
             integrate(scalar_field(lambda A: A), [1.0], 1.0,
@@ -206,6 +221,16 @@ class TestEstimateBlowupTime:
         assert event is not None
         assert event.t_low <= event.estimate <= event.t_high
         assert abs(event.estimate - expected) <= (event.t_high - event.t_low)
+
+    @settings(max_examples=20)
+    @given(k=st.floats(0.01, 1.0), n=st.floats(1.2, 3.0),
+           A0=st.floats(0.5, 10.0))
+    def test_powerlaw_formula_property(self, k, n, A0):
+        expected = powerlaw_blowup_time(k, A0, n).t_star
+        event = estimate_blowup_time(scalar_field(lambda A: k * A ** n), [A0],
+                                     expected * 2.0)
+        assert event is not None
+        assert event.estimate == pytest.approx(expected, rel=1e-3)
 
 
 class TestMultiplicative:
