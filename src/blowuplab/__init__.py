@@ -27,7 +27,6 @@ from .analysis import (
     INCONCLUSIVE,
     INFINITE_TIME,
     BarometerReport,
-    ClassifierOptions,
     ConvergenceVerdict,
     PhasePlan,
     barometer,
@@ -90,7 +89,7 @@ __all__ = [
     "simulate_batch", "volatility_masking_scan",
     # analysis
     "FINITE_TIME", "INFINITE_TIME", "INCONCLUSIVE",
-    "ConvergenceVerdict", "BarometerReport", "PhasePlan", "ClassifierOptions",
+    "ConvergenceVerdict", "BarometerReport", "PhasePlan",
     "classify_growth_law", "barometer", "compose_phases",
     # dsl
     "SystemSpec", "parse", "evaluate", "pretty_print", "as_function", "to_field",

@@ -42,14 +42,13 @@ from scipy.integrate import quad
 from . import dsl
 from .closedform import calibrate_k
 from .errors import DomainError, InsufficientDataError
-from .ode import BlowUpEvent, IntegrationOptions, VectorField, estimate_blowup_time, integrate
+from .ode import BlowUpEvent, VectorField, estimate_blowup_time, integrate
 
 __all__ = [
     "FINITE_TIME",
     "INFINITE_TIME",
     "INCONCLUSIVE",
     "GrowthLaw",
-    "ClassifierOptions",
     "MethodReading",
     "ConvergenceVerdict",
     "BarometerReport",
@@ -68,38 +67,22 @@ INCONCLUSIVE = "inconclusive"
 GrowthLaw = Union[str, dsl.Expr, Callable]
 
 
-@dataclass(frozen=True)
-class ClassifierOptions:
-    """Tunables for :func:`classify_growth_law`.
-
-    The defaults implement the standard configuration: an eight-decade
-    initial ladder, geometric ratio cutoff 0.9, exponent margin 0.05,
-    and the probe grid ``1e4 ... 1e8``.  ``max_ladder_decades`` bounds
-    how far the ladder may extend for slowly decaying increments while
-    staying inside double range.
-    """
-
-    ladder_decades: int = 8
-    max_ladder_decades: int = 280
-    extension_block: int = 8
-    geometric_ratio: float = 0.9
-    exponent_margin: float = 0.05
-    exponent_grid: tuple[float, ...] = (1e4, 1e5, 1e6, 1e7, 1e8)
-    log_order_infinite: float = 1.1
-    log_order_finite: float = 1.5
-    intercept_slack: float = 0.01
-    tail_target: float = 0.02
-    quad_rtol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.ladder_decades < 3:
-            raise DomainError("ladder needs at least 3 decades")
-        if not 0.0 < self.geometric_ratio < 1.0:
-            raise DomainError("geometric_ratio must be in (0, 1)")
-        if self.exponent_margin <= 0.0:
-            raise DomainError("exponent_margin must be positive")
-        if len(self.exponent_grid) < 3:
-            raise DomainError("exponent_grid needs at least 3 points")
+# Classifier settings.  The quadrature ladder starts with eight decades
+# and extends in blocks while slowly decaying increments need it; the
+# 280-decade bound keeps it inside double range.
+_LADDER_DECADES = 8
+_MAX_LADDER_DECADES = 280
+_EXTENSION_BLOCK = 8
+_GEOMETRIC_RATIO = 0.9
+_EXPONENT_MARGIN = 0.05
+_EXPONENT_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
+_LOG_ORDER_INFINITE = 1.1
+_LOG_ORDER_FINITE = 1.5
+_INTERCEPT_SLACK = 0.01
+_TAIL_TARGET = 0.02
+_QUAD_RTOL = 1e-10
+# relative floor under the barometer's curvature, in standardized units
+_CURVATURE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -243,7 +226,7 @@ def _fit_decay_order(increments: Sequence[float]) -> float:
     return -float(lxc @ (ly - ly.mean())) / float(lxc @ lxc)
 
 
-def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReading:
+def _quadrature_method(rate, A0: float) -> MethodReading:
     log10 = math.log(10.0)
     x0 = math.log(A0)
     increments: list[float] = []
@@ -255,10 +238,10 @@ def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReadin
         hi = lo + log10
         if hi > x_top_limit:
             return False
-        increments.append(_ladder_segment(rate, lo, hi, opts.quad_rtol))
+        increments.append(_ladder_segment(rate, lo, hi, _QUAD_RTOL))
         return True
 
-    for _ in range(opts.ladder_decades):
+    for _ in range(_LADDER_DECADES):
         if not add_rung():
             break
     if len(increments) < 3 or not all(map(math.isfinite, increments)):
@@ -276,7 +259,7 @@ def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReadin
         # or log-corrected decay drifts toward 1 and must be order-fitted
         tail = d[-min(len(d), 6):]
         ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        if ratios[-1] < opts.geometric_ratio and \
+        if ratios[-1] < _GEOMETRIC_RATIO and \
                 max(ratios) - min(ratios) <= 1e-6 * max(ratios):
             return "geometric"
         return "polynomial"
@@ -286,20 +269,20 @@ def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReadin
         alpha = _fit_decay_order(increments)
         total = math.fsum(increments)
         tail = increments[-1] * len(increments) / (alpha - 1.0) if alpha > 1.0 else math.inf
-        deep_enough = len(increments) >= 3 * opts.ladder_decades
-        if deep_enough and alpha <= opts.log_order_infinite:
+        deep_enough = len(increments) >= 3 * _LADDER_DECADES
+        if deep_enough and alpha <= _LOG_ORDER_INFINITE:
             return MethodReading(INFINITE_TIME, None, {
                 "mode": "polynomial", "decay_order": alpha,
                 "rungs": len(increments),
             })
-        if deep_enough and alpha > opts.log_order_infinite and tail <= opts.tail_target * total:
+        if deep_enough and alpha > _LOG_ORDER_INFINITE and tail <= _TAIL_TARGET * total:
             return MethodReading(FINITE_TIME, total + tail, {
                 "mode": "polynomial", "decay_order": alpha,
                 "rungs": len(increments), "tail": tail,
             })
-        if len(increments) >= opts.max_ladder_decades:
+        if len(increments) >= _MAX_LADDER_DECADES:
             # could not push the tail below target inside double range
-            if alpha > 1.0 + (opts.log_order_infinite - 1.0) / 2.0:
+            if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
                 return MethodReading(FINITE_TIME, total + tail, {
                     "mode": "polynomial-truncated", "decay_order": alpha,
                     "rungs": len(increments), "tail": tail,
@@ -308,7 +291,7 @@ def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReadin
                 "mode": "polynomial-truncated", "decay_order": alpha,
                 "rungs": len(increments),
             })
-        for _ in range(opts.extension_block):
+        for _ in range(_EXTENSION_BLOCK):
             if not add_rung():
                 break
         state = tail_state()
@@ -333,10 +316,10 @@ def _quadrature_method(rate, A0: float, opts: ClassifierOptions) -> MethodReadin
 # method 2: tail exponent probe
 
 
-def _exponent_method(rate, A0: float, opts: ClassifierOptions) -> MethodReading:
+def _exponent_method(rate, A0: float) -> MethodReading:
     scale = max(A0, 1.0)
     points = []
-    for base in opts.exponent_grid:
+    for base in _EXPONENT_GRID:
         level = base * scale
         f_lo = rate(level)
         f_hi = rate(level * math.e)
@@ -358,20 +341,20 @@ def _exponent_method(rate, A0: float, opts: ClassifierOptions) -> MethodReading:
         "p_limit": p_limit,
         "log_order": slope,
     }
-    s = opts.exponent_margin
+    s = _EXPONENT_MARGIN
     if float(np.max(p)) <= 1.0 + 1e-9:
         return MethodReading(INFINITE_TIME, None, {**details, "mode": "subcritical"})
     if p_limit >= 1.0 + s and float(np.min(p)) >= 1.0 + s:
         return MethodReading(FINITE_TIME, None, {**details, "mode": "supercritical"})
-    if abs(intercept) < opts.intercept_slack:
-        if slope >= opts.log_order_finite:
+    if abs(intercept) < _INTERCEPT_SLACK:
+        if slope >= _LOG_ORDER_FINITE:
             return MethodReading(FINITE_TIME, None, {**details, "mode": "log-corrected"})
-        if slope <= opts.log_order_infinite:
+        if slope <= _LOG_ORDER_INFINITE:
             return MethodReading(INFINITE_TIME, None, {**details, "mode": "log-corrected"})
     return MethodReading(INCONCLUSIVE, None, {**details, "mode": "boundary"})
 
 
-def _validate_rate_shape(rate, A0: float, opts: ClassifierOptions) -> None:
+def _validate_rate_shape(rate, A0: float) -> None:
     # positivity and monotonicity are assumptions of the whole method;
     # sample them instead of trusting the caller
     top = min(1e12 * max(A0, 1.0), 1e300)
@@ -395,7 +378,6 @@ def _validate_rate_shape(rate, A0: float, opts: ClassifierOptions) -> None:
 
 
 def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
-                        opts: ClassifierOptions | None = None,
                         parameters: Mapping[str, float] | None = None) -> ConvergenceVerdict:
     """Decide whether ``dA/dt = F(A)`` reaches infinity in finite time.
 
@@ -407,15 +389,14 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
     The law must be positive and monotone non-decreasing on
     ``[A0, inf)``; both are validated by sampling.
     """
-    opts = opts or ClassifierOptions()
     if not math.isfinite(A0) or A0 <= 0.0:
         raise DomainError(f"A0 must be positive and finite, got {A0!r}")
     fn, label = _as_rate(law, parameters)
     rate = _safe_rate(fn)
-    _validate_rate_shape(rate, A0, opts)
+    _validate_rate_shape(rate, A0)
 
-    quadrature = _quadrature_method(rate, A0, opts)
-    exponent = _exponent_method(rate, A0, opts)
+    quadrature = _quadrature_method(rate, A0)
+    exponent = _exponent_method(rate, A0)
 
     if quadrature.verdict == exponent.verdict and quadrature.verdict != INCONCLUSIVE:
         verdict = quadrature.verdict
@@ -437,15 +418,14 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
 
 
 def barometer(times: Sequence[float], values: Sequence[float], window: int,
-              z_threshold: float = 3.0,
-              curvature_floor: float = 1e-12) -> BarometerReport:
+              z_threshold: float = 3.0) -> BarometerReport:
     """Flag super-exponential curvature in the trailing window.
 
     Fits ``ln(value) ~ b0 + b1*t + b2*t**2`` over the last ``window``
     samples (time standardized for conditioning) and reports the
     curvature's t-statistic.  ``flagged`` requires ``b2`` positive,
     ``z > z_threshold``, and ``b2`` above a floor of
-    ``curvature_floor * max(1, |b0|, |b1|)`` in standardized units;
+    ``1e-12 * max(1, |b0|, |b1|)`` in standardized units;
     the floor suppresses machine-epsilon curvature that exact
     exponential data otherwise turns into an arbitrarily significant
     fit.
@@ -480,7 +460,7 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     se = math.sqrt(max(sigma2 * gram_inv[2, 2], 0.0))
 
     b2 = float(coef[2])
-    floor = curvature_floor * max(1.0, abs(float(coef[0])), abs(float(coef[1])))
+    floor = _CURVATURE_FLOOR * max(1.0, abs(float(coef[0])), abs(float(coef[1])))
     above_floor = b2 > floor
     if se == 0.0:
         z = math.inf if above_floor else 0.0
@@ -505,7 +485,6 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
                    switch_level: float | None = None,
                    horizon: float = 1e4,
                    phase1_samples: int = 129,
-                   integration: IntegrationOptions | None = None,
                    parameters: Mapping[str, float] | None = None) -> PhasePlan:
     """Stitch the driven exponential phase to a self-referential phase.
 
@@ -536,9 +515,8 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
         return np.atleast_1d(np.asarray(fn(np.asarray(state[0])), dtype=float))
 
     field2 = VectorField(dimension=1, rate=rate, names=("A",))
-    integration = integration or IntegrationOptions()
-    trajectory = integrate(field2, [switch], horizon, integration)
-    event = estimate_blowup_time(field2, [switch], horizon, integration)
+    trajectory = integrate(field2, [switch], horizon)
+    event = estimate_blowup_time(field2, [switch], horizon)
 
     times2 = trajectory.times[1:] + t_switch
     levels2 = trajectory.states[1:, 0]

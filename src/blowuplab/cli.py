@@ -7,12 +7,13 @@ verdict for a growth law), ``compose`` (two-phase scenario plan),
 ``barometer`` (trend test over a CSV series), and ``reproduce``
 (canned figure data and headline numbers).
 
-Shared flags sit after the subcommand: ``--out DIR`` for output files,
-``--format csv|json`` for tabular data, ``--seed N`` for stochastic
-commands.  Exit codes: 0 on success, 2 on usage errors, 3 on domain or
-model errors (reported on stderr).  All outputs are deterministic for
-a fixed command line: rerunning a seeded command reproduces every file
-byte for byte.
+Flags sit after the subcommand.  Every subcommand takes ``--out DIR``
+for output files; ``solve``, ``simulate``, ``compose`` and
+``reproduce`` write tables and take ``--format csv|json``; ``ensemble``
+and ``reproduce`` are seeded and take ``--seed N``.  Exit codes: 0 on
+success, 2 on usage errors, 3 on domain or model errors (reported on
+stderr).  All outputs are deterministic for a fixed command line:
+rerunning a seeded command reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -124,38 +125,33 @@ def _blowup_payload(event: ode.BlowUpEvent | None):
 # solve
 
 
-def _solve_rows(args, parser):
-    model = args.model
+# model -> (flags it needs, level at time t, blow-up time or None)
+_SOLVE_MODELS = {
+    "exponential": ((), lambda a, t: closedform.exp_phase_solution(
+        closedform.ScenarioParams(k=a.k, I=a.I, R=a.R, c=a.c), t), lambda a: None),
+    "hyperbolic": (("k", "I"), lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
+                   lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star),
+    "powerlaw": (("k", "I", "n"), lambda a, t: closedform.powerlaw_solution(a.k, a.I, a.n, t),
+                 lambda a: closedform.powerlaw_blowup_time(a.k, a.I, a.n).t_star),
+    "loglaw": (("k",), lambda a, t: closedform.loglaw_solution(
+        0.0 if a.c is None else a.c, a.k, t), lambda a: None),
+    "coupled-gdp": (("k1",), lambda a, t: closedform.coupled_gdp_solution(a.k1, t),
+                    lambda a: 1.0 / a.k1),
+}
+
+
+def _solve_rows(args):
+    flags, level, blowup_time = _SOLVE_MODELS[args.model]
+    _need(args, *flags)
     grid = np.linspace(0.0, args.t_max, args.steps)
-    if model == "exponential":
-        params = closedform.ScenarioParams(k=args.k, I=args.I, R=args.R, c=args.c)
-        levels = [closedform.exp_phase_solution(params, float(t)) for t in grid]
-        t_star = None
-    elif model == "hyperbolic":
-        _need(parser, k=args.k, I=args.I)
-        t_star = closedform.hyperbolic_blowup_time(args.k, args.I).t_star
-        levels = [closedform.hyperbolic_solution(args.k, args.I, float(t)) for t in grid]
-    elif model == "powerlaw":
-        _need(parser, k=args.k, I=args.I, n=args.n_exp)
-        t_star = closedform.powerlaw_blowup_time(args.k, args.I, args.n_exp).t_star
-        levels = [closedform.powerlaw_solution(args.k, args.I, args.n_exp, float(t))
-                  for t in grid]
-    elif model == "loglaw":
-        _need(parser, k=args.k)
-        c = 0.0 if args.c is None else args.c
-        t_star = None
-        levels = [closedform.loglaw_solution(c, args.k, float(t)) for t in grid]
-    else:  # coupled-gdp
-        _need(parser, k1=args.k1)
-        t_star = 1.0 / args.k1
-        levels = [closedform.coupled_gdp_solution(args.k1, float(t)) for t in grid]
-    return grid, levels, t_star
+    t_star = blowup_time(args)
+    return grid, [level(args, float(t)) for t in grid], t_star
 
 
-def _need(parser, **values) -> None:
-    missing = [name for name, value in values.items() if value is None]
+def _need(args, *flags: str) -> None:
+    missing = [flag for flag in flags if getattr(args, flag) is None]
     if missing:
-        parser.error("missing required flags: " + ", ".join(f"--{m}" for m in missing))
+        args.parser.error("missing required flags: " + ", ".join(f"--{m}" for m in missing))
 
 
 def cmd_solve(args) -> int:
@@ -164,7 +160,7 @@ def cmd_solve(args) -> int:
         parser.error("--steps must be at least 2")
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
-    grid, levels, t_star = _solve_rows(args, parser)
+    grid, levels, t_star = _solve_rows(args)
     path = _write_table(args, f"solve_{args.model}", ["t", "A"],
                         zip(grid, levels))
     summary = {
@@ -185,10 +181,7 @@ def cmd_solve(args) -> int:
 # simulate
 
 
-_BUILTIN_FIELD_MODELS = ("exponential", "hyperbolic", "powerlaw", "loglaw", "coupled-gdp")
-
-
-def _builtin_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
+def _builtin_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
     name = args.model
     A0 = 1.0 if args.A0 is None else args.A0
     if name == "exponential":
@@ -197,18 +190,17 @@ def _builtin_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
         field = ode.VectorField(1, lambda y: np.array([rate_k * y[0]]), ("A",))
         return field, np.array([A0]), f"exponential(k*I={rate_k!r})"
     if name == "hyperbolic":
-        _need(parser, k=args.k)
+        _need(args, "k")
         k = args.k
         field = ode.VectorField(1, lambda y: np.array([k * y[0] * y[0]]), ("A",))
         return field, np.array([A0]), f"hyperbolic(k={k!r})"
     if name == "powerlaw":
-        _need(parser, k=args.k, n=args.n_exp)
-        k, n = args.k, args.n_exp
-        with np.errstate(all="ignore"):
-            field = ode.VectorField(1, lambda y: np.array([k * y[0] ** n]), ("A",))
+        _need(args, "k", "n")
+        k, n = args.k, args.n
+        field = ode.VectorField(1, lambda y: np.array([k * y[0] ** n]), ("A",))
         return field, np.array([A0]), f"powerlaw(k={k!r}, n={n!r})"
     if name == "loglaw":
-        _need(parser, k=args.k)
+        _need(args, "k")
         k = args.k
 
         def rate(y):
@@ -217,7 +209,7 @@ def _builtin_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
 
         return ode.VectorField(1, rate, ("A",)), np.array([A0]), f"loglaw(k={k!r})"
     # coupled-gdp
-    _need(parser, k1=args.k1, k2=args.k2)
+    _need(args, "k1", "k2")
     k1, k2 = args.k1, args.k2
     Y0 = (k1 / k2) if args.Y0 is None else args.Y0
 
@@ -264,7 +256,7 @@ def cmd_simulate(args) -> int:
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
     if args.model is not None:
-        field, state0, label = _builtin_field(args, parser)
+        field, state0, label = _builtin_field(args)
     else:
         field, state0, label = _dsl_field(args, parser)
 
@@ -304,12 +296,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    parser = args.parser
     if args.model == "gbm":
-        _need(parser, k=args.k, I=args.I, sigma=args.sigma)
+        _need(args, "k", "I", "sigma")
         model = sde.gbm_model(args.k, args.I, args.sigma)
     else:
-        _need(parser, k=args.k, sigma=args.sigma)
+        _need(args, "k", "sigma")
         model = sde.hyperbolic_sde_model(args.k, args.sigma)
     spec = ensemble.EnsembleSpec(
         model=model, A0=args.A0, dt=args.dt, t_end=args.t_max,
@@ -580,25 +571,12 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv",
-                     help="tabular output format (default: csv)")
-    sub.add_argument("--seed", type=int, default=42,
-                     help="master seed for stochastic commands (default: 42)")
-
-
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=float, help="growth coefficient")
     sub.add_argument("--I", type=float, help="driver capability ratio")
     sub.add_argument("--R", type=float, help="annual growth factor")
-    sub.add_argument("--c", type=float, help="initial level constant")
-    sub.add_argument("--n", dest="n_exp", type=float, help="power-law exponent")
+    sub.add_argument("--n", type=float, help="power-law exponent")
     sub.add_argument("--k1", type=float, help="coupled-system coefficient 1")
-    sub.add_argument("--k2", type=float, help="coupled-system coefficient 2")
-    sub.add_argument("--sigma", type=float, help="volatility coefficient")
-    sub.add_argument("--A0", type=float, help="initial level")
-    sub.add_argument("--Y0", type=float, help="initial co-factor level")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,20 +587,21 @@ def build_parser() -> argparse.ArgumentParser:
     subs = root.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="evaluate a closed-form model on a grid")
-    _add_common(solve)
     _add_scenario_flags(solve)
-    solve.add_argument("--model", required=True,
-                       choices=("exponential", "hyperbolic", "powerlaw",
-                                "loglaw", "coupled-gdp"))
+    solve.add_argument("--c", type=float, help="initial level constant")
+    solve.add_argument("--model", required=True, choices=tuple(_SOLVE_MODELS))
     solve.add_argument("--t-max", type=float, required=True, help="grid end time")
     solve.add_argument("--steps", type=int, default=101,
                        help="number of grid rows (default: 101)")
     solve.set_defaults(handler=cmd_solve)
 
     simulate = subs.add_parser("simulate", help="integrate a model adaptively")
-    _add_common(simulate)
     _add_scenario_flags(simulate)
-    simulate.add_argument("--model", choices=_BUILTIN_FIELD_MODELS)
+    simulate.add_argument("--k2", type=float, help="coupled-system coefficient 2")
+    simulate.add_argument("--A0", type=float, help="initial level")
+    simulate.add_argument("--Y0", type=float, help="initial co-factor level")
+    # the built-in fields are the closed-form models of solve
+    simulate.add_argument("--model", choices=tuple(_SOLVE_MODELS))
     simulate.add_argument("--dsl", help="growth-law DSL source text")
     simulate.add_argument("--dsl-file", help="file with growth-law DSL source")
     simulate.add_argument("--param", action="append", metavar="NAME=VALUE",
@@ -642,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     ens = subs.add_parser("ensemble", help="Monte Carlo ensemble statistics")
-    _add_common(ens)
     ens.add_argument("--model", required=True, choices=("hyperbolic-sde", "gbm"))
     ens.add_argument("--k", type=float, help="growth coefficient")
     ens.add_argument("--I", type=float, help="driver capability ratio (gbm)")
@@ -657,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = subs.add_parser("classify",
                                help="finite-time convergence verdict for a law")
-    _add_common(classify)
     classify.add_argument("--dsl", help="rate expression, e.g. 'k * A^2'")
     classify.add_argument("--dsl-file", help="file with the rate expression")
     classify.add_argument("--param", action="append", metavar="NAME=VALUE",
@@ -669,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     compose = subs.add_parser("compose",
                               help="two-phase plan: driven onset, then a "
                                    "self-improvement law")
-    _add_common(compose)
     compose.add_argument("--R", type=float, required=True,
                          help="per-period growth factor of the onset phase")
     compose.add_argument("--I", type=float, required=True,
@@ -686,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     compose.set_defaults(handler=cmd_compose)
 
     baro = subs.add_parser("barometer", help="trend test over a CSV series")
-    _add_common(baro)
     baro.add_argument("--csv", required=True, help="input CSV with a header row")
     baro.add_argument("--time-col", default="t")
     baro.add_argument("--value-col", help="defaults to the first non-time column")
@@ -695,12 +670,18 @@ def build_parser() -> argparse.ArgumentParser:
     baro.set_defaults(handler=cmd_barometer)
 
     rep = subs.add_parser("reproduce", help="canned figure data and headline numbers")
-    _add_common(rep)
     rep.add_argument("target", choices=("fig1", "fig2", "fig3", "headline"))
     rep.set_defaults(handler=cmd_reproduce)
 
     for sub in (solve, simulate, ens, classify, compose, baro, rep):
+        sub.add_argument("--out", default=".", help="output directory (default: .)")
         sub.set_defaults(parser=sub)
+    for sub in (solve, simulate, compose, rep):  # the commands that write tables
+        sub.add_argument("--format", choices=("csv", "json"), default="csv",
+                         help="table format (default: csv)")
+    for sub in (ens, rep):  # the seeded commands
+        sub.add_argument("--seed", type=int, default=42,
+                         help="master seed (default: 42)")
     return root
 
 

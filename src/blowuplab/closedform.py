@@ -62,47 +62,27 @@ class ScenarioParams:
     """Parameter bundle for the growth scenarios.
 
     Unused fields stay ``None``; each operation validates only the
-    fields it reads.  Rates ``k`` and ``r`` are per year, ``R`` is the
-    annual growth factor, and ``I`` and ``c`` are dimensionless levels.
-
-    When both ``R`` and ``r`` are given they must satisfy
-    ``r == ln(R)`` exactly; set one and derive the other instead of
-    risking an inconsistent pair.
+    fields it reads.  The rate ``k`` is per year, ``R`` is the annual
+    growth factor, and ``I`` and ``c`` are dimensionless levels.
     """
 
     k: float | None = None
     I: float | None = None
     R: float | None = None
-    r: float | None = None
     c: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.R is not None and self.r is not None:
-            if self.R <= 1.0:
-                raise DomainError(f"growth factor R must exceed 1, got {self.R!r}")
-            if self.r != math.log(self.R):
-                raise DomainError(
-                    f"inconsistent rates: r={self.r!r} but ln(R)={math.log(self.R)!r}; "
-                    "set one of R, r and leave the other None"
-                )
 
     def growth_coefficient(self) -> float:
         """Per-capability growth coefficient ``k``.
 
         Uses the explicit ``k`` when set, otherwise derives it from the
-        annual growth factor via :func:`calibrate_k` (or from ``r`` as
-        ``r / I``).
+        annual growth factor via :func:`calibrate_k`.
         """
         if self.k is not None:
             _require_positive("k", self.k)
             return self.k
         if self.R is not None:
             return calibrate_k(self.R, _get_positive("I", self.I))
-        if self.r is not None:
-            if self.r <= 0.0:
-                raise DomainError(f"log growth rate r must be > 0, got {self.r!r}")
-            return self.r / _get_positive("I", self.I)
-        raise DomainError("no growth rate available: set k, R, or r")
+        raise DomainError("no growth rate available: set k or R")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ back to source that reparses to an equal tree.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Union
@@ -311,6 +312,15 @@ def parse(source: str) -> Expr | SystemSpec:
 # evaluation
 
 
+_BINARY_OPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
 def _is_array(value: object) -> bool:
     return isinstance(value, np.ndarray)
 
@@ -351,29 +361,14 @@ def evaluate(expr: Expr, bindings: Mapping[str, float | np.ndarray]):
     # BinOp
     left = evaluate(expr.left, bindings)
     right = evaluate(expr.right, bindings)
+    apply = _BINARY_OPS[expr.op]
     if _is_array(left) or _is_array(right):
         with np.errstate(all="ignore"):
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left / right
-            return left ** right
+            return apply(left, right)
     try:
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0.0:
-                raise ZeroDivisionError
-            return left / right
-        result = left ** right
+        if expr.op == "/" and right == 0.0:
+            raise ZeroDivisionError
+        result = apply(left, right)
     except ZeroDivisionError:
         raise DomainError(f"division by zero in {pretty_print(expr)!r}") from None
     except (ValueError, OverflowError) as exc:

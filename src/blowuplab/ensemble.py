@@ -60,7 +60,7 @@ class EnsembleSpec:
     threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def steps(self) -> int:
-        return _validate_grid(self.A0, self.dt, self.t_end)
+        return _validate_grid(self.A0, self.dt, self.t_end, self.threshold)
 
     def validate(self) -> None:
         if self.model is None:
@@ -69,8 +69,6 @@ class EnsembleSpec:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if int(self.master_seed) < 0:
             raise DomainError("master_seed must be nonnegative")
-        if self.threshold <= 0.0:
-            raise DomainError("threshold must be positive")
         self.steps()
 
 
@@ -199,7 +197,6 @@ class MaskingPoint:
 def volatility_masking_scan(k: float, sigmas: Sequence[float],
                             template: EnsembleSpec, *,
                             window: int = 64,
-                            z_threshold: float = 3.0,
                             record_points: int = 256,
                             workers: int = 1) -> list[MaskingPoint]:
     """Measure how noise hides super-exponential growth from the barometer.
@@ -235,8 +232,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
             raise DomainError(
                 f"recorded grid has {len(times)} samples, window needs {window}"
             )
-        n_flagged = sum(int(barometer(times, batch.series[lane], window,
-                                      z_threshold).flagged)
+        n_flagged = sum(int(barometer(times, batch.series[lane], window).flagged)
                         for lane in live)
         n_analyzed = int(live.size)
         fraction = (n_flagged / n_analyzed) if n_analyzed else math.nan

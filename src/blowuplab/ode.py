@@ -68,6 +68,10 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _H_MIN_REL = 1e-14  # of the integration horizon
 _TAIL_CAPACITY = 4096
+# estimate_blowup_time raises the threshold by this factor per round
+# and gives up once it passes the cap
+_THRESHOLD_BOOST = 1e12
+_THRESHOLD_CAP = 1e250
 
 
 @dataclass(frozen=True)
@@ -167,21 +171,16 @@ class IntegrationOptions:
 
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: float = math.inf
-    first_step: float | None = None
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     blowup_tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise DomainError("tolerances must be positive")
-        if self.max_step <= 0.0:
-            raise DomainError("max_step must be positive")
-        if self.first_step is not None and self.first_step <= 0.0:
-            raise DomainError("first_step must be positive")
-        if self.blowup_threshold <= 0.0:
+        # each check is written so that nan fails it
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
+        if not self.blowup_threshold > 0.0:
             raise DomainError("blowup_threshold must be positive")
-        if self.blowup_tol is not None and self.blowup_tol <= 0.0:
+        if self.blowup_tol is not None and not self.blowup_tol > 0.0:
             raise DomainError("blowup_tol must be positive")
 
 
@@ -233,16 +232,14 @@ def _error_norm(err, y_old, y_new, rtol, atol) -> float:
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(y0, f0, t_end, opts: IntegrationOptions) -> float:
-    if opts.first_step is not None:
-        return min(opts.first_step, opts.max_step, t_end)
+def _initial_step(y0, f0, t_end, atol: float) -> float:
     speed = float(np.max(np.abs(f0)))
     if speed > 0.0:
-        scale = float(np.max(np.abs(y0))) + opts.atol
+        scale = float(np.max(np.abs(y0))) + atol
         guess = 0.01 * scale / speed
     else:
         guess = t_end / 100.0
-    return min(guess, opts.max_step, t_end)
+    return min(guess, t_end)
 
 
 class _Core:
@@ -264,7 +261,7 @@ class _Core:
             raise FieldEvaluationError(
                 f"field is non-finite at the initial state {y0!r}"
             )
-        self.h = _initial_step(y0, self.f, horizon, opts)
+        self.h = _initial_step(y0, self.f, horizon, opts.atol)
         self.horizon = horizon
         self.h_min = _H_MIN_REL * horizon
         self.crossing_xtol: float | None = None
@@ -298,7 +295,7 @@ class _Core:
             target = t_end
             if t_eval is not None and eval_idx < len(t_eval):
                 target = min(target, float(t_eval[eval_idx]))
-            h = min(self.h, self.opts.max_step, target - self.t)
+            h = min(self.h, target - self.t)
             hit_target = h >= target - self.t
             if h < self.h_min:
                 return self._stall()
@@ -540,21 +537,19 @@ def _tail_asymptote(tail, y: np.ndarray) -> float | None:
 
 
 def estimate_blowup_time(field: VectorField, state0, t_end: float,
-                         opts: IntegrationOptions | None = None,
-                         *, threshold_boost: float = 1e12,
-                         threshold_cap: float = 1e250) -> BlowUpEvent | None:
+                         opts: IntegrationOptions | None = None) -> BlowUpEvent | None:
     """Estimate the finite-time blow-up of a growth system, if any.
 
     Integrates until the blow-up threshold is crossed, fits the local
     rate exponent ``p`` over the trajectory tail, and extrapolates
-    ``A**(1-p)`` to zero.  The threshold is then raised by
-    ``threshold_boost`` and the process repeated until the modeled
-    remaining time drops below a quarter of the bracket tolerance.
+    ``A**(1-p)`` to zero.  The threshold is then raised by a factor of
+    ``1e12`` and the process repeated until the modeled remaining time
+    drops below a quarter of the bracket tolerance.
 
     Returns ``None`` when no crossing happens before ``t_end``, and
-    also when the estimates never converge: thresholds saturate at
-    ``threshold_cap``, the modeled remaining time plateaus across
-    threshold decades, or the refinement runs past ``t_end``.  That is
+    also when the estimates never converge: the threshold passes
+    ``1e250``, the modeled remaining time plateaus across threshold
+    decades, or the refinement runs past ``t_end``.  That is
     the honest answer for super-exponential growth without a finite
     singularity (``dA = ln(A)*A`` crosses any threshold but blows up
     only at infinity), and for blow-ups whose asymptote cannot be
@@ -608,8 +603,8 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
             else:
                 plateau = 0
             prev_delta = delta
-        threshold *= threshold_boost
-        if threshold > threshold_cap:
+        threshold *= _THRESHOLD_BOOST
+        if threshold > _THRESHOLD_CAP:
             return None
         refining = True
 

@@ -53,6 +53,10 @@ __all__ = [
 
 _BLOCK_STEPS = 4096
 _MIN_SLOPE_SAMPLES = 10
+# relative step of the central difference for b'(A), and the largest
+# relative spread of the transformed drift that still counts as constant
+_REL_DERIVATIVE_STEP = 1e-6
+_CONSTANCY_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,9 @@ def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
                   slopes=slopes, rec_steps=rec_steps, series=series)
 
 
-def _validate_grid(A0: float, dt: float, t_end: float) -> int:
+def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
+    if not threshold > 0.0:  # also rejects nan
+        raise DomainError(f"explosion threshold must be positive, got {threshold!r}")
     if not math.isfinite(A0) or A0 <= 0.0:
         raise DomainError(f"initial level must be positive, got {A0!r}")
     if not math.isfinite(dt) or dt <= 0.0:
@@ -279,7 +285,7 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     crossing if it is finite, the last positive level before
     absorption).
     """
-    n_steps = _validate_grid(A0, dt, t_end)
+    n_steps = _validate_grid(A0, dt, t_end, threshold)
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     master, index = _normalize_seed(seed)
@@ -391,25 +397,24 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError(f"sigma must be >= 0 and finite, got {sigma!r}")
 
 
-def _central_derivative(fn, levels: np.ndarray, rel_step: float) -> np.ndarray:
-    h = rel_step * np.abs(levels)
+def _central_derivative(fn, levels: np.ndarray) -> np.ndarray:
+    h = _REL_DERIVATIVE_STEP * np.abs(levels)
     upper = np.asarray(fn(levels + h), dtype=float)
     lower = np.asarray(fn(levels - h), dtype=float)
     return (upper - lower) / (2.0 * h)
 
 
-def ergodicity_check(model: StochasticModel, levels: Sequence[float] | None = None,
-                     *, rel_derivative_step: float = 1e-6,
-                     tolerance: float = 1e-6) -> ErgodicityReport:
+def ergodicity_check(model: StochasticModel,
+                     levels: Sequence[float] | None = None) -> ErgodicityReport:
     """Probe whether the unit-diffusion transform has constant drift.
 
     Maps the process through ``u`` with ``u'(A) = 1/b(A)``; by Ito's
     formula the transformed drift is ``a(A)/b(A) - b'(A)/2`` with
-    ``b'`` taken by central differences at relative step
-    ``rel_derivative_step``.  The transform is declared to exist when
-    the transformed drift is constant over ``levels`` (default
-    ``1, 2, ..., 100``): its largest relative deviation from the grid
-    mean stays below ``tolerance``.  Existence means time averages of
+    ``b'`` taken by central differences at relative step ``1e-6``.
+    The transform is declared to exist when the transformed drift is
+    constant over ``levels`` (default ``1, 2, ..., 100``): its largest
+    relative deviation from the grid mean stays below ``1e-6``, the
+    report's ``tolerance``.  Existence means time averages of
     one long path stand in for ensemble averages.
 
     A diffusion that vanishes somewhere on the grid admits no
@@ -441,14 +446,14 @@ def ergodicity_check(model: StochasticModel, levels: Sequence[float] | None = No
             u_of_A=nan_grid,
             drift_of_u=nan_grid,
             constancy_score=math.inf,
-            tolerance=tolerance,
+            tolerance=_CONSTANCY_TOLERANCE,
             reason="diffusion vanishes on the grid; the transform divides by it",
         )
     drift = np.asarray(model.drift(grid), dtype=float)
     if np.any(~np.isfinite(drift)):
         raise DomainError("drift must be finite on the probe grid")
 
-    derivative = _central_derivative(model.diffusion, grid, rel_derivative_step)
+    derivative = _central_derivative(model.diffusion, grid)
     drift_u = drift / diffusion - 0.5 * derivative
 
     u = np.zeros(len(grid))
@@ -466,17 +471,16 @@ def ergodicity_check(model: StochasticModel, levels: Sequence[float] | None = No
     else:
         score = deviation / abs(mean)
     return ErgodicityReport(
-        transform_exists=bool(score < tolerance),
+        transform_exists=bool(score < _CONSTANCY_TOLERANCE),
         levels=grid,
         u_of_A=u,
         drift_of_u=drift_u,
         constancy_score=score,
-        tolerance=tolerance,
+        tolerance=_CONSTANCY_TOLERANCE,
     )
 
 
-def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0,
-                  *, rel_derivative_step: float = 1e-6):
+def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0):
     """Build the drift that makes ``diffusion`` exactly transformable.
 
     Inverts the transform relation: the returned callable is
@@ -499,7 +503,7 @@ def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0,
         b = np.asarray(diffusion(values), dtype=float)
         if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
             raise DomainError("diffusion must be positive where the drift is evaluated")
-        derivative = _central_derivative(diffusion, values, rel_derivative_step)
+        derivative = _central_derivative(diffusion, values)
         result = ratio * b + 0.5 * b * derivative
         if np.ndim(level) == 0:
             return float(result)

@@ -1,6 +1,8 @@
 import ast
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import blowuplab
+from blowuplab import cli
 
 HEADLINE = {
     "k": 0.004619714575484712,
@@ -59,6 +62,50 @@ class TestExitCodes:
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
+
+
+VALID_COMMANDS = {
+    "solve": ["solve", "--model", "hyperbolic", "--k", "0.01", "--I", "1",
+              "--t-max", "50"],
+    "simulate": ["simulate", "--model", "hyperbolic", "--k", "0.01",
+                 "--t-max", "5"],
+    "ensemble": ["ensemble", "--model", "hyperbolic-sde", "--k", "0.05",
+                 "--sigma", "0.05", "--paths", "5", "--t-max", "1"],
+    "classify": ["classify", "--dsl", "A^2"],
+    "compose": ["compose", "--R", "1.5872", "--I", "100", "--dsl", "k*A^2",
+                "--param", "k=0.0046"],
+    "barometer": ["barometer", "--csv", "series.csv"],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--sigma", "1"), ("solve", "--A0", "1"), ("solve", "--Y0", "1"),
+    ("solve", "--k2", "1"), ("solve", "--seed", "1"),
+    ("simulate", "--sigma", "1"), ("simulate", "--c", "1"),
+    ("simulate", "--seed", "1"),
+    ("ensemble", "--format", "json"),
+    ("classify", "--seed", "1"), ("classify", "--format", "json"),
+    ("compose", "--seed", "1"),
+    ("barometer", "--seed", "1"), ("barometer", "--format", "json"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(command, flag, value,
+                                                        tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*VALID_COMMANDS[command], flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("blowuplab ")]
+    assert len(examples) >= 8
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])
 
 
 class TestHeadline:

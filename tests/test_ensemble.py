@@ -91,6 +91,9 @@ class TestRunEnsemble:
                            dt=0.01, t_end=1.0, n_paths=4, master_seed=0)
         with pytest.raises(DomainError):
             run_ensemble(bad)
+        for threshold in (-5.0, math.nan):
+            with pytest.raises(DomainError, match="threshold"):
+                run_ensemble(dataclasses.replace(paper_spec(4, 0), threshold=threshold))
 
 
 class TestSimulateBatch:

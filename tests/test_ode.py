@@ -169,6 +169,12 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(scalar_field(lambda A: A), [1.0], 1.0,
                       IntegrationOptions(rtol=-1e-8))
+        # a non-finite tolerance would end the run early with no blow-up
+        for bad in (dict(rtol=math.nan), dict(rtol=math.inf), dict(atol=math.nan),
+                    dict(atol=math.inf), dict(blowup_threshold=math.nan),
+                    dict(blowup_tol=math.nan)):
+            with pytest.raises(DomainError):
+                IntegrationOptions(**bad)
 
 
 class TestEstimateBlowupTime:

@@ -144,6 +144,9 @@ class TestEmPath:
             em_path(model, 1.0, 0.0, 10.0, seed=0)
         with pytest.raises(DomainError):
             em_path(model, 1.0, 0.01, 10.0, seed=(1, 2, 3))
+        for threshold in (-5.0, 0.0, math.nan):
+            with pytest.raises(DomainError, match="threshold"):
+                em_path(model, 1.0, 0.01, 10.0, seed=0, threshold=threshold)
 
 
 class TestPathwiseSlope:
