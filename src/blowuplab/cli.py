@@ -144,8 +144,9 @@ def _solve_rows(args):
     flags, level, blowup_time = _SOLVE_MODELS[args.model]
     _need(args, *flags)
     grid = np.linspace(0.0, args.t_max, args.steps)
-    t_star = blowup_time(args)
-    return grid, [level(args, float(t)) for t in grid], t_star
+    # the level functions validate the parameters the blow-up time reads
+    levels = [level(args, float(t)) for t in grid]
+    return grid, levels, blowup_time(args)
 
 
 def _need(args, *flags: str) -> None:

@@ -4,9 +4,10 @@ Each path's random stream is keyed by ``(master_seed, path_index)``
 alone, so an ensemble's statistics are a pure function of its spec: the
 paths can be simulated in one vectorized batch, split into chunks, or
 spread over worker threads and the merged result is bit-for-bit the
-same.  Pathwise log-growth slopes are accumulated with running sums
-(count and first/second moments of time and log-level), which lets the
-engine track a least-squares slope per path without storing the paths.
+same.  Pathwise log-growth slopes come from running sums of the
+log-level and of its product with time, plus prefix sums of the time
+grid up to each path's last step, which lets the engine track a
+least-squares slope per path without storing the paths.
 
 The volatility masking scan reruns one hyperbolic ensemble per noise
 level with common random numbers and feeds every surviving path's

@@ -63,7 +63,12 @@ _CONSTANCY_TOLERANCE = 1e-6
 class StochasticModel:
     """Drift and diffusion of a scalar SDE ``dA = drift dt + diffusion dW``.
 
-    Both callables must accept floats and numpy arrays elementwise.
+    Both callables must accept floats and numpy arrays elementwise: the
+    batch kernel calls them on arrays of live levels, :func:`em_path`
+    on Python floats.  A callable built from ``+``, ``-``, ``*`` and
+    ``/`` gives bitwise the same path either way; numpy's array
+    ``power`` and transcendental functions may round differently from
+    their scalar counterparts in the last ulp.
     """
 
     drift: Callable
@@ -152,6 +157,14 @@ class _Batch:
     series: np.ndarray | None
 
 
+def _record_lattice(n_steps: int, stride: int) -> np.ndarray:
+    """Recorded steps: every ``stride``-th from 0, plus the horizon."""
+    steps = np.arange(0, n_steps + 1, stride)
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)
+    return steps
+
+
 def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
                     rngs: Sequence[np.random.Generator], threshold: float,
                     record_stride: int | None = None) -> _Batch:
@@ -159,102 +172,103 @@ def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
 
     The normal draws are taken per path in blocks of ``_BLOCK_STEPS``,
     which keeps each path's stream independent of how many other paths
-    run alongside it.  Dead lanes keep their last value and consume
-    draws like everyone else.
+    run alongside it.  Only live lanes are stepped: a lane that ends is
+    dropped from the state arrays and draws nothing afterwards.
     """
     n = len(rngs)
     sqdt = math.sqrt(dt)
-    a = np.full(n, float(A0))
-    alive = np.ones(n, dtype=bool)
     exploded = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
+    alive = np.zeros(n, dtype=bool)
     event_time = np.full(n, np.nan)
-    final_value = np.full(n, np.nan)
+    final_levels = np.full(n, np.nan)
 
-    # slope accumulators for ln(value) against time; time is shifted by
-    # half the horizon to keep the normal equations well conditioned
+    # slope sums of y = ln(value) against time; time is shifted by half
+    # the horizon to keep the normal equations well conditioned.  A path
+    # adds its y at steps 0..last[path], so its count and time sums are
+    # prefix sums of one grid; only the sums of y and t*y are run per lane.
     t_shift = 0.5 * n_steps * dt
-    cnt = np.zeros(n)
-    st = np.zeros(n)
-    stt = np.zeros(n)
+    last = np.full(n, n_steps)
     sy = np.zeros(n)
     sty = np.zeros(n)
 
-    recording = record_stride is not None
     rec_steps = None
     series = None
-    rec_pos = 0
-    if recording:
+    next_rec = n_steps + 1  # never reached unless recording
+    if record_stride is not None:
         stride = max(1, int(record_stride))
-        steps = list(range(0, n_steps + 1, stride))
-        if steps[-1] != n_steps:
-            steps.append(n_steps)
-        rec_steps = np.array(steps, dtype=np.int64)
+        rec_steps = _record_lattice(n_steps, stride)
         series = np.full((n, len(rec_steps)), np.nan)
-        series[:, 0] = a
+        series[:, 0] = A0
         rec_pos = 1
+        next_rec = min(stride, n_steps)
 
-    def accumulate(t_value: float) -> None:
-        if not alive.any():
-            return
-        ts = t_value - t_shift
-        y = np.where(alive, np.log(np.where(alive, a, 1.0)), 0.0)
-        live = alive.astype(float)
-        cnt[:] += live
-        st[:] += live * ts
-        stt[:] += live * ts * ts
-        sy[:] += y
-        sty[:] += y * ts
-
+    lanes = np.arange(n)  # path index of each live lane
+    a = np.full(n, float(A0))
+    y_run = np.zeros(n)
+    ty_run = np.zeros(n)
     step = 0
-    while step < n_steps:
-        block = min(_BLOCK_STEPS, n_steps - step)
-        draws = np.empty((n, block))
-        for i, rng in enumerate(rngs):
-            draws[i] = rng.standard_normal(block)
-        for j in range(block):
-            accumulate(step * dt)
-            if not alive.any():
-                step = n_steps
-                break
-            with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        while step < n_steps and lanes.size:
+            block = min(_BLOCK_STEPS, n_steps - step)
+            # one row per step, so each step reads contiguous draws
+            draws = np.empty((block, lanes.size))
+            for col, lane in enumerate(lanes.tolist()):
+                draws[:, col] = rngs[lane].standard_normal(block)
+            cols = None  # columns of draws still live, once a lane has ended
+            for z in draws:
+                y = np.log(a)
+                y_run += y
+                ty_run += y * (step * dt - t_shift)
                 drift = np.asarray(model.drift(a), dtype=float)
                 diffusion = np.asarray(model.diffusion(a), dtype=float)
-                a_next = a + drift * dt + diffusion * sqdt * draws[:, j]
-            step += 1
-            t_next = step * dt
-            nonfinite = ~np.isfinite(a_next)
-            newly_exploded = alive & (nonfinite | (a_next >= threshold))
-            newly_absorbed = alive & ~newly_exploded & (a_next <= 0.0)
-            if newly_exploded.any():
-                exploded |= newly_exploded
-                event_time[newly_exploded] = t_next
-                with np.errstate(invalid="ignore"):
-                    crossing_ok = newly_exploded & ~nonfinite
-                final_value[crossing_ok] = a_next[crossing_ok]
-            if newly_absorbed.any():
-                absorbed |= newly_absorbed
-                event_time[newly_absorbed] = t_next
-            survivors = alive & ~newly_exploded & ~newly_absorbed
-            a = np.where(survivors, a_next, a)
-            alive = survivors
-            if recording and rec_pos < len(rec_steps) and step == rec_steps[rec_pos]:
-                series[:, rec_pos] = np.where(alive, a, np.nan)
-                rec_pos += 1
-        else:
-            continue
-        break
-    if alive.any():
-        accumulate(n_steps * dt)
+                a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
+                step += 1
+                ok = (a_next > 0.0) & (a_next < threshold)
+                if np.count_nonzero(ok) < lanes.size:
+                    ended = ~ok
+                    gone = lanes[ended]
+                    level = a_next[ended]
+                    # nan and -inf count as exploded
+                    sunk = (level <= 0.0) & (level > -np.inf)
+                    absorbed[gone] = sunk
+                    exploded[gone] = ~sunk
+                    event_time[gone] = step * dt
+                    final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
+                    last[gone] = step - 1
+                    sy[gone] = y_run[ended]
+                    sty[gone] = ty_run[ended]
+                    lanes = lanes[ok]
+                    a_next = a_next[ok]
+                    y_run = y_run[ok]
+                    ty_run = ty_run[ok]
+                    cols = np.flatnonzero(ok) if cols is None else cols[ok]
+                    if not lanes.size:
+                        break
+                a = a_next
+                if step == next_rec:
+                    series[lanes, rec_pos] = a
+                    rec_pos += 1
+                    next_rec = min(next_rec + stride, n_steps)
+        if lanes.size:
+            y = np.log(a)
+            y_run += y
+            ty_run += y * (n_steps * dt - t_shift)
+            sy[lanes] = y_run
+            sty[lanes] = ty_run
+            alive[lanes] = True
+            final_levels[lanes] = a
 
-    with np.errstate(all="ignore"):
+        ts = np.arange(n_steps + 1) * dt - t_shift
+        cnt = (last + 1).astype(float)
+        st = np.cumsum(ts)[last]
+        stt = np.cumsum(ts * ts)[last]
         sxx = stt - st * st / np.maximum(cnt, 1.0)
         sxy = sty - st * sy / np.maximum(cnt, 1.0)
         slopes = np.where((cnt >= _MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
 
     return _Batch(exploded=exploded, absorbed=absorbed, alive=alive,
-                  event_time=event_time,
-                  final_levels=np.where(alive, a, final_value),
+                  event_time=event_time, final_levels=final_levels,
                   slopes=slopes, rec_steps=rec_steps, series=series)
 
 
@@ -263,6 +277,10 @@ def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
         raise DomainError(f"explosion threshold must be positive, got {threshold!r}")
     if not math.isfinite(A0) or A0 <= 0.0:
         raise DomainError(f"initial level must be positive, got {A0!r}")
+    if threshold <= A0:
+        raise DomainError(
+            f"explosion threshold {threshold!r} must exceed the initial level {A0!r}"
+        )
     if not math.isfinite(dt) or dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt!r}")
     if not math.isfinite(t_end) or t_end <= 0.0:
@@ -283,24 +301,54 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     ``round(t_end/dt)`` steps.  ``record_every`` thins the stored
     samples; termination samples are always kept (the threshold
     crossing if it is finite, the last positive level before
-    absorption).
+    absorption).  The path is stepped on Python floats; a step whose
+    float evaluation overflows or divides by zero is redone on
+    ``np.float64``, so it ends the path as in the batch kernel instead
+    of raising.
     """
     n_steps = _validate_grid(A0, dt, t_end, threshold)
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     master, index = _normalize_seed(seed)
-    batch = _simulate_paths(model, A0, dt, n_steps, [_derive_rng(master, index)],
-                            threshold, record_stride=record_every)
-    row = batch.series[0]
-    keep = np.isfinite(row)
-    times = batch.rec_steps[keep] * dt
-    values = row[keep]
-    exploded = bool(batch.exploded[0])
-    absorbed = bool(batch.absorbed[0])
-    event = float(batch.event_time[0]) if exploded or absorbed else None
-    if exploded and np.isfinite(batch.final_levels[0]):
+    rng = _derive_rng(master, index)
+    drift, diffusion = model.drift, model.diffusion
+    sqdt = math.sqrt(dt)
+    stride = int(record_every)
+    rec_steps = _record_lattice(n_steps, stride)
+    values = np.empty(len(rec_steps))
+    values[0] = a = float(A0)
+    n_rec = 1
+    next_rec = min(stride, n_steps)
+    step = 0
+    end = None  # the level that ended the path
+    with np.errstate(all="ignore"):
+        while end is None and step < n_steps:
+            for z in rng.standard_normal(min(_BLOCK_STEPS, n_steps - step)).tolist():
+                try:
+                    a_next = a + drift(a) * dt + diffusion(a) * sqdt * z
+                except (OverflowError, ZeroDivisionError):
+                    # numpy scalars give inf or nan here, as the batch kernel does
+                    x = np.float64(a)
+                    a_next = x + drift(x) * dt + diffusion(x) * sqdt * z
+                step += 1
+                if not 0.0 < a_next < threshold:
+                    end = a_next
+                    break
+                a = a_next
+                if step == next_rec:
+                    values[n_rec] = a
+                    n_rec += 1
+                    next_rec = min(next_rec + stride, n_steps)
+
+    times = rec_steps[:n_rec] * dt
+    if n_rec < len(values):
+        values = values[:n_rec].copy()
+    event = None if end is None else step * dt
+    absorbed = end is not None and bool(-math.inf < end <= 0.0)
+    exploded = end is not None and not absorbed
+    if exploded and math.isfinite(end):
         times = np.append(times, event)
-        values = np.append(values, batch.final_levels[0])
+        values = np.append(values, end)
     return PathResult(
         times=times, values=values,
         exploded=exploded,

@@ -58,6 +58,13 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "2.1645021645021645" in proc.stderr
 
+    def test_coupled_model_with_zero_rate_exits_3(self, tmp_path):
+        proc = run_cli("solve", "--model", "coupled-gdp", "--k1", "0",
+                       "--t-max", "1", "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "k1" in proc.stderr
+
     def test_classify_rejects_rate_vanishing_at_start(self, tmp_path):
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
         assert proc.returncode == 3

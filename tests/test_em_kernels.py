@@ -1,0 +1,262 @@
+"""The Euler-Maruyama kernels against the masked lockstep loop they replace.
+
+``masked_lockstep`` is the earlier batch kernel: every lane, live or
+dead, draws, steps and accumulates masked slope sums on every step.
+The compacted batch kernel and the scalar ``em_path`` loop must
+reproduce it bit for bit on product-form models.
+"""
+
+import dataclasses
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blowuplab import (
+    EnsembleSpec,
+    StochasticModel,
+    em_path,
+    gbm_model,
+    hyperbolic_sde_model,
+    sde,
+    simulate_batch,
+)
+
+
+def masked_lockstep(model, A0, dt, n_steps, rngs, threshold, record_stride=None):
+    n = len(rngs)
+    sqdt = math.sqrt(dt)
+    a = np.full(n, float(A0))
+    alive = np.ones(n, dtype=bool)
+    exploded = np.zeros(n, dtype=bool)
+    absorbed = np.zeros(n, dtype=bool)
+    event_time = np.full(n, np.nan)
+    final_value = np.full(n, np.nan)
+
+    t_shift = 0.5 * n_steps * dt
+    cnt = np.zeros(n)
+    st_ = np.zeros(n)
+    stt = np.zeros(n)
+    sy = np.zeros(n)
+    sty = np.zeros(n)
+
+    recording = record_stride is not None
+    rec_steps = None
+    series = None
+    rec_pos = 0
+    if recording:
+        stride = max(1, int(record_stride))
+        steps = list(range(0, n_steps + 1, stride))
+        if steps[-1] != n_steps:
+            steps.append(n_steps)
+        rec_steps = np.array(steps, dtype=np.int64)
+        series = np.full((n, len(rec_steps)), np.nan)
+        series[:, 0] = a
+        rec_pos = 1
+
+    def accumulate(t_value):
+        if not alive.any():
+            return
+        ts = t_value - t_shift
+        y = np.where(alive, np.log(np.where(alive, a, 1.0)), 0.0)
+        live = alive.astype(float)
+        cnt[:] += live
+        st_[:] += live * ts
+        stt[:] += live * ts * ts
+        sy[:] += y
+        sty[:] += y * ts
+
+    step = 0
+    while step < n_steps:
+        block = min(sde._BLOCK_STEPS, n_steps - step)
+        draws = np.empty((n, block))
+        for i, rng in enumerate(rngs):
+            draws[i] = rng.standard_normal(block)
+        for j in range(block):
+            accumulate(step * dt)
+            if not alive.any():
+                step = n_steps
+                break
+            with np.errstate(all="ignore"):
+                drift = np.asarray(model.drift(a), dtype=float)
+                diffusion = np.asarray(model.diffusion(a), dtype=float)
+                a_next = a + drift * dt + diffusion * sqdt * draws[:, j]
+            step += 1
+            t_next = step * dt
+            nonfinite = ~np.isfinite(a_next)
+            newly_exploded = alive & (nonfinite | (a_next >= threshold))
+            newly_absorbed = alive & ~newly_exploded & (a_next <= 0.0)
+            if newly_exploded.any():
+                exploded |= newly_exploded
+                event_time[newly_exploded] = t_next
+                crossing_ok = newly_exploded & ~nonfinite
+                final_value[crossing_ok] = a_next[crossing_ok]
+            if newly_absorbed.any():
+                absorbed |= newly_absorbed
+                event_time[newly_absorbed] = t_next
+            survivors = alive & ~newly_exploded & ~newly_absorbed
+            a = np.where(survivors, a_next, a)
+            alive = survivors
+            if recording and rec_pos < len(rec_steps) and step == rec_steps[rec_pos]:
+                series[:, rec_pos] = np.where(alive, a, np.nan)
+                rec_pos += 1
+        else:
+            continue
+        break
+    if alive.any():
+        accumulate(n_steps * dt)
+
+    with np.errstate(all="ignore"):
+        sxx = stt - st_ * st_ / np.maximum(cnt, 1.0)
+        sxy = sty - st_ * sy / np.maximum(cnt, 1.0)
+        slopes = np.where((cnt >= sde._MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
+
+    return sde._Batch(exploded=exploded, absorbed=absorbed, alive=alive,
+                      event_time=event_time,
+                      final_levels=np.where(alive, a, final_value),
+                      slopes=slopes, rec_steps=rec_steps, series=series)
+
+
+def oracle_batch(spec, record_points=None):
+    n_steps = spec.steps()
+    stride = None if record_points is None else max(1, n_steps // record_points)
+    rngs = [sde._derive_rng(spec.master_seed, i) for i in range(spec.n_paths)]
+    return masked_lockstep(spec.model, spec.A0, spec.dt, n_steps, rngs,
+                           spec.threshold, record_stride=stride)
+
+
+def assert_batches_identical(expected, got):
+    for field in dataclasses.fields(expected):
+        want, have = getattr(expected, field.name), getattr(got, field.name)
+        if want is None:
+            assert have is None, field.name
+        else:
+            assert have.dtype == want.dtype, field.name
+            assert have.shape == want.shape, field.name
+            assert have.tobytes() == want.tobytes(), field.name
+
+
+def absorbing_model(push):
+    # a downward push against proportional noise: most paths hit zero
+    return StochasticModel(drift=lambda a: 0.1 * a - push,
+                           diffusion=lambda a: 0.8 * a, label="absorbing")
+
+
+def cliff_model(floor):
+    # the drift is -inf below ``floor``, so a step from there lands on -inf
+    return StochasticModel(drift=lambda a: np.where(a < floor, -np.inf, 0.2 * a),
+                           diffusion=lambda a: 0.6 * a, label="cliff")
+
+
+MODELS = {
+    "hyperbolic": st.builds(hyperbolic_sde_model, st.floats(0.2, 2.0),
+                            st.floats(0.0, 2.0)),
+    "gbm": st.builds(gbm_model, st.floats(0.01, 1.0), st.floats(0.5, 2.0),
+                     st.floats(0.0, 1.0)),
+    "absorbing": st.builds(absorbing_model, st.floats(0.5, 5.0)),
+    "cliff": st.builds(cliff_model, st.floats(0.3, 0.95)),
+}
+
+
+class TestBatchMatchesMaskedLockstep:
+    @settings(max_examples=40)
+    @given(model=st.one_of(*MODELS.values()),
+           n_paths=st.integers(1, 12), steps=st.integers(1, 300),
+           master_seed=st.integers(0, 2 ** 32 - 1),
+           threshold=st.sampled_from([2.0, 5.0, 1e9]),
+           block=st.sampled_from([7, 64, 4096]),
+           record_points=st.one_of(st.none(), st.integers(1, 120)))
+    def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block,
+                     record_points):
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                            n_paths=n_paths, master_seed=master_seed,
+                            threshold=threshold)
+        with mock.patch.object(sde, "_BLOCK_STEPS", block):
+            expected = oracle_batch(spec, record_points)
+            got = simulate_batch(spec, record_points=record_points)
+        assert_batches_identical(expected, got)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_model_reaches_its_ending(self, name):
+        # the property above only means something if the models end lanes
+        # the way their names say
+        model = {"hyperbolic": hyperbolic_sde_model(1.0, 1.5),
+                 "gbm": gbm_model(0.5, 1.0, 1.0),
+                 "absorbing": absorbing_model(3.0),
+                 "cliff": cliff_model(0.9)}[name]
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=2.0,
+                            n_paths=40, master_seed=3, threshold=5.0)
+        batch = simulate_batch(spec, record_points=50)
+        assert_batches_identical(oracle_batch(spec, 50), batch)
+        if name == "absorbing":
+            assert batch.absorbed.any()
+        elif name == "cliff":
+            # -inf counts as exploded, with no finite crossing sample
+            assert batch.exploded.any()
+            assert np.isnan(batch.final_levels[batch.exploded]).any()
+        else:
+            assert batch.exploded.any() and batch.alive.any()
+
+
+class TestScalarPath:
+    @settings(max_examples=30)
+    @given(model=st.one_of(MODELS["hyperbolic"], MODELS["gbm"]),
+           steps=st.integers(1, 400), index=st.integers(0, 50),
+           threshold=st.sampled_from([3.0, 1e9]),
+           record_points=st.integers(1, 400))
+    def test_em_path_equals_the_batch_row(self, model, steps, index, threshold,
+                                          record_points):
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                            n_paths=index + 1, master_seed=11, threshold=threshold)
+        batch = simulate_batch(spec, record_points=record_points)
+        stride = max(1, steps // record_points)
+        path = em_path(model, 1.0, 0.01, spec.t_end, seed=(11, index),
+                       record_every=stride, threshold=threshold)
+        row = batch.series[index]
+        kept = np.isfinite(row)
+        times = batch.rec_steps[kept] * 0.01
+        values = row[kept]
+        crossing = batch.final_levels[index]
+        if batch.exploded[index] and np.isfinite(crossing):
+            times = np.append(times, batch.event_time[index])
+            values = np.append(values, crossing)
+        assert path.times.tobytes() == times.tobytes()
+        assert path.values.tobytes() == values.tobytes()
+        assert path.exploded == bool(batch.exploded[index])
+        assert path.absorbed == bool(batch.absorbed[index])
+        event = path.explosion_step_time or path.absorption_time
+        if batch.alive[index]:
+            assert event is None
+        else:
+            assert event == batch.event_time[index]
+
+    def test_overflowing_power_explodes_without_a_crossing_sample(self):
+        model = StochasticModel(drift=lambda a: a ** 3,
+                                diffusion=lambda a: 0.5 * a, label="cubic")
+        n_steps = 500
+        expected = masked_lockstep(model, 1.0, 0.01, n_steps,
+                                   [sde._derive_rng(1, 2)], 1e300)
+        assert expected.exploded[0] and np.isnan(expected.final_levels[0])
+        path = em_path(model, 1.0, 0.01, n_steps * 0.01, seed=(1, 2),
+                       threshold=1e300)
+        assert path.exploded and not path.absorbed
+        assert path.explosion_step_time == expected.event_time[0]
+        assert path.times[-1] < path.explosion_step_time
+        assert len(path.values) == round(path.explosion_step_time / 0.01)
+        assert np.all(np.isfinite(path.values))
+        # the last step overflowed a float power, which em_path recovers from
+        with pytest.raises(OverflowError):
+            float(path.values[-1]) ** 3
+
+    def test_division_by_zero_explodes_as_in_the_batch(self):
+        model = StochasticModel(drift=lambda a: 1.0 / (a - 1.0),
+                                diffusion=lambda a: 0.0 * a, label="pole")
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=1.0,
+                            n_paths=1, master_seed=0)
+        batch = simulate_batch(spec, record_points=100)
+        path = em_path(model, 1.0, 0.01, 1.0, seed=0)
+        assert batch.exploded[0] and path.exploded
+        assert path.explosion_step_time == batch.event_time[0] == 0.01
+        assert path.values.tolist() == [1.0]

@@ -94,6 +94,10 @@ class TestRunEnsemble:
         for threshold in (-5.0, math.nan):
             with pytest.raises(DomainError, match="threshold"):
                 run_ensemble(dataclasses.replace(paper_spec(4, 0), threshold=threshold))
+        for threshold in (0.5, 1.0):
+            spec = dataclasses.replace(paper_spec(4, 0), threshold=threshold)
+            with pytest.raises(DomainError, match="initial level"):
+                spec.validate()
 
 
 class TestSimulateBatch:
@@ -226,3 +230,6 @@ class TestMaskingScan:
         with pytest.raises(DomainError):
             volatility_masking_scan(0.01, [0.0], template, window=64,
                                     record_points=32)
+        with pytest.raises(DomainError, match="initial level"):
+            volatility_masking_scan(0.01, [0.0],
+                                    dataclasses.replace(template, threshold=1.0))

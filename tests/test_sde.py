@@ -148,6 +148,13 @@ class TestEmPath:
             with pytest.raises(DomainError, match="threshold"):
                 em_path(model, 1.0, 0.01, 10.0, seed=0, threshold=threshold)
 
+    def test_threshold_must_exceed_the_initial_level(self):
+        # a threshold at or below A0 would "explode" every path at step 1
+        model = hyperbolic_sde_model(0.05, 0.05)
+        for threshold in (0.5, 1.0):
+            with pytest.raises(DomainError, match="initial level"):
+                em_path(model, 1.0, 0.01, 10.0, seed=0, threshold=threshold)
+
 
 class TestPathwiseSlope:
     def test_exponential_slope(self):
