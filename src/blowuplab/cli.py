@@ -58,6 +58,10 @@ def _jsonable(value):
     return value
 
 
+def _json_text(payload) -> str:
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+
+
 def _ensure_out(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -69,32 +73,22 @@ def _write_table(args, basename: str, columns: list[str], rows) -> str:
     Summaries reference tables by bare file name, never by path, so a
     seeded rerun into a different --out directory stays byte-identical.
     """
-    out = _ensure_out(args)
-    if args.format == "json":
-        name = f"{basename}.json"
-        payload = {"columns": columns,
-                   "rows": [[_jsonable(cell) for cell in row] for row in rows]}
-        with open(os.path.join(out, name), "w", newline="\n") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            fh.write("\n")
-        return name
-    name = f"{basename}.csv"
-    with open(os.path.join(out, name), "w", newline="\n") as fh:
+    name = f"{basename}.{args.format}"
+    with open(os.path.join(_ensure_out(args), name), "w", newline="\n") as fh:
+        if args.format == "json":
+            fh.write(_json_text({"columns": columns, "rows": list(rows)}) + "\n")
+            return name
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(cell) for cell in row) + "\n")
     return name
 
 
-def _emit_json(args, basename: str, payload: dict) -> str:
-    out = _ensure_out(args)
-    path = os.path.join(out, f"{basename}.json")
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
-        fh.write("\n")
+def _emit_json(args, basename: str, payload: dict) -> None:
+    text = _json_text(payload)
+    with open(os.path.join(_ensure_out(args), f"{basename}.json"), "w", newline="\n") as fh:
+        fh.write(text + "\n")
     print(text)
-    return path
 
 
 def _parse_bindings(pairs: list[str] | None, parser, flag: str) -> dict[str, float]:
@@ -125,28 +119,25 @@ def _blowup_payload(event: ode.BlowUpEvent | None):
 # solve
 
 
-# model -> (flags it needs, level at time t, blow-up time or None)
-_SOLVE_MODELS = {
+# model -> (flags solve needs, level at time t, blow-up time or None,
+#           DSL source of the rate simulate integrates)
+_MODELS = {
     "exponential": ((), lambda a, t: closedform.exp_phase_solution(
-        closedform.ScenarioParams(k=a.k, I=a.I, R=a.R, c=a.c), t), lambda a: None),
+        closedform.ScenarioParams(k=a.k, I=a.I, R=a.R, c=a.c), t), lambda a: None,
+        "dA = r*A"),
     "hyperbolic": (("k", "I"), lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
-                   lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star),
+                   lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star,
+                   "dA = k*A*A"),
     "powerlaw": (("k", "I", "n"), lambda a, t: closedform.powerlaw_solution(a.k, a.I, a.n, t),
-                 lambda a: closedform.powerlaw_blowup_time(a.k, a.I, a.n).t_star),
+                 lambda a: closedform.powerlaw_blowup_time(a.k, a.I, a.n).t_star,
+                 "dA = k*A^n"),
     "loglaw": (("k",), lambda a, t: closedform.loglaw_solution(
-        0.0 if a.c is None else a.c, a.k, t), lambda a: None),
+        0.0 if a.c is None else a.c, a.k, t), lambda a: None, "dA = k*ln(A)*A"),
     "coupled-gdp": (("k1",), lambda a, t: closedform.coupled_gdp_solution(a.k1, t),
-                    lambda a: 1.0 / a.k1),
+                    lambda a: 1.0 / a.k1, "dY = k1*(Y*A); dA = k2*(Y*A)"),
 }
-
-
-def _solve_rows(args):
-    flags, level, blowup_time = _SOLVE_MODELS[args.model]
-    _need(args, *flags)
-    grid = np.linspace(0.0, args.t_max, args.steps)
-    # the level functions validate the parameters the blow-up time reads
-    levels = [level(args, float(t)) for t in grid]
-    return grid, levels, blowup_time(args)
+# simulate's initial levels of the models' states when --A0/--Y0 are unset
+_DEFAULT_LEVELS = {"A": "1", "Y": "k1/k2"}
 
 
 def _need(args, *flags: str) -> None:
@@ -161,20 +152,22 @@ def cmd_solve(args) -> int:
         parser.error("--steps must be at least 2")
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
-    grid, levels, t_star = _solve_rows(args)
-    path = _write_table(args, f"solve_{args.model}", ["t", "A"],
-                        zip(grid, levels))
+    flags, level, blowup_time, _ = _MODELS[args.model]
+    _need(args, *flags)
+    grid = np.linspace(0.0, args.t_max, args.steps)
+    # the level functions validate the parameters the blow-up time reads
+    levels = [level(args, float(t)) for t in grid]
+    path = _write_table(args, f"solve_{args.model}", ["t", "A"], zip(grid, levels))
     summary = {
         "command": "solve",
         "model": args.model,
         "rows": len(grid),
         "t_max": args.t_max,
         "final_level": levels[-1],
-        "blowup_time": t_star,
+        "blowup_time": blowup_time(args),
         "table": path,
     }
-    text = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
-    print(text)
+    print(_json_text(summary))
     return 0
 
 
@@ -182,45 +175,24 @@ def cmd_solve(args) -> int:
 # simulate
 
 
-def _builtin_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
-    name = args.model
-    A0 = 1.0 if args.A0 is None else args.A0
-    if name == "exponential":
-        params = closedform.ScenarioParams(k=args.k, I=args.I, R=args.R)
-        rate_k = params.growth_coefficient() * (args.I if args.I is not None else 1.0)
-        field = ode.VectorField(1, lambda y: np.array([rate_k * y[0]]), ("A",))
-        return field, np.array([A0]), f"exponential(k*I={rate_k!r})"
-    if name == "hyperbolic":
-        _need(args, "k")
-        k = args.k
-        field = ode.VectorField(1, lambda y: np.array([k * y[0] * y[0]]), ("A",))
-        return field, np.array([A0]), f"hyperbolic(k={k!r})"
-    if name == "powerlaw":
-        _need(args, "k", "n")
-        k, n = args.k, args.n
-        field = ode.VectorField(1, lambda y: np.array([k * y[0] ** n]), ("A",))
-        return field, np.array([A0]), f"powerlaw(k={k!r}, n={n!r})"
-    if name == "loglaw":
-        _need(args, "k")
-        k = args.k
-
-        def rate(y):
-            with np.errstate(all="ignore"):
-                return np.array([k * np.log(y[0]) * y[0]])
-
-        return ode.VectorField(1, rate, ("A",)), np.array([A0]), f"loglaw(k={k!r})"
-    # coupled-gdp
-    _need(args, "k1", "k2")
-    k1, k2 = args.k1, args.k2
-    Y0 = (k1 / k2) if args.Y0 is None else args.Y0
-
-    def rate(y):
-        with np.errstate(all="ignore"):
-            product = y[0] * y[1]
-            return np.array([k1 * product, k2 * product])
-
-    field = ode.VectorField(2, rate, ("Y", "A"))
-    return field, np.array([Y0, A0]), f"coupled-gdp(k1={k1!r}, k2={k2!r})"
+def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
+    spec = dsl.parse_system(_MODELS[args.model][3])
+    if args.model == "exponential":
+        # the calibrated rate: k, or k from R, times I (default 1)
+        scenario = closedform.ScenarioParams(k=args.k, I=args.I, R=args.R)
+        r = scenario.growth_coefficient() * (1.0 if args.I is None else args.I)
+        params, label = {"r": r}, f"exponential(k*I={r!r})"
+    else:
+        # the flags needed are the source's parameters
+        names = sorted({name for _, rhs in spec.equations for name in dsl.free_names(rhs)}
+                       - set(spec.state_names))
+        _need(args, *names)
+        params = {name: getattr(args, name) for name in names}
+        label = f"{args.model}({', '.join(f'{n}={v!r}' for n, v in params.items())})"
+    levels = [getattr(args, f"{name}0") for name in spec.state_names]
+    levels = [dsl.evaluate(dsl.parse(_DEFAULT_LEVELS[name]), params) if level is None
+              else level for name, level in zip(spec.state_names, levels)]
+    return dsl.to_field(spec, params), np.array(levels), label
 
 
 def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
@@ -257,7 +229,7 @@ def cmd_simulate(args) -> int:
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
     if args.model is not None:
-        field, state0, label = _builtin_field(args)
+        field, state0, label = _model_field(args)
     else:
         field, state0, label = _dsl_field(args, parser)
 
@@ -309,22 +281,15 @@ def cmd_ensemble(args) -> int:
     )
     stats = ensemble.run_ensemble(spec, workers=args.workers)
 
-    rows = []
-    for index in range(stats.n_paths):
-        outcome = stats.outcomes[index]
-        event = stats.event_times[index]
-        slope = stats.slopes[index]
-        rows.append((index, outcome,
-                     "" if math.isnan(event) else _fmt(event),
-                     "" if math.isnan(stats.final_levels[index])
-                     else _fmt(stats.final_levels[index]),
-                     "" if math.isnan(slope) else _fmt(slope)))
-    out = _ensure_out(args)
+    def cell(value) -> str:
+        return "" if math.isnan(value) else _fmt(value)
+
     paths_name = "ensemble_paths.csv"
-    with open(os.path.join(out, paths_name), "w", newline="\n") as fh:
+    with open(os.path.join(_ensure_out(args), paths_name), "w", newline="\n") as fh:
         fh.write("path,outcome,event_time,terminal_value,slope\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]}\n")
+        for index, outcome in enumerate(stats.outcomes):
+            fh.write(f"{index},{outcome},{cell(stats.event_times[index])},"
+                     f"{cell(stats.final_levels[index])},{cell(stats.slopes[index])}\n")
 
     terminal = stats.terminal_values
     summary = {
@@ -498,32 +463,29 @@ def _reproduce_headline(args) -> int:
     return 0
 
 
+def _reproduce_phase(args, name: str, grid, levels, **extra) -> int:
+    path = _write_table(args, name, ["t", "A", "ln_A"], zip(grid, levels, np.log(levels)))
+    print(_json_text({"command": f"reproduce {args.target}", "rows": len(grid),
+                      "table": path, **extra}))
+    return 0
+
+
 def _reproduce_fig1(args) -> int:
     numbers = _headline_numbers()
     params = closedform.ScenarioParams(R=numbers["inputs"]["R"],
                                        I=numbers["inputs"]["I"], c=1.0)
     grid = np.linspace(0.0, numbers["t1"], 257)
     levels = np.array([closedform.exp_phase_solution(params, float(t)) for t in grid])
-    path = _write_table(args, "fig1_exponential_phase", ["t", "A", "ln_A"],
-                        zip(grid, levels, np.log(levels)))
-    print(json.dumps(_jsonable({"command": "reproduce fig1", "rows": len(grid),
-                                "table": path}), indent=2, sort_keys=True))
-    return 0
+    return _reproduce_phase(args, "fig1_exponential_phase", grid, levels)
 
 
 def _reproduce_fig2(args) -> int:
     numbers = _headline_numbers()
-    k = numbers["k"]
-    I = numbers["inputs"]["I"]
-    t2 = numbers["t2"]
-    grid = np.linspace(0.0, (1.0 - 1e-4) * t2, 257)
+    k, I = numbers["k"], numbers["inputs"]["I"]
+    grid = np.linspace(0.0, (1.0 - 1e-4) * numbers["t2"], 257)
     levels = np.array([closedform.hyperbolic_solution(k, I, float(t)) for t in grid])
-    path = _write_table(args, "fig2_hyperbolic_phase", ["t", "A", "ln_A"],
-                        zip(grid, levels, np.log(levels)))
-    print(json.dumps(_jsonable({"command": "reproduce fig2", "rows": len(grid),
-                                "level_span": float(levels[-1] / levels[0]),
-                                "table": path}), indent=2, sort_keys=True))
-    return 0
+    return _reproduce_phase(args, "fig2_hyperbolic_phase", grid, levels,
+                            level_span=float(levels[-1] / levels[0]))
 
 
 def _reproduce_fig3(args) -> int:
@@ -552,9 +514,8 @@ def _reproduce_fig3(args) -> int:
             "exploded_fraction": float(np.count_nonzero(batch.exploded)) / spec.n_paths,
             "absorbed_fraction": float(np.count_nonzero(batch.absorbed)) / spec.n_paths,
         })
-    print(json.dumps(_jsonable({"command": "reproduce fig3",
-                                "master_seed": int(args.seed),
-                                "settings": tables}), indent=2, sort_keys=True))
+    print(_json_text({"command": "reproduce fig3", "master_seed": int(args.seed),
+                      "settings": tables}))
     return 0
 
 
@@ -590,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="evaluate a closed-form model on a grid")
     _add_scenario_flags(solve)
     solve.add_argument("--c", type=float, help="initial level constant")
-    solve.add_argument("--model", required=True, choices=tuple(_SOLVE_MODELS))
+    solve.add_argument("--model", required=True, choices=tuple(_MODELS))
     solve.add_argument("--t-max", type=float, required=True, help="grid end time")
     solve.add_argument("--steps", type=int, default=101,
                        help="number of grid rows (default: 101)")
@@ -601,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--k2", type=float, help="coupled-system coefficient 2")
     simulate.add_argument("--A0", type=float, help="initial level")
     simulate.add_argument("--Y0", type=float, help="initial co-factor level")
-    # the built-in fields are the closed-form models of solve
-    simulate.add_argument("--model", choices=tuple(_SOLVE_MODELS))
+    # the built-in fields are the DSL sources of the model table solve reads
+    simulate.add_argument("--model", choices=tuple(_MODELS))
     simulate.add_argument("--dsl", help="growth-law DSL source text")
     simulate.add_argument("--dsl-file", help="file with growth-law DSL source")
     simulate.add_argument("--param", action="append", metavar="NAME=VALUE",

@@ -23,11 +23,13 @@ words and cannot name parameters or state variables.  NUMBER is an
 unsigned decimal literal with optional exponent; a leading minus is
 parsed as unary negation.
 
-Expressions evaluate over plain floats with strict domain checking
-(``ln`` of a nonpositive value or division by zero raise
-:class:`~blowuplab.errors.DomainError`) or over numpy arrays, where
-invalid operations follow IEEE semantics and produce ``nan``/``inf``
-for the integrators to handle.
+:func:`evaluate`, :func:`as_function` and :func:`to_field` compile an
+expression once to nested closures, with the parameters bound as floats
+at compile time.  Python numbers get strict arithmetic (``ln`` of a
+nonpositive value, division by zero and the like raise
+:class:`~blowuplab.errors.DomainError`); numpy values, such as the
+components of a state vector, get IEEE semantics, producing
+``nan``/``inf`` for the integrators to handle.
 
 :func:`parse` returns a :class:`SystemSpec` for equation input and a
 bare expression node otherwise; :func:`pretty_print` renders any node
@@ -268,6 +270,9 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
+            if not math.isfinite(float(token.text)):
+                raise DslSyntaxError(f"number {token.text} is out of range",
+                                     token.line, token.column)
             return Num(float(token.text))
         if token.kind == "IDENT":
             self.advance()
@@ -309,88 +314,116 @@ def parse(source: str) -> Expr | SystemSpec:
 
 
 # --------------------------------------------------------------------------
-# evaluation
+# evaluation: a tree compiles once to nested closures
 
 
-_BINARY_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": operator.pow,
+def _ln(arg):
+    if arg <= 0.0 or not math.isfinite(arg):
+        raise ValueError(f"ln of non-positive value {arg!r}")
+    return math.log(arg)
+
+
+def _exp(arg):
+    try:
+        return math.exp(arg)
+    except OverflowError:
+        return math.inf
+
+
+# operation -> (strict function on Python numbers, IEEE function on numpy values)
+_OPS = {
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, operator.truediv),
+    "^": (operator.pow, operator.pow),
+    "neg": (operator.neg, operator.neg),
+    "ln": (_ln, np.log),
+    "exp": (_exp, np.exp),
 }
+_NUMPY_TYPES = (np.ndarray, np.generic)
 
 
-def _is_array(value: object) -> bool:
-    return isinstance(value, np.ndarray)
+def _strict(expr: Expr, apply: Callable) -> Callable:
+    """``apply`` with its failures raised as DomainError naming ``expr``."""
+    def op(*args):
+        try:
+            result = apply(*args)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"invalid arithmetic in {pretty_print(expr)!r}: {exc}") from None
+        if isinstance(result, complex):
+            raise DomainError(f"fractional power of a negative base in {pretty_print(expr)!r}")
+        return result
+    return op
+
+
+def _function(compiled) -> Callable:
+    return compiled if callable(compiled) else lambda v: compiled
+
+
+def _compile(expr: Expr, slots: Mapping[str, int], params: Mapping, ieee: bool):
+    """Compile a tree to a constant or to a function of the variables.
+
+    The function takes the sequence of variable values, where ``slots``
+    gives each variable's index; other names read ``params`` now.  A
+    subtree without variables is computed now, with strict arithmetic;
+    if that fails, it fails again on every call.
+    """
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Name):
+        if expr.ident in slots:
+            return operator.itemgetter(slots[expr.ident])
+        if expr.ident not in params:
+            raise BindingError(f"unbound name {expr.ident!r}")
+        return float(params[expr.ident])
+    key = expr.op if isinstance(expr, BinOp) else expr.func if isinstance(expr, Call) else "neg"
+    strict = _strict(expr, _OPS[key][0])
+    parts = [_compile(child, slots, params, ieee) for child in _children(expr)]
+    if not any(map(callable, parts)):
+        try:
+            return strict(*parts)
+        except DomainError:
+            ieee = False
+    op = _OPS[key][1] if ieee else strict
+    funcs = [_function(part) for part in parts]
+    if len(funcs) == 1:
+        return lambda v, arg=funcs[0]: op(arg(v))
+    left, right = funcs
+    return lambda v: op(left(v), right(v))
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float | np.ndarray]):
     """Evaluate an expression tree under the given name bindings.
 
-    Scalar bindings give strict arithmetic: ``ln`` of a nonpositive
-    value, division by zero, or a fractional power of a negative base
-    raise :class:`~blowuplab.errors.DomainError`.  Array bindings give
-    IEEE semantics instead (``nan``/``inf`` propagate silently), which
-    is what the vectorized integrators want.
+    Python numbers give strict arithmetic: ``ln`` of a nonpositive
+    value, division by zero, an overflowing power or a fractional power
+    of a negative base raise :class:`~blowuplab.errors.DomainError`.
+    Numpy values (arrays and numpy scalars) give IEEE semantics:
+    ``nan``/``inf`` propagate silently.  The Python numbers bind as
+    parameters at compile time, so what reads only them stays strict.
     """
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        try:
-            return bindings[expr.ident]
-        except KeyError:
-            raise BindingError(f"unbound name {expr.ident!r}") from None
+    variables = {name: value for name, value in bindings.items()
+                 if isinstance(value, _NUMPY_TYPES)}
+    slots = {name: index for index, name in enumerate(variables)}
+    compiled = _function(_compile(expr, slots, bindings, ieee=True))
+    with np.errstate(all="ignore"):
+        return compiled(tuple(variables.values()))
+
+
+def _children(expr: Expr) -> tuple[Expr, ...]:
+    if isinstance(expr, BinOp):
+        return expr.left, expr.right
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, bindings)
-    if isinstance(expr, Call):
-        arg = evaluate(expr.arg, bindings)
-        if _is_array(arg):
-            with np.errstate(all="ignore"):
-                return np.log(arg) if expr.func == "ln" else np.exp(arg)
-        if expr.func == "ln":
-            if arg <= 0.0 or not math.isfinite(arg):
-                raise DomainError(
-                    f"ln of non-positive value {arg!r} in {pretty_print(expr)!r}"
-                )
-            return math.log(arg)
-        try:
-            return math.exp(arg)
-        except OverflowError:
-            return math.inf
-    # BinOp
-    left = evaluate(expr.left, bindings)
-    right = evaluate(expr.right, bindings)
-    apply = _BINARY_OPS[expr.op]
-    if _is_array(left) or _is_array(right):
-        with np.errstate(all="ignore"):
-            return apply(left, right)
-    try:
-        if expr.op == "/" and right == 0.0:
-            raise ZeroDivisionError
-        result = apply(left, right)
-    except ZeroDivisionError:
-        raise DomainError(f"division by zero in {pretty_print(expr)!r}") from None
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"invalid arithmetic in {pretty_print(expr)!r}: {exc}") from None
-    if isinstance(result, complex):
-        raise DomainError(
-            f"fractional power of a negative base in {pretty_print(expr)!r}"
-        )
-    return result
+        return (expr.operand,)
+    return (expr.arg,) if isinstance(expr, Call) else ()
 
 
 def free_names(expr: Expr) -> frozenset[str]:
     """All identifiers an expression reads."""
-    if isinstance(expr, Num):
-        return frozenset()
     if isinstance(expr, Name):
         return frozenset((expr.ident,))
-    if isinstance(expr, Neg):
-        return free_names(expr.operand)
-    if isinstance(expr, Call):
-        return free_names(expr.arg)
-    return free_names(expr.left) | free_names(expr.right)
+    return frozenset().union(*map(free_names, _children(expr)))
 
 
 # --------------------------------------------------------------------------
@@ -471,7 +504,9 @@ def as_function(expr: Expr, var: str = "A",
 
     Remaining free names must be covered by ``parameters``; otherwise
     :class:`~blowuplab.errors.BindingError` lists the culprits.  The
-    returned callable accepts a float or a numpy array.
+    parameters bind now.  The returned callable accepts a Python number
+    (strict arithmetic) or a numpy array or scalar (IEEE semantics); see
+    :func:`evaluate`.
     """
     params = dict(parameters or {})
     missing = sorted(free_names(expr) - set(params) - {var})
@@ -480,11 +515,14 @@ def as_function(expr: Expr, var: str = "A",
             f"unbound names {missing} in {pretty_print(expr)!r}; "
             f"bind them via parameters or use variable {var!r}"
         )
+    strict, ieee = (_function(_compile(expr, {var: 0}, params, mode))
+                    for mode in (False, True))
 
     def fn(value):
-        env = dict(params)
-        env[var] = value
-        return evaluate(expr, env)
+        if isinstance(value, _NUMPY_TYPES):
+            with np.errstate(all="ignore"):
+                return ieee((value,))
+        return strict((value,))
 
     fn.__name__ = f"law_{var}"
     fn.__doc__ = f"Evaluate {pretty_print(expr)!r} at {var}."
@@ -497,13 +535,13 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     Every free name must resolve to a state variable or a parameter
     (``parameters`` merged over ``spec.parameters``); unbound names
     raise :class:`~blowuplab.errors.BindingError` naming the equation.
-    Returns a :class:`~blowuplab.ode.VectorField` whose state order
-    follows the equation order.
+    The parameters bind now, as in :func:`as_function`.  Returns a
+    :class:`~blowuplab.ode.VectorField` whose state order follows the
+    equation order.
     """
     from .ode import VectorField  # deferred: ode does not import dsl
 
-    params = dict(spec.parameters)
-    params.update(parameters or {})
+    params = {**spec.parameters, **(parameters or {})}
     names = spec.state_names
     bound = set(params) | set(names)
     for var, rhs in spec.equations:
@@ -513,16 +551,15 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
                 f"unbound names {missing} in equation for d{var} "
                 f"({pretty_print(rhs)!r})"
             )
-
-    exprs = tuple(rhs for _, rhs in spec.equations)
+    slots = {name: index for index, name in enumerate(names)}
+    rates = [_function(_compile(rhs, slots, params, ieee=True))
+             for _, rhs in spec.equations]
 
     def rate(state):
-        # 0-d arrays select IEEE semantics in evaluate(): an overflow in
-        # a trial stage must yield inf for the step controller to reject,
-        # not an exception
-        env: dict[str, object] = dict(params)
-        for name, component in zip(names, state):
-            env[name] = np.asarray(component, dtype=float)
-        return np.array([evaluate(e, env) for e in exprs], dtype=float)
+        # the components of a float64 state are np.float64 scalars, so
+        # they take IEEE semantics: an overflow in a trial stage yields
+        # inf for the step controller to reject, not an exception
+        state = np.asarray(state, dtype=float)
+        return np.array([f(state) for f in rates], dtype=float)
 
     return VectorField(dimension=len(names), rate=rate, names=names)

@@ -256,7 +256,8 @@ class _Core:
         self.opts = opts
         self.t = 0.0
         self.y = y0
-        self.f = _call_rate(rate, y0, self.dim)
+        with np.errstate(all="ignore"):
+            self.f = _call_rate(rate, y0, self.dim)
         if not np.all(np.isfinite(self.f)):
             raise FieldEvaluationError(
                 f"field is non-finite at the initial state {y0!r}"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowuplab import (
@@ -172,6 +172,24 @@ class TestBarometer:
         report = barometer(times, np.exp(times), 16)
         assert report.n_samples == 16
         assert report.window == (float(times[-16]), float(times[-1]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(curvature=st.floats(min_value=-0.05, max_value=0.05),
+           scale=st.floats(min_value=1e-6, max_value=1e6),
+           shift=st.floats(min_value=-1e3, max_value=1e3),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_invariant_under_value_scaling_and_time_shift(self, curvature, scale,
+                                                           shift, seed):
+        # ln(c*v) = ln(c) + ln(v) moves only the intercept, and the fit
+        # standardizes time, so a shift moves nothing but rounding
+        noise = 0.05 * np.random.default_rng(seed).standard_normal(64)
+        times = np.linspace(0.0, 20.0, 64)
+        values = np.exp(0.3 * times + curvature * times**2 + noise)
+        base = barometer(times, values, 64)
+        moved = barometer(times + shift, scale * values, 64)
+        assert moved.quadratic_coeff == pytest.approx(base.quadratic_coeff,
+                                                      rel=1e-7, abs=1e-10)
+        assert moved.z_score == pytest.approx(base.z_score, rel=1e-7, abs=1e-7)
 
     def test_input_validation(self):
         times = np.linspace(0.0, 1.0, 32)

@@ -65,6 +65,22 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "k1" in proc.stderr
 
+    def test_coupled_simulation_with_zero_k2_exits_3(self, tmp_path):
+        # the default Y0 is k1/k2
+        proc = run_cli("simulate", "--model", "coupled-gdp", "--k1", "0.05",
+                       "--k2", "0", "--t-max", "1", "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: invalid arithmetic in 'k1 / k2'")
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--dsl", "dA = 1e999*A", "--init", "A=1", "--t-max", "1"),
+        ("classify", "--dsl", "1e999*A^2"),
+    ])
+    def test_non_finite_literal_exits_3(self, argv, tmp_path):
+        proc = run_cli(*argv, "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: number 1e999 is out of range")
+
     def test_classify_rejects_rate_vanishing_at_start(self, tmp_path):
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
         assert proc.returncode == 3
@@ -101,6 +117,25 @@ def test_flags_a_command_does_not_read_are_usage_errors(command, flag, value,
         cli.main([*VALID_COMMANDS[command], flag, value, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,flags,missing", [
+    ("hyperbolic", [], "--k"), ("powerlaw", ["--k", "1"], "--n"),
+    ("powerlaw", [], "--k, --n"), ("loglaw", [], "--k"),
+    ("coupled-gdp", [], "--k1, --k2"), ("coupled-gdp", ["--k1", "1"], "--k2"),
+])
+def test_simulate_model_names_its_missing_flags(model, flags, missing, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--model", model, *flags, "--t-max", "5",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: missing required flags: {missing}\n")
+
+
+def test_simulate_exponential_needs_a_rate(tmp_path, capsys):
+    assert cli.main(["simulate", "--model", "exponential", "--t-max", "5",
+                     "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: no growth rate available: set k or R\n"
 
 
 def test_readme_command_examples_parse():

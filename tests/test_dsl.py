@@ -1,13 +1,24 @@
+"""Parser, printer and the compiled evaluator of the growth-law DSL.
+
+``tree_walk_evaluate`` is the earlier evaluator: it walks the tree on
+every call and picks strict or IEEE arithmetic per node, by whether an
+operand is a numpy array.  The compiled closures behind ``evaluate``,
+``as_function`` and ``to_field`` must agree with it.
+"""
+
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blowuplab import (
     BindingError,
     DomainError,
     DslSyntaxError,
+    ScenarioParams,
+    cli,
     hyperbolic_solution,
     integrate,
 )
@@ -88,6 +99,17 @@ class TestParsing:
     def test_reserved_words_cannot_be_states(self):
         with pytest.raises(DslSyntaxError):
             parse("dln = A")
+
+    @pytest.mark.parametrize("source,column", [
+        ("1e999*A", 1), ("k*A^2e400", 5), ("dA = 1e999*A", 6), ("9e308", 1),
+    ])
+    def test_non_finite_literal_rejected_at_its_position(self, source, column):
+        with pytest.raises(DslSyntaxError, match=rf"out of range \(line 1, column {column}\)"):
+            parse(source)
+
+    def test_non_finite_literal_on_a_later_line(self):
+        with pytest.raises(DslSyntaxError, match=r"out of range.*line 2, column 10"):
+            parse("dY = Y;\ndA = 2 * 1e400 * A")
 
     @pytest.mark.parametrize("source", ROUND_TRIP_CORPUS)
     def test_round_trip_corpus(self, source):
@@ -226,3 +248,143 @@ class TestToField:
         assert rebound.initial["A"] == 5.0
         field = to_field(rebound)
         assert field.rate(np.array([5.0]))[0] == pytest.approx(10.0)
+
+
+_TREE_WALK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                  "/": operator.truediv, "^": operator.pow}
+
+
+def tree_walk_evaluate(expr, bindings):
+    """The earlier evaluator, kept as the oracle of the compiled one."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Name):
+        try:
+            return bindings[expr.ident]
+        except KeyError:
+            raise BindingError(f"unbound name {expr.ident!r}") from None
+    if isinstance(expr, Neg):
+        return -tree_walk_evaluate(expr.operand, bindings)
+    if isinstance(expr, Call):
+        arg = tree_walk_evaluate(expr.arg, bindings)
+        if isinstance(arg, np.ndarray):
+            with np.errstate(all="ignore"):
+                return np.log(arg) if expr.func == "ln" else np.exp(arg)
+        if expr.func == "ln":
+            if arg <= 0.0 or not math.isfinite(arg):
+                raise DomainError(f"ln of non-positive value {arg!r}")
+            return math.log(arg)
+        try:
+            return math.exp(arg)
+        except OverflowError:
+            return math.inf
+    left = tree_walk_evaluate(expr.left, bindings)
+    right = tree_walk_evaluate(expr.right, bindings)
+    apply = _TREE_WALK_OPS[expr.op]
+    if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+        with np.errstate(all="ignore"):
+            return apply(left, right)
+    try:
+        if expr.op == "/" and right == 0.0:
+            raise ZeroDivisionError
+        result = apply(left, right)
+    except ZeroDivisionError:
+        raise DomainError("division by zero") from None
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"invalid arithmetic: {exc}") from None
+    if isinstance(result, complex):
+        raise DomainError("fractional power of a negative base")
+    return result
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or DomainError if it raises one."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+def same(expected, actual):
+    if expected is DomainError or actual is DomainError:
+        return expected is actual
+    if isinstance(expected, np.ndarray):
+        return (isinstance(actual, np.ndarray)
+                and np.array_equal(expected, actual, equal_nan=True))
+    return expected == actual or (math.isnan(expected) and math.isnan(actual))
+
+
+_NAMES = ["A", "Y", "k", "k1", "beta_2", "I"]
+_floats = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                    st.sampled_from([0.0, 1.0, -1.0, 1e9, -1e9, 1e300,
+                                     math.inf, -math.inf, math.nan]))
+_float_bindings = st.fixed_dictionaries({name: _floats for name in _NAMES})
+_arrays = st.lists(_floats, min_size=4, max_size=4).map(np.array)
+
+
+class TestCompiledAgainstTreeWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees, _float_bindings)
+    def test_python_floats(self, tree, bindings):
+        expected = outcome(tree_walk_evaluate, tree, bindings)
+        assert same(expected, outcome(evaluate, tree, bindings))
+        params = {name: value for name, value in bindings.items() if name != "A"}
+        law = as_function(tree, "A", params)
+        assert same(expected, outcome(law, bindings["A"]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_trees, _float_bindings, st.sets(st.sampled_from(_NAMES), min_size=1), _arrays)
+    def test_numpy_arrays(self, tree, floats, array_names, array):
+        # the names in array_names read arrays, the others Python floats
+        bindings = {name: array * (1 + index) if name in array_names else floats[name]
+                    for index, name in enumerate(_NAMES)}
+        expected = outcome(tree_walk_evaluate, tree, bindings)
+        assert same(expected, outcome(evaluate, tree, bindings))
+        if array_names == {"A"}:
+            law = as_function(tree, "A", {n: v for n, v in bindings.items() if n != "A"})
+            assert same(expected, outcome(law, bindings["A"]))
+
+
+def _model_args(*argv):
+    return cli.build_parser().parse_args(["simulate", *argv, "--t-max", "1"])
+
+
+# the hand-written fields of simulate --model before they became DSL
+# rows of the CLI's model table: (flags, rate, state0, label)
+def _exponential(k):
+    return lambda y: np.array([k * y[0]])
+
+
+BUILT_IN_FIELDS = {
+    "exponential": (["--R", "1.5872", "--I", "100"],
+                    _exponential(ScenarioParams(R=1.5872, I=100.0).growth_coefficient() * 100.0),
+                    [1.0], "exponential(k*I=0.46197145754847124)"),
+    "exponential-k": (["--k", "0.00462", "--A0", "3"],
+                      _exponential(0.00462 * 1.0), [3.0], "exponential(k*I=0.00462)"),
+    "hyperbolic": (["--k", "0.01"], lambda y: np.array([0.01 * y[0] * y[0]]),
+                   [1.0], "hyperbolic(k=0.01)"),
+    "powerlaw": (["--k", "0.01", "--n", "1.7"], lambda y: np.array([0.01 * y[0] ** 1.7]),
+                 [1.0], "powerlaw(k=0.01, n=1.7)"),
+    "loglaw": (["--k", "0.02", "--A0", "2"],
+               lambda y: np.array([0.02 * np.log(y[0]) * y[0]]), [2.0], "loglaw(k=0.02)"),
+    "coupled-gdp": (["--k1", "0.05", "--k2", "0.3"],
+                    lambda y: np.array([0.05 * (y[0] * y[1]), 0.3 * (y[0] * y[1])]),
+                    [0.05 / 0.3, 1.0], "coupled-gdp(k1=0.05, k2=0.3)"),
+}
+
+
+class TestBuiltInModels:
+    STATES = np.concatenate([np.geomspace(1e-3, 1e200, 300), [0.0, -1.0, np.inf]])
+
+    @pytest.mark.parametrize("name", sorted(BUILT_IN_FIELDS))
+    def test_field_equals_the_hand_written_lambda(self, name):
+        flags, native, state0, label = BUILT_IN_FIELDS[name]
+        field, start, got_label = cli._model_field(
+            _model_args("--model", name.removesuffix("-k"), *flags))
+        assert got_label == label
+        assert start.tolist() == state0
+        pairs = zip(self.STATES, self.STATES[::-1]) if field.dimension == 2 \
+            else ((a,) for a in self.STATES)
+        with np.errstate(all="ignore"):
+            for state in map(np.array, pairs):
+                assert np.array_equal(field.rate(state), native(state), equal_nan=True), state

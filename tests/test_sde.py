@@ -120,6 +120,25 @@ class TestEmPath:
         positions = np.searchsorted(full.times, coarse.times)
         assert np.array_equal(full.values[positions], coarse.values)
 
+    def test_infinite_threshold_runs_to_the_horizon(self):
+        path = em_path(gbm_model(0.0005, 100.0, 0.001), 1.0, 0.01, 10.0, seed=3,
+                       threshold=math.inf)
+        assert not path.exploded and not path.absorbed
+        assert len(path.times) == 1001
+        assert path.times[-1] == pytest.approx(10.0)
+
+    def test_infinite_threshold_ends_on_overflow(self):
+        # an inf threshold means the path ends only when the level overflows
+        model = StochasticModel(drift=lambda a: a**3, diffusion=lambda a: 0.0 * a,
+                                label="cubic")
+        path = em_path(model, 1.0, 0.01, 10.0, seed=0, threshold=math.inf)
+        assert path.exploded and not path.absorbed
+        assert path.explosion_step_time is not None
+        # no crossing sample: the last sample is the last finite level
+        assert np.all(np.isfinite(path.values))
+        assert len(path.times) == round(path.explosion_step_time / 0.01)
+        assert path.times[-1] < path.explosion_step_time
+
     def test_negative_excursion_is_absorbed(self):
         model = StochasticModel(drift=lambda A: -1000.0 * np.ones_like(np.asarray(A, dtype=float)),
                                 diffusion=lambda A: 0.0 * np.asarray(A),
