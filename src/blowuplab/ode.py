@@ -17,6 +17,11 @@ usual is the contract around finite-time blow-up:
   as ``dA = ln(A)*A``, never converges in this sense and is correctly
   reported as having no blow-up.
 
+The step itself runs on lists of Python floats, component by
+component, for every dimension: only the user's rate function sees a
+numpy array, a fresh ``float64`` one per call, and a stage state that
+is not finite never reaches it.
+
 Step-size underflow without a threshold crossing raises
 :class:`~blowuplab.errors.StiffnessError`; a field that raises, returns
 the wrong shape, or returns a non-finite derivative at a valid state
@@ -47,8 +52,8 @@ __all__ = [
 
 DEFAULT_BLOWUP_THRESHOLD = 1e9
 
-# Dormand-Prince 5(4) tableau.  _E is (5th order weights) - (4th order
-# weights); the 7th stage equals the next step's first stage (FSAL).
+# Dormand-Prince 5(4) tableau; the 7th stage equals the next step's
+# first stage (FSAL).  The error weights are _B5 - _B4.
 _STAGE_COEFFS = (
     (),
     (1 / 5,),
@@ -58,10 +63,17 @@ _STAGE_COEFFS = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+       187 / 2100, 1 / 40)
+# The kernel's view of the tableau: per stage, the first weight and the
+# (weight, stage index) pairs of the other nonzero weights, in order,
+# and the nonzero error weights with their stage indices
+_STAGES = tuple(
+    (coeffs[0], tuple((a_ij, j) for j, a_ij in enumerate(coeffs) if j and a_ij != 0.0))
+    for coeffs in _STAGE_COEFFS[1:]
+)
+_ERR_TERMS = tuple((b5 - b4, i) for i, (b5, b4) in enumerate(zip(_B5, _B4)) if b5 != b4)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -196,40 +208,57 @@ def _call_rate(rate: Callable, y: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _try_step(rate: Callable, y: np.ndarray, f0: np.ndarray, h: float):
-    """One trial Dormand-Prince step.
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
-    Returns ``(y_new, f_new, err)`` or ``None`` when any stage went
-    non-finite (the caller treats that as a failed step and shrinks).
-    A stage rate that raises or has the wrong shape raises
+
+def _try_step(rate: Callable, y: list, f0: list, h: float):
+    """One trial Dormand-Prince step on lists of Python floats.
+
+    Each stage state is summed component by component, ``c0*k0`` first
+    and then ``+ a_ij*k_j`` for the nonzero ``a_ij`` in stage order,
+    and checked to be finite before the rate function, the only code
+    that sees an ndarray, gets it as a fresh ``float64`` array; the
+    derivatives come back as a list and are checked too.
+
+    Returns ``(y_new, f_new, err)`` as new lists, or ``None`` when any
+    stage went non-finite (the caller treats that as a failed step and
+    shrinks).  A stage rate that raises or has the wrong shape raises
     :class:`~blowuplab.errors.FieldEvaluationError`.
     """
+    dim = len(y)
     k = [f0]
-    with np.errstate(all="ignore"):
-        for i in range(1, 7):
-            coeffs = _STAGE_COEFFS[i]
-            increment = coeffs[0] * k[0]
-            for a_ij, k_j in zip(coeffs[1:], k[1:]):
-                if a_ij != 0.0:
-                    increment = increment + a_ij * k_j
-            y_stage = y + h * increment
-            if not np.all(np.isfinite(y_stage)):
-                return None
-            k.append(_call_rate(rate, y_stage, len(y)))
-            if not np.all(np.isfinite(k[-1])):
-                return None
-        # stage 7 state is exactly the 5th-order solution (FSAL)
-        y_new = y_stage
-        f_new = k[6]
-        err = h * sum(e_i * k_i for e_i, k_i in zip(_E, k) if e_i != 0.0)
-    if not np.all(np.isfinite(err)):
+    for c0, terms in _STAGES:
+        y_stage = []
+        for y_m, k_m in zip(y, zip(*k)):
+            increment = c0 * k_m[0]
+            for a_ij, j in terms:
+                increment += a_ij * k_m[j]
+            y_stage.append(y_m + h * increment)
+        if not _all_finite(y_stage):
+            return None
+        f_stage = _call_rate(rate, np.array(y_stage), dim).tolist()
+        if not _all_finite(f_stage):
+            return None
+        k.append(f_stage)
+    err = []
+    for k_m in zip(*k):
+        total = 0.0
+        for e_i, i in _ERR_TERMS:
+            total += e_i * k_m[i]
+        err.append(h * total)
+    if not _all_finite(err):
         return None
-    return y_new, f_new, err
+    # stage 7 state is exactly the 5th-order solution (FSAL)
+    return y_stage, k[6], err
 
 
 def _error_norm(err, y_old, y_new, rtol, atol) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    total = 0.0
+    for e, a, b in zip(err, y_old, y_new):
+        q = e / (atol + rtol * max(abs(a), abs(b)))
+        total += q * q
+    return math.sqrt(total / len(err))
 
 
 def _initial_step(y0, f0, t_end, atol: float) -> float:
@@ -247,40 +276,44 @@ class _Core:
 
     Keeps the current ``(t, y, f)`` triple and a bounded tail of recent
     accepted samples for exponent fitting, and can be resumed with a
-    higher threshold after a crossing.
+    higher threshold after a crossing.  ``y`` and ``f`` are lists of
+    Python floats that are replaced, never mutated, so the tail and the
+    recorded samples hold them without copies.
     """
 
-    def __init__(self, rate, y0, opts: IntegrationOptions, horizon: float):
+    def __init__(self, rate, y0: np.ndarray, opts: IntegrationOptions,
+                 horizon: float):
         self.rate = rate
         self.dim = len(y0)
         self.opts = opts
         self.t = 0.0
-        self.y = y0
         with np.errstate(all="ignore"):
-            self.f = _call_rate(rate, y0, self.dim)
-        if not np.all(np.isfinite(self.f)):
+            f0 = _call_rate(rate, y0, self.dim)
+        if not np.all(np.isfinite(f0)):
             raise FieldEvaluationError(
                 f"field is non-finite at the initial state {y0!r}"
             )
-        self.h = _initial_step(y0, self.f, horizon, opts.atol)
+        self.y = y0.tolist()
+        self.f = f0.tolist()
+        self.h = _initial_step(y0, f0, horizon, opts.atol)
         self.horizon = horizon
         self.h_min = _H_MIN_REL * horizon
         self.crossing_xtol: float | None = None
         self.pole: BlowUpEvent | None = None
         self.tail: deque = deque(maxlen=_TAIL_CAPACITY)
-        self.tail.append((self.t, self.y.copy(), self.f.copy()))
-        self.samples: list[tuple[float, np.ndarray]] = []
+        self.tail.append((self.t, self.y, self.f))
+        self.samples: list[tuple[float, list]] = []
 
     def record(self) -> None:
-        self.samples.append((self.t, self.y.copy()))
+        self.samples.append((self.t, self.y))
 
     def run(self, t_end: float, threshold: float, *, record: bool,
             t_eval: np.ndarray | None = None) -> str:
         """Advance until ``t_end`` or a threshold crossing.
 
-        Returns ``"end"`` or ``"crossed"``.  After a crossing the core
-        sits at the last sub-threshold point and ``self.cross_rem``
-        holds the bracket width to the crossing.
+        Returns ``"end"``, ``"crossed"`` or ``"pole"``.  After a
+        crossing the core sits at the last sub-threshold point and
+        ``self.cross_rem`` holds the bracket width to the crossing.
         """
         eval_idx = 0
         if t_eval is not None:
@@ -292,47 +325,50 @@ class _Core:
             self.record()
 
         rejects = 0
-        while self.t < t_end:
-            target = t_end
-            if t_eval is not None and eval_idx < len(t_eval):
-                target = min(target, float(t_eval[eval_idx]))
-            h = min(self.h, target - self.t)
-            hit_target = h >= target - self.t
-            if h < self.h_min:
-                return self._stall()
-            attempt = _try_step(self.rate, self.y, self.f, h)
-            if attempt is None:
-                self.h = max(h * _MIN_FACTOR, 0.0)
-                rejects += 1
-                if rejects > 200:
+        with np.errstate(all="ignore"):
+            while self.t < t_end:
+                # only the controller's own step can underflow; a step
+                # shortened to land on a requested time may be tiny
+                if self.h < self.h_min:
                     return self._stall()
-                continue
-            y_new, f_new, err = attempt
-            norm = _error_norm(err, self.y, y_new, self.opts.rtol, self.opts.atol)
-            if norm > 1.0:
-                factor = max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
-                self.h = h * factor
-                rejects += 1
-                if rejects > 200:
-                    return self._stall()
-                continue
-            rejects = 0
-            if float(np.max(y_new)) >= threshold:
-                self._bisect_crossing(h, threshold)
-                return "crossed"
-            self.t = target if hit_target else self.t + h
-            self.y = y_new
-            self.f = f_new
-            self.tail.append((self.t, self.y.copy(), self.f.copy()))
-            if t_eval is not None:
-                if eval_idx < len(t_eval) and self.t == float(t_eval[eval_idx]):
+                target = t_end
+                if t_eval is not None and eval_idx < len(t_eval):
+                    target = min(target, float(t_eval[eval_idx]))
+                h = min(self.h, target - self.t)
+                hit_target = h >= target - self.t
+                attempt = _try_step(self.rate, self.y, self.f, h)
+                if attempt is None:
+                    self.h = max(h * _MIN_FACTOR, 0.0)
+                    rejects += 1
+                    if rejects > 200:
+                        return self._stall()
+                    continue
+                y_new, f_new, err = attempt
+                norm = _error_norm(err, self.y, y_new, self.opts.rtol, self.opts.atol)
+                if norm > 1.0:
+                    factor = max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
+                    self.h = h * factor
+                    rejects += 1
+                    if rejects > 200:
+                        return self._stall()
+                    continue
+                rejects = 0
+                if max(y_new) >= threshold:
+                    self._bisect_crossing(h, threshold)
+                    return "crossed"
+                self.t = target if hit_target else self.t + h
+                self.y = y_new
+                self.f = f_new
+                self.tail.append((self.t, self.y, self.f))
+                if t_eval is not None:
+                    if eval_idx < len(t_eval) and self.t == float(t_eval[eval_idx]):
+                        self.record()
+                        eval_idx += 1
+                elif record:
                     self.record()
-                    eval_idx += 1
-            elif record:
-                self.record()
-            grow = _MAX_FACTOR if norm == 0.0 else \
-                min(_MAX_FACTOR, _SAFETY * norm ** -0.2)
-            self.h = max(h * max(1.0, grow), self.h) if hit_target else h * grow
+                grow = _MAX_FACTOR if norm == 0.0 else \
+                    min(_MAX_FACTOR, _SAFETY * norm ** -0.2)
+                self.h = max(h * max(1.0, grow), self.h) if hit_target else h * grow
         return "end"
 
     def _stall(self) -> str:
@@ -342,15 +378,16 @@ class _Core:
         and the asymptote can shrink below the smallest usable step, so
         the threshold is never formally crossed.  When the tail shows
         that structure the stall is resolved as a blow-up; otherwise it
-        is a genuine failure and raises.
+        is a genuine failure and raises.  Runs inside :meth:`run`'s
+        ``np.errstate``.
         """
-        probe = self.y + self.h_min * self.f
-        with np.errstate(all="ignore"):
-            f_probe = _call_rate(self.rate, probe, self.dim)
+        probe = [y_m + self.h_min * f_m for y_m, f_m in zip(self.y, self.f)]
+        f_probe = _call_rate(self.rate, np.array(probe), self.dim)
         if not np.all(np.isfinite(f_probe)):
             raise FieldEvaluationError(
                 f"field becomes non-finite adjacent to t={self.t!r}, "
-                f"state {self.y!r}; the derivative left the representable range"
+                f"state {np.array(self.y)!r}; the derivative left the "
+                "representable range"
             )
         event = self._pole_event()
         if event is not None:
@@ -406,13 +443,13 @@ class _Core:
                 rem = half
                 continue
             y_mid, f_mid, _ = attempt
-            if not np.all(np.isfinite(y_mid)) or float(np.max(y_mid)) >= threshold:
+            if max(y_mid) >= threshold:
                 rem = half
                 continue
             self.t += half
             self.y = y_mid
             self.f = f_mid
-            self.tail.append((self.t, self.y.copy(), self.f.copy()))
+            self.tail.append((self.t, self.y, self.f))
             rem -= half
         self.cross_rem = rem
 
@@ -482,14 +519,14 @@ def integrate(field: VectorField, state0, t_end: float,
         samples = [(t, y) for t, y in samples if t < blowup.t_low]
     if samples:
         times = np.array([t for t, _ in samples])
-        states = np.vstack([y for _, y in samples])
+        states = np.array([y for _, y in samples])
     else:
         times = np.empty(0)
         states = np.empty((0, field.dimension))
     return Trajectory(times=times, states=states, blowup=blowup)
 
 
-def _tail_asymptote(tail, y: np.ndarray) -> float | None:
+def _tail_asymptote(tail, y: list) -> float | None:
     """Extrapolate the blow-up time from the recent trajectory tail.
 
     Takes the largest component of ``y`` and the tail samples within

@@ -142,6 +142,16 @@ class TestIntegrate:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("t_eval", [[0.5, 0.5 + 4e-15], [1e-16, 0.5]])
+    def test_requested_times_closer_than_the_step_floor(self, t_eval):
+        # the step floor is 1e-14 of the horizon; a step shortened only
+        # to land on a requested time is not a step-size underflow
+        trail = integrate(VectorField(1, lambda y: 0.1 * y), [1.0], 1.0, t_eval=t_eval)
+        assert trail.blowup is None
+        assert trail.times.tolist() == t_eval
+        assert trail.states[:, 0] == pytest.approx(np.exp(0.1 * np.array(t_eval)),
+                                                   rel=1e-8)
+
     def test_nonpositive_state_rejected(self):
         for state0 in ([0.0], [-1.0]):
             with pytest.raises(DomainError):

@@ -1,0 +1,236 @@
+"""The Dormand-Prince step on Python floats against the numpy step it replaces.
+
+``numpy_try_step`` and ``numpy_error_norm`` are the earlier kernel: the
+state, the stages and the error estimate are float64 arrays and every
+stage sum is an array expression.  The float kernel sums the same
+terms in the same order component by component, so the two must agree
+bit for bit, including on which trial steps fail.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blowuplab import (
+    FieldEvaluationError,
+    IntegrationOptions,
+    StiffnessError,
+    VectorField,
+    dsl,
+    estimate_blowup_time,
+    integrate,
+    ode,
+)
+
+_STAGE_COEFFS = ode._STAGE_COEFFS
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                187 / 2100, 1 / 40])
+_E = _B5 - _B4
+
+
+def numpy_try_step(rate, y, f0, h):
+    k = [f0]
+    with np.errstate(all="ignore"):
+        for i in range(1, 7):
+            coeffs = _STAGE_COEFFS[i]
+            increment = coeffs[0] * k[0]
+            for a_ij, k_j in zip(coeffs[1:], k[1:]):
+                if a_ij != 0.0:
+                    increment = increment + a_ij * k_j
+            y_stage = y + h * increment
+            if not np.all(np.isfinite(y_stage)):
+                return None
+            k.append(ode._call_rate(rate, y_stage, len(y)))
+            if not np.all(np.isfinite(k[-1])):
+                return None
+        y_new = y_stage
+        f_new = k[6]
+        err = h * sum(e_i * k_i for e_i, k_i in zip(_E, k) if e_i != 0.0)
+    if not np.all(np.isfinite(err)):
+        return None
+    return y_new, f_new, err
+
+
+def numpy_error_norm(err, y_old, y_new, rtol, atol):
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    return float(np.sqrt(np.mean((err / scale) ** 2)))
+
+
+def numpy_step_on_lists(rate, y, f0, h):
+    out = numpy_try_step(rate, np.array(y), np.array(f0), h)
+    return None if out is None else tuple(part.tolist() for part in out)
+
+
+def numpy_norm_on_lists(err, y_old, y_new, rtol, atol):
+    return numpy_error_norm(np.array(err), np.array(y_old), np.array(y_new), rtol, atol)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# fields of the shapes the corpus uses: power, log-type and product laws
+FIELDS = {
+    "power": lambda c, n: lambda y: c * y ** n,
+    "log-type": lambda c, n: lambda y: c * y * np.log(1.0 + y) ** n,
+    "product": lambda c, n: lambda y: c * np.prod(y) ** (n / 2.0),
+}
+
+
+@st.composite
+def step_cases(draw):
+    dim = draw(st.sampled_from([1, 2, 3, 7]))
+    kind = draw(st.sampled_from(sorted(FIELDS)))
+    # growing and decaying fields, so either the old or the new state
+    # can be the larger one in the error scale
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    c = sign * np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=dim,
+                                      max_size=dim)))
+    n = draw(st.floats(1.0, 3.0))
+    y = np.array(draw(st.lists(st.floats(1e-3, 1e6), min_size=dim, max_size=dim)))
+    # from tiny steps to ones whose stages overflow to inf
+    h = 10.0 ** draw(st.floats(-12.0, 12.0))
+    return FIELDS[kind](c, n), y, h
+
+
+class TestStepOracle:
+    @settings(max_examples=400)
+    @given(case=step_cases(), rtol=st.sampled_from([1e-8, 1e-4]),
+           atol=st.sampled_from([1e-10, 1e-3]))
+    def test_bitwise(self, case, rtol, atol):
+        rate, y, h = case
+        with np.errstate(all="ignore"):
+            f0 = ode._call_rate(rate, y, len(y))
+            assert np.all(np.isfinite(f0))
+            expected = numpy_try_step(rate, y, f0, h)
+            got = ode._try_step(rate, y.tolist(), f0.tolist(), h)
+        if expected is None:
+            assert got is None
+            return
+        assert got is not None
+        for new, old in zip(got, expected):
+            assert isinstance(new, list)
+            assert bits(new) == bits(old)
+        y_new, _, err = got
+        norm = ode._error_norm(err, y.tolist(), y_new, rtol, atol)
+        with np.errstate(over="ignore"):
+            old_norm = numpy_error_norm(expected[2], y, expected[0], rtol, atol)
+        assert bits([norm]) == bits([old_norm])
+
+
+def corpus_laws():
+    """Laws shaped like the benchmark corpus, as lambda and DSL fields."""
+    laws = []
+    for n, k in ((1.1, 0.05), (1.5, 0.02), (2.0, 0.03), (3.0, 0.07)):
+        t_star = 1.0 / (k * (n - 1.0))
+        laws.append((f"{k}*A^{n}", "dA = k*A^n", {"k": k, "n": n},
+                     lambda y, k=k, n=n: np.array([k * y[0] ** n]),
+                     [1.0], 1.5 * t_star, None))
+    c = 1.3
+    laws.append(("c*A*ln(A)^2", "dA = c*A*ln(A)^2", {"c": c},
+                 lambda y: np.array([c * y[0] * np.log(y[0]) ** 2]),
+                 [math.e], 1e4 / c, IntegrationOptions(blowup_tol=0.01 / c)))
+    laws.append(("c*A*ln(A)", "dA = c*A*ln(A)", {"c": c},
+                 lambda y: np.array([c * y[0] * np.log(y[0])]),
+                 [math.e], 1e4 / c, None))
+    k1, k2 = 0.04, 0.09
+    laws.append(("coupled", "dY = k1*Y*A; dA = k2*Y*A", {"k1": k1, "k2": k2},
+                 lambda y: np.array([k1 * y[0] * y[1], k2 * y[0] * y[1]]),
+                 [k1 / k2, 1.0], 1.5 / k1, None))
+    cases = []
+    for name, source, params, rate, y0, t_end, opts in laws:
+        cases.append(pytest.param(VectorField(len(y0), rate), y0, t_end, opts,
+                                  id=f"lambda {name}"))
+        cases.append(pytest.param(dsl.to_field(dsl.parse(source), params), y0, t_end,
+                                  opts, id=f"dsl {name}"))
+    return cases
+
+
+class TestEndToEndOracle:
+    @pytest.mark.parametrize("field, y0, t_end, opts", corpus_laws())
+    def test_same_results_as_a_core_on_the_numpy_step(self, field, y0, t_end, opts):
+        def run_all():
+            event = estimate_blowup_time(field, y0, t_end, opts)
+            trail = integrate(field, y0, t_end)
+            grid = np.linspace(0.0, 0.5 * t_end, 11)
+            sampled = integrate(field, y0, 0.5 * t_end, t_eval=grid)
+            return event, trail, sampled
+
+        new = run_all()
+        with mock.patch.object(ode, "_try_step", numpy_step_on_lists), \
+                mock.patch.object(ode, "_error_norm", numpy_norm_on_lists):
+            old = run_all()
+        assert repr(new[0]) == repr(old[0])
+        for got, expected in zip(new[1:], old[1:]):
+            assert repr(got.blowup) == repr(expected.blowup)
+            assert got.times.tobytes() == expected.times.tobytes()
+            assert got.states.tobytes() == expected.states.tobytes()
+            assert got.states.dtype == np.float64
+
+
+class TestStageSafety:
+    """No non-finite state ever reaches the user's rate."""
+
+    @staticmethod
+    def recording(fn):
+        seen = []
+
+        def rate(y):
+            seen.append(np.array(y, copy=True))
+            return fn(y)
+        return rate, seen
+
+    def test_overflowing_cubic_stages_never_reach_the_rate(self):
+        # y**3 overflows above 5.6e102, well before the pole at t = 0.5,
+        # so trial steps that overshoot get an infinite stage derivative
+        rate, seen = self.recording(lambda y: 1e-200 * y ** 3)
+        failed = []
+        step = ode._try_step
+
+        def spy(*args):
+            out = step(*args)
+            failed.append(out is None)
+            return out
+
+        field = VectorField(1, rate)
+        opts = IntegrationOptions(blowup_threshold=1e200)
+        with mock.patch.object(ode, "_try_step", spy):
+            trail = integrate(field, [1e100], 1.0, opts)
+            event = estimate_blowup_time(field, [1e100], 1.0, opts)
+        assert trail.blowup is not None
+        assert event.estimate == pytest.approx(0.5, rel=1e-6)
+        assert any(failed)
+        assert seen and all(np.all(np.isfinite(y)) for y in seen)
+
+    def test_overflowing_stage_states_never_reach_the_rate(self):
+        # once the derivative 2*y passes 1.55e307, a stage increment
+        # such as -25360/2187 * k overflows whatever the step size, so
+        # every trial step fails and the integrator stalls; the
+        # infinite stage states stay inside the kernel
+        rate, seen = self.recording(lambda y: 2.0 * y)
+        with pytest.raises(StiffnessError):
+            integrate(VectorField(1, rate), [1e300], 30.0,
+                      IntegrationOptions(blowup_threshold=1e308))
+        assert max(float(y[0]) for y in seen) > 8e306
+        assert all(np.all(np.isfinite(y)) for y in seen)
+
+    def test_log_overshoot_is_a_field_error_showing_the_array(self):
+        rate, seen = self.recording(lambda y: np.array([math.log(y[0] - 0.5) * y[0]]))
+        with pytest.raises(FieldEvaluationError) as info:
+            integrate(VectorField(1, rate), [1.0], 5.0)
+        assert "at state array([" in str(info.value)
+        assert all(np.all(np.isfinite(y)) for y in seen)
+        assert all(isinstance(y, np.ndarray) and y.dtype == np.float64 for y in seen)
+
+    def test_other_field_errors_show_the_array(self):
+        with pytest.raises(FieldEvaluationError, match=r"initial state array\(\[1\.\]\)"):
+            integrate(VectorField(1, lambda y: np.array([math.nan])), [1.0], 1.0)
+        # the first step is below the step floor, and the stall probe
+        # one floor step ahead overflows y**3
+        with pytest.raises(FieldEvaluationError,
+                           match=r"adjacent to t=0\.0, state array\(\[1\.e\+100\]\)"):
+            integrate(VectorField(1, lambda y: 1e-10 * y ** 3), [1e100], 10.0)
