@@ -37,7 +37,7 @@ def main() -> None:
         spec = EnsembleSpec(model=hyperbolic_sde_model(K, sigma), A0=1.0,
                             dt=0.01, t_end=200.0, n_paths=1000,
                             master_seed=42)
-        stats = run_ensemble(spec, workers=4)
+        stats = run_ensemble(spec)
         survived = 1.0 - stats.exploded_fraction - stats.absorbed_fraction
         line = (f"  sigma = {sigma:<5g} of 1000 paths: "
                 f"{stats.exploded_fraction:6.1%} exploded, "
@@ -54,8 +54,7 @@ def main() -> None:
     template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=80.0,
                             n_paths=300, master_seed=2718)
     points = volatility_masking_scan(K, [0.0, K, 2 * K, 5 * K, 10 * K],
-                                     template, window=64, record_points=320,
-                                     workers=4)
+                                     template, window=64, record_points=320)
     for point in points:
         print(f"  sigma = {point.sigma:<5g} flagged "
               f"{point.n_flagged:3d}/{point.n_analyzed:3d} "

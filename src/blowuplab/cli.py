@@ -489,14 +489,13 @@ def _reproduce_fig2(args) -> int:
 
 
 def _reproduce_fig3(args) -> int:
+    specs = [ensemble.EnsembleSpec(model=sde.hyperbolic_sde_model(k, sigma),
+                                   A0=1.0, dt=0.01, t_end=200.0, n_paths=100,
+                                   master_seed=args.seed)
+             for k, sigma in _FIG3_SETTINGS]
+    batches = ensemble.simulate_batches(specs, record_points=400)
     tables = []
-    for k, sigma in _FIG3_SETTINGS:
-        spec = ensemble.EnsembleSpec(
-            model=sde.hyperbolic_sde_model(k, sigma),
-            A0=1.0, dt=0.01, t_end=200.0, n_paths=100,
-            master_seed=args.seed,
-        )
-        batch = ensemble.simulate_batch(spec, record_points=400)
+    for (k, sigma), spec, batch in zip(_FIG3_SETTINGS, specs, batches):
         # the figure shows the paths that never exploded; absorbed ones
         # keep their pre-absorption segment and go blank afterwards
         keep = np.flatnonzero(~batch.exploded)
@@ -592,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--periods", "--t-max", dest="t_max", type=float,
                      default=200.0, help="simulated horizon (default: 200)")
     ens.add_argument("--paths", type=int, default=1000)
-    ens.add_argument("--workers", type=int, default=1)
+    ens.add_argument("--workers", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
     ens.set_defaults(handler=cmd_ensemble)
 
     classify = subs.add_parser("classify",

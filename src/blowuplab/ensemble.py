@@ -1,25 +1,26 @@
-"""Monte Carlo ensembles of growth paths with deterministic parallelism.
+"""Monte Carlo ensembles of growth paths, stepped in one lockstep batch.
 
 Each path's random stream is keyed by ``(master_seed, path_index)``
-alone, so an ensemble's statistics are a pure function of its spec: the
-paths can be simulated in one vectorized batch, split into chunks, or
-spread over worker threads and the merged result is bit-for-bit the
-same.  Pathwise log-growth slopes come from running sums of the
-log-level and of its product with time, plus prefix sums of the time
-grid up to each path's last step, which lets the engine track a
-least-squares slope per path without storing the paths.
+alone, so an ensemble's statistics are a pure function of its spec: it
+comes out bit for bit the same whether it is simulated alone or in one
+batch beside other ensembles on the same grid, and ensembles that share
+a master seed draw their common streams once.  Pathwise log-growth
+slopes come from running sums of the log-level and of its product with
+time, plus prefix sums of the time grid up to each path's last step,
+which lets the engine track a least-squares slope per path without
+storing the paths.
 
-The volatility masking scan reruns one hyperbolic ensemble per noise
-level with common random numbers and feeds every surviving path's
-trailing window to the trend barometer: rising noise hides the
-super-exponential curvature, so the flagged fraction falls even though
-the drift, and the eventual singularity, is unchanged.
+The volatility masking scan runs one hyperbolic ensemble per noise
+level with common random numbers, all in one batch, and feeds every
+surviving path's trailing window to the trend barometer: rising noise
+hides the super-exponential curvature, so the flagged fraction falls
+even though the drift, and the eventual singularity, is unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -28,7 +29,7 @@ import numpy as np
 from .analysis import barometer
 from .errors import DomainError
 from .ode import DEFAULT_BLOWUP_THRESHOLD
-from .sde import (StochasticModel, _Batch, _derive_rng, _simulate_paths,
+from .sde import (StochasticModel, _Batch, _record_lattice, _simulate_paths,
                   _validate_grid, hyperbolic_sde_model)
 
 __all__ = [
@@ -37,10 +38,10 @@ __all__ = [
     "MaskingPoint",
     "run_ensemble",
     "simulate_batch",
+    "simulate_batches",
     "volatility_masking_scan",
 ]
 
-_CHUNK_PATHS = 512
 _QUANTILE_ORDERS = (5, 25, 50, 75, 95)
 
 
@@ -66,9 +67,13 @@ class EnsembleSpec:
     def validate(self) -> None:
         if self.model is None:
             raise DomainError("ensemble spec has no model bound")
+        for name in ("n_paths", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise DomainError("master_seed must be nonnegative")
         self.steps()
 
@@ -116,52 +121,54 @@ class EnsembleStats:
         return self.final_levels[self.outcomes == "survived"]
 
 
-def simulate_batch(spec: EnsembleSpec, workers: int = 1,
-                   record_points: int | None = None) -> _Batch:
-    """Simulate every path of ``spec`` and merge the chunks in path order.
+def _record_stride(n_steps: int, record_points: int | None) -> int | None:
+    if record_points is None:
+        return None
+    if record_points < 1:
+        raise DomainError(f"record_points must be >= 1, got {record_points!r}")
+    return max(1, n_steps // record_points)
 
-    Chunks of ``_CHUNK_PATHS`` paths run on ``workers`` threads; the
-    result is the same for any ``workers`` because every path's draws
-    are fixed by ``(master_seed, path_index)``.  With ``record_points``
-    each level is also recorded every ``max(1, steps // record_points)``
-    steps and at the horizon, into ``series`` on the step grid
-    ``rec_steps`` (``nan`` once a path has ended).
+
+def simulate_batches(specs: Sequence[EnsembleSpec],
+                     record_points: int | None = None) -> list[_Batch]:
+    """Simulate every path of every spec in one lockstep batch.
+
+    The specs must share ``A0``, ``dt``, ``t_end`` and ``threshold``;
+    their models, path counts and master seeds may differ.  Returns one
+    batch per spec, in order, each bit for bit what the spec gives
+    alone, because every path's draws are fixed by ``(master_seed,
+    path_index)``.  With ``record_points`` each level is also recorded
+    every ``max(1, steps // record_points)`` steps and at the horizon,
+    into ``series`` on the step grid ``rec_steps`` (``nan`` once a path
+    has ended).
     """
-    spec.validate()
-    n_steps = spec.steps()
-    stride = None
-    if record_points is not None:
-        if record_points < 1:
-            raise DomainError(f"record_points must be >= 1, got {record_points!r}")
-        stride = max(1, n_steps // record_points)
+    specs = list(specs)
+    if not specs:
+        raise DomainError("specs must not be empty")
+    for spec in specs:
+        spec.validate()
+    head = specs[0]
+    grid = (head.A0, head.dt, head.t_end, head.threshold)
+    if any((s.A0, s.dt, s.t_end, s.threshold) != grid for s in specs):
+        raise DomainError("specs in one batch must share A0, dt, t_end and threshold")
+    n_steps = head.steps()
+    groups = [(s.model, int(s.master_seed), int(s.n_paths)) for s in specs]
+    return _simulate_paths(groups, head.A0, head.dt, n_steps, head.threshold,
+                           record_stride=_record_stride(n_steps, record_points))
 
-    def chunk(lo: int) -> _Batch:
-        rngs = [_derive_rng(int(spec.master_seed), i)
-                for i in range(lo, min(lo + _CHUNK_PATHS, spec.n_paths))]
-        return _simulate_paths(spec.model, spec.A0, spec.dt, n_steps, rngs,
-                               spec.threshold, record_stride=stride)
 
-    starts = range(0, spec.n_paths, _CHUNK_PATHS)
-    if workers <= 1 or len(starts) == 1:
-        batches = [chunk(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(chunk, starts))
-    merged = {name: np.concatenate([getattr(b, name) for b in batches])
-              for name in ("exploded", "absorbed", "alive", "event_time",
-                           "final_levels", "slopes")}
-    if stride is not None:
-        merged["series"] = np.concatenate([b.series for b in batches])
-    return replace(batches[0], **merged)
+def simulate_batch(spec: EnsembleSpec, *,
+                   record_points: int | None = None) -> _Batch:
+    """Simulate every path of ``spec``; see :func:`simulate_batches`."""
+    return simulate_batches([spec], record_points)[0]
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
     """Simulate the ensemble and merge per-path outcomes into statistics.
 
-    ``workers`` only sets the number of threads; the result is
-    identical for any value (see :func:`simulate_batch`).
+    ``workers`` has no effect; it is accepted for compatibility.
     """
-    batch = simulate_batch(spec, workers)
+    batch = simulate_batch(spec)
     n = spec.n_paths
     outcomes = np.where(batch.exploded, "exploded",
                         np.where(batch.absorbed, "absorbed", "survived"))
@@ -202,15 +209,17 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
                             workers: int = 1) -> list[MaskingPoint]:
     """Measure how noise hides super-exponential growth from the barometer.
 
-    For each noise level the template ensemble is rerun with the
+    For each noise level the template ensemble is run with the
     hyperbolic model ``dA = k*A**2 dt + sigma*A**2 dW`` and the same
-    master seed (common random numbers), and every path still alive at
-    the horizon is tested: its trailing ``window`` recorded samples go
-    through :func:`~blowuplab.analysis.barometer`.  Returned points
-    follow the order of ``sigmas``; ``flagged_fraction`` is ``nan``
-    when no path survived to be analyzed.  Paths absorbed before the
-    horizon have no complete log-trajectory to test; they are excluded
-    from the fraction and counted in ``absorbed_fraction`` instead.
+    master seed (common random numbers), all levels in one batch, and
+    every path still alive at the horizon is tested: its trailing
+    ``window`` recorded samples go through
+    :func:`~blowuplab.analysis.barometer`.  Returned points follow the
+    order of ``sigmas``; ``flagged_fraction`` is ``nan`` when no path
+    survived to be analyzed.  Paths absorbed before the horizon have no
+    complete log-trajectory to test; they are excluded from the
+    fraction and counted in ``absorbed_fraction`` instead.  ``workers``
+    has no effect; it is accepted for compatibility.
     """
     if window < 8:
         raise DomainError(f"window must be at least 8, got {window!r}")
@@ -223,16 +232,17 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
         raise DomainError("sigmas must not be empty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise DomainError("sigmas must increase strictly")
+    n_steps = template.steps()
+    n_samples = len(_record_lattice(n_steps, _record_stride(n_steps, record_points)))
+    if n_samples < window:
+        raise DomainError(
+            f"recorded grid has {n_samples} samples, window needs {window}"
+        )
+    specs = [replace(template, model=hyperbolic_sde_model(k, sigma)) for sigma in levels]
     points: list[MaskingPoint] = []
-    for sigma in levels:
-        spec = replace(template, model=hyperbolic_sde_model(k, sigma))
-        batch = simulate_batch(spec, workers, record_points)
+    for sigma, spec, batch in zip(levels, specs, simulate_batches(specs, record_points)):
         live = np.flatnonzero(batch.alive)
         times = batch.rec_steps * spec.dt
-        if live.size and len(times) < window:
-            raise DomainError(
-                f"recorded grid has {len(times)} samples, window needs {window}"
-            )
         n_flagged = sum(int(barometer(times, batch.series[lane], window).flagged)
                         for lane in live)
         n_analyzed = int(live.size)

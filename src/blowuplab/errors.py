@@ -27,7 +27,12 @@ class StiffnessError(BlowupLabError, RuntimeError):
 
 
 class FieldEvaluationError(BlowupLabError, RuntimeError):
-    """A vector field returned a non-finite or malformed derivative."""
+    """A user-supplied field or model could not be evaluated.
+
+    Raised when a vector field's rate raises or returns a non-finite or
+    malformed derivative, and when a stochastic model's drift or
+    diffusion raises; the message then names the model's ``label``.
+    """
 
 
 class InsufficientDataError(BlowupLabError, ValueError):

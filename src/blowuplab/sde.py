@@ -3,9 +3,10 @@
 Paths of ``dA = a(A) dt + b(A) dW`` are simulated on a fixed grid with
 per-path random streams derived as
 ``PCG64(SeedSequence(master_seed, spawn_key=(path_index,)))``, so any
-path can be reproduced bit for bit in isolation, in a different chunk
-split, or inside a vectorized batch: the draws depend only on the
-master seed and the path's index.
+path can be reproduced bit for bit in isolation or inside a vectorized
+batch beside other ensembles: the draws depend only on the master seed
+and the path's index.  A batch draws each stream once, however many of
+its ensembles share it.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, FieldEvaluationError, InsufficientDataError
 from .ode import DEFAULT_BLOWUP_THRESHOLD
 
 __all__ = [
@@ -52,6 +53,12 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 4096
+# the most normal draws one block of the batch kernel holds (16 MiB)
+_DRAW_BUDGET = 1 << 21
+# the most random streams one lockstep pass of the batch kernel holds;
+# larger batches run in several passes, so a block keeps at least
+# _DRAW_BUDGET // _PASS_STREAMS rows and few generators are alive at once
+_PASS_STREAMS = 4096
 _MIN_SLOPE_SAMPLES = 10
 # relative step of the central difference for b'(A), and the largest
 # relative spread of the transformed drift that still counts as constant
@@ -165,17 +172,45 @@ def _record_lattice(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
-def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
-                    rngs: Sequence[np.random.Generator], threshold: float,
-                    record_stride: int | None = None) -> _Batch:
-    """March ``len(rngs)`` paths in lockstep.
+def _model_failure(model: StochasticModel, t: float,
+                   exc: Exception) -> FieldEvaluationError:
+    return FieldEvaluationError(
+        f"drift or diffusion of model {model.label!r} raised at t={t!r}: {exc!r}"
+    )
 
-    The normal draws are taken per path in blocks of ``_BLOCK_STEPS``,
-    which keeps each path's stream independent of how many other paths
-    run alongside it.  Only live lanes are stepped: a lane that ends is
-    dropped from the state arrays and draws nothing afterwards.
+
+def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
+    try:
+        return (np.asarray(model.drift(a), dtype=float),
+                np.asarray(model.diffusion(a), dtype=float))
+    except Exception as exc:
+        raise _model_failure(model, t, exc) from exc
+
+
+def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: float,
+                    dt: float, n_steps: int, threshold: float,
+                    record_stride: int | None = None) -> list[_Batch]:
+    """March the paths of every ``(model, master_seed, n_paths)`` group in lockstep.
+
+    Path ``i`` of a group is driven by the stream ``(master_seed, i)``;
+    groups that share a master seed share those streams.  The paths run
+    in passes over consecutive path indices, each holding at most
+    ``_PASS_STREAMS`` streams, so a large ensemble keeps few generators
+    alive and long blocks.  Each block draws every live stream once, at
+    most ``_BLOCK_STEPS`` rows and ``_DRAW_BUDGET`` numbers, and a lane
+    reads its stream's column.  A stream's draws do not depend on how
+    its steps are split into blocks, so every path comes out as if
+    simulated alone.  The live lanes of a group stay in one contiguous
+    slice: each model is called once per step on its own live levels,
+    and a lane that ends is dropped from the state arrays.  Returns one
+    batch per group.
     """
-    n = len(rngs)
+    sizes = [count for _, _, count in groups]
+    bounds = np.cumsum([0] + sizes).tolist()  # rows of each group in the output
+    n = bounds[-1]
+    n_seeds = len({master for _, master, _ in groups})
+    width = max(1, _PASS_STREAMS // n_seeds)
+    stream = np.empty(n, dtype=np.intp)  # generator of each output row in its pass
     sqdt = math.sqrt(dt)
     exploded = np.zeros(n, dtype=bool)
     absorbed = np.zeros(n, dtype=bool)
@@ -194,70 +229,99 @@ def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
 
     rec_steps = None
     series = None
-    next_rec = n_steps + 1  # never reached unless recording
+    first_rec = n_steps + 1  # never reached unless recording
     if record_stride is not None:
         stride = max(1, int(record_stride))
         rec_steps = _record_lattice(n_steps, stride)
         series = np.full((n, len(rec_steps)), np.nan)
         series[:, 0] = A0
-        rec_pos = 1
-        next_rec = min(stride, n_steps)
+        first_rec = min(stride, n_steps)
 
-    lanes = np.arange(n)  # path index of each live lane
-    a = np.full(n, float(A0))
-    y_run = np.zeros(n)
-    ty_run = np.zeros(n)
-    step = 0
+    # one buffer holds the draws of every block in turn
+    buffer = np.empty(max(_DRAW_BUDGET, width * n_seeds))
     with np.errstate(all="ignore"):
-        while step < n_steps and lanes.size:
-            block = min(_BLOCK_STEPS, n_steps - step)
-            # one row per step, so each step reads contiguous draws
-            draws = np.empty((block, lanes.size))
-            for col, lane in enumerate(lanes.tolist()):
-                draws[:, col] = rngs[lane].standard_normal(block)
-            cols = None  # columns of draws still live, once a lane has ended
-            for z in draws:
+        for first in range(0, max(sizes), width):
+            # paths first..first+width-1 of each group that has them
+            part = [(model, master, lo + first, lo + min(count, first + width))
+                    for (model, master, count), lo in zip(groups, bounds) if count > first]
+            keys: dict[tuple[int, int], int] = {}
+            lanes = np.concatenate([np.arange(lo, hi) for *_, lo, hi in part])
+            stream[lanes] = [keys.setdefault((master, first + j), len(keys))
+                             for _, master, lo, hi in part for j in range(hi - lo)]
+            rngs = [_derive_rng(master, i) for master, i in keys]
+            # the live lanes of each group with any left, as consecutive slices
+            ends = np.cumsum([hi - lo for *_, lo, hi in part]).tolist()
+            slices = [(model, lo, hi) for (model, *_), lo, hi in zip(part, [0] + ends, ends)]
+            a = np.full(lanes.size, float(A0))
+            y_run = np.zeros(lanes.size)
+            ty_run = np.zeros(lanes.size)
+            step = 0
+            rec_pos = 1
+            next_rec = first_rec
+            while step < n_steps and lanes.size:
+                live_streams = np.unique(stream[lanes])
+                block = min(_BLOCK_STEPS, n_steps - step,
+                            max(1, _DRAW_BUDGET // live_streams.size))
+                # one row per step, so each step reads contiguous draws
+                draws = buffer[:block * live_streams.size].reshape(block, live_streams.size)
+                for col, s in enumerate(live_streams.tolist()):
+                    draws[:, col] = rngs[s].standard_normal(block)
+                cols = np.searchsorted(live_streams, stream[lanes])
+                if np.array_equal(cols, np.arange(lanes.size)):
+                    cols = None  # every lane reads its own column, in order
+                for z in draws:
+                    y = np.log(a)
+                    y_run += y
+                    ty_run += y * (step * dt - t_shift)
+                    if len(slices) == 1:
+                        # no assembly: about 10% of ensemble-lockstep's time
+                        # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
+                        drift, diffusion = _evaluate(slices[0][0], a, step * dt)
+                    else:
+                        drift = np.empty(lanes.size)
+                        diffusion = np.empty(lanes.size)
+                        for model, lo, hi in slices:
+                            drift[lo:hi], diffusion[lo:hi] = _evaluate(model, a[lo:hi],
+                                                                       step * dt)
+                    a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
+                    step += 1
+                    ok = (a_next > 0.0) & (a_next < threshold)
+                    if np.count_nonzero(ok) < lanes.size:
+                        ended = ~ok
+                        gone = lanes[ended]
+                        level = a_next[ended]
+                        # nan and -inf count as exploded
+                        sunk = (level <= 0.0) & (level > -np.inf)
+                        absorbed[gone] = sunk
+                        exploded[gone] = ~sunk
+                        event_time[gone] = step * dt
+                        final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
+                        last[gone] = step - 1
+                        sy[gone] = y_run[ended]
+                        sty[gone] = ty_run[ended]
+                        lanes = lanes[ok]
+                        a_next = a_next[ok]
+                        y_run = y_run[ok]
+                        ty_run = ty_run[ok]
+                        cols = np.flatnonzero(ok) if cols is None else cols[ok]
+                        if not lanes.size:
+                            break
+                        ends = np.cumsum(ok)[[hi - 1 for _, _, hi in slices]].tolist()
+                        slices = [(model, lo, hi) for (model, _, _), lo, hi
+                                  in zip(slices, [0] + ends, ends) if hi > lo]
+                    a = a_next
+                    if step == next_rec:
+                        series[lanes, rec_pos] = a
+                        rec_pos += 1
+                        next_rec = min(next_rec + stride, n_steps)
+            if lanes.size:
                 y = np.log(a)
                 y_run += y
-                ty_run += y * (step * dt - t_shift)
-                drift = np.asarray(model.drift(a), dtype=float)
-                diffusion = np.asarray(model.diffusion(a), dtype=float)
-                a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
-                step += 1
-                ok = (a_next > 0.0) & (a_next < threshold)
-                if np.count_nonzero(ok) < lanes.size:
-                    ended = ~ok
-                    gone = lanes[ended]
-                    level = a_next[ended]
-                    # nan and -inf count as exploded
-                    sunk = (level <= 0.0) & (level > -np.inf)
-                    absorbed[gone] = sunk
-                    exploded[gone] = ~sunk
-                    event_time[gone] = step * dt
-                    final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
-                    last[gone] = step - 1
-                    sy[gone] = y_run[ended]
-                    sty[gone] = ty_run[ended]
-                    lanes = lanes[ok]
-                    a_next = a_next[ok]
-                    y_run = y_run[ok]
-                    ty_run = ty_run[ok]
-                    cols = np.flatnonzero(ok) if cols is None else cols[ok]
-                    if not lanes.size:
-                        break
-                a = a_next
-                if step == next_rec:
-                    series[lanes, rec_pos] = a
-                    rec_pos += 1
-                    next_rec = min(next_rec + stride, n_steps)
-        if lanes.size:
-            y = np.log(a)
-            y_run += y
-            ty_run += y * (n_steps * dt - t_shift)
-            sy[lanes] = y_run
-            sty[lanes] = ty_run
-            alive[lanes] = True
-            final_levels[lanes] = a
+                ty_run += y * (n_steps * dt - t_shift)
+                sy[lanes] = y_run
+                sty[lanes] = ty_run
+                alive[lanes] = True
+                final_levels[lanes] = a
 
         ts = np.arange(n_steps + 1) * dt - t_shift
         cnt = (last + 1).astype(float)
@@ -267,9 +331,12 @@ def _simulate_paths(model: StochasticModel, A0: float, dt: float, n_steps: int,
         sxy = sty - st * sy / np.maximum(cnt, 1.0)
         slopes = np.where((cnt >= _MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
 
-    return _Batch(exploded=exploded, absorbed=absorbed, alive=alive,
-                  event_time=event_time, final_levels=final_levels,
-                  slopes=slopes, rec_steps=rec_steps, series=series)
+    return [_Batch(exploded=exploded[lo:hi], absorbed=absorbed[lo:hi],
+                   alive=alive[lo:hi], event_time=event_time[lo:hi],
+                   final_levels=final_levels[lo:hi], slopes=slopes[lo:hi],
+                   rec_steps=rec_steps,
+                   series=None if series is None else series[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
@@ -304,7 +371,9 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     absorption).  The path is stepped on Python floats; a step whose
     float evaluation overflows or divides by zero is redone on
     ``np.float64``, so it ends the path as in the batch kernel instead
-    of raising.
+    of raising.  A drift or diffusion that still raises surfaces as
+    :class:`~blowuplab.errors.FieldEvaluationError` naming the model's
+    ``label``, as it does in the batch kernel.
     """
     n_steps = _validate_grid(A0, dt, t_end, threshold)
     if record_every < 1:
@@ -325,11 +394,13 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
         while end is None and step < n_steps:
             for z in rng.standard_normal(min(_BLOCK_STEPS, n_steps - step)).tolist():
                 try:
-                    a_next = a + drift(a) * dt + diffusion(a) * sqdt * z
+                    da, db = drift(a), diffusion(a)
                 except (OverflowError, ZeroDivisionError):
                     # numpy scalars give inf or nan here, as the batch kernel does
-                    x = np.float64(a)
-                    a_next = x + drift(x) * dt + diffusion(x) * sqdt * z
+                    da, db = _evaluate(model, np.float64(a), step * dt)
+                except Exception as exc:
+                    raise _model_failure(model, step * dt, exc) from exc
+                a_next = a + da * dt + db * sqdt * z
                 step += 1
                 if not 0.0 < a_next < threshold:
                     end = a_next

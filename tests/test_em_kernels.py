@@ -16,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from blowuplab import (
     EnsembleSpec,
+    FieldEvaluationError,
     StochasticModel,
     em_path,
     gbm_model,
     hyperbolic_sde_model,
+    run_ensemble,
     sde,
     simulate_batch,
+    simulate_batches,
 )
 
 
@@ -178,6 +181,29 @@ class TestBatchMatchesMaskedLockstep:
             got = simulate_batch(spec, record_points=record_points)
         assert_batches_identical(expected, got)
 
+    @settings(max_examples=25, deadline=None)
+    @given(members=st.lists(st.tuples(st.one_of(*MODELS.values()), st.integers(1, 8),
+                                      st.sampled_from([0, 1, 2 ** 32 - 1])),
+                            min_size=2, max_size=4),
+           steps=st.integers(1, 300),
+           threshold=st.sampled_from([2.0, 5.0, 1e9]),
+           block=st.sampled_from([7, 4096]),
+           budget=st.sampled_from([5, 1 << 21]),
+           width=st.sampled_from([3, 4096]),
+           record_points=st.one_of(st.none(), st.integers(1, 120)))
+    def test_bitwise_multi_spec(self, members, steps, threshold, block, budget, width,
+                                record_points):
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                              n_paths=n_paths, master_seed=seed, threshold=threshold)
+                 for model, n_paths, seed in members]
+        with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_DRAW_BUDGET", budget), \
+                mock.patch.object(sde, "_PASS_STREAMS", width):
+            expected = [oracle_batch(spec, record_points) for spec in specs]
+            got = simulate_batches(specs, record_points=record_points)
+        for want, have in zip(expected, got, strict=True):
+            assert_batches_identical(want, have)
+
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_model_reaches_its_ending(self, name):
         # the property above only means something if the models end lanes
@@ -260,3 +286,46 @@ class TestScalarPath:
         assert batch.exploded[0] and path.exploded
         assert path.explosion_step_time == batch.event_time[0] == 0.01
         assert path.values.tolist() == [1.0]
+
+
+class TestModelFailures:
+    """A drift or diffusion that raises surfaces as FieldEvaluationError."""
+
+    @staticmethod
+    def failing(exc_type=ZeroDivisionError):
+        def drift(a):
+            if exc_type is ZeroDivisionError:
+                return 1 / 0
+            raise exc_type("bad level")
+        return StochasticModel(drift=drift, diffusion=lambda a: 0.1 * a,
+                               label="broken")
+
+    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError, TypeError])
+    def test_batch(self, exc_type):
+        spec = EnsembleSpec(model=self.failing(exc_type), A0=1.0, dt=0.01,
+                            t_end=1.0, n_paths=3, master_seed=0)
+        with pytest.raises(FieldEvaluationError, match="'broken'") as info:
+            run_ensemble(spec)
+        assert isinstance(info.value.__cause__, exc_type)
+
+    def test_batch_names_the_failing_member(self):
+        good = EnsembleSpec(model=hyperbolic_sde_model(0.5, 0.5), A0=1.0, dt=0.01,
+                            t_end=1.0, n_paths=3, master_seed=0)
+        bad = dataclasses.replace(good, model=self.failing())
+        with pytest.raises(FieldEvaluationError, match="'broken'"):
+            simulate_batches([good, bad])
+
+    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError, TypeError])
+    def test_em_path(self, exc_type):
+        # ZeroDivisionError is retried on np.float64 and raises again
+        with pytest.raises(FieldEvaluationError, match="'broken'") as info:
+            em_path(self.failing(exc_type), 1.0, 0.01, 1.0, seed=0)
+        assert isinstance(info.value.__cause__, exc_type)
+
+    def test_em_path_reports_the_failing_step(self):
+        # the drift pushes the level down until math.log leaves its
+        # domain; with no noise that happens at step 39
+        model = StochasticModel(drift=lambda a: math.log(a - 1.0),
+                                diffusion=lambda a: 0.0 * a, label="log")
+        with pytest.raises(FieldEvaluationError, match=r"'log' raised at t=0\.39:"):
+            em_path(model, 1.5, 0.01, 1.0, seed=0)

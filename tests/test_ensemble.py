@@ -11,10 +11,13 @@ from blowuplab import (
     EnsembleSpec,
     em_path,
     ensemble,
+    gbm_model,
     hyperbolic_sde_model,
     pathwise_growth_slope,
     run_ensemble,
+    sde,
     simulate_batch,
+    simulate_batches,
     volatility_masking_scan,
 )
 
@@ -28,7 +31,7 @@ def paper_spec(n_paths, master_seed, t_end=30.0):
 
 class TestRunEnsemble:
     def test_serial_equals_parallel(self):
-        # 700 paths spans two worker chunks
+        # workers is accepted and changes nothing
         serial = run_ensemble(paper_spec(700, 11), workers=1)
         threaded = run_ensemble(paper_spec(700, 11), workers=8)
         assert serial.exploded_fraction == threaded.exploded_fraction
@@ -99,32 +102,80 @@ class TestRunEnsemble:
             with pytest.raises(DomainError, match="initial level"):
                 spec.validate()
 
+    @pytest.mark.parametrize("field", ["n_paths", "master_seed"])
+    @pytest.mark.parametrize("value", [10.0, 1.5, True, "3", None])
+    def test_spec_rejects_non_integers(self, field, value):
+        # a float count would reach range() and a float seed would be
+        # truncated to another spec's ensemble
+        spec = dataclasses.replace(paper_spec(4, 1), **{field: value})
+        with pytest.raises(DomainError, match=field):
+            spec.validate()
+        with pytest.raises(DomainError, match=field):
+            run_ensemble(spec)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = dataclasses.replace(paper_spec(4, 1), n_paths=np.int64(4),
+                                   master_seed=np.uint32(1))
+        assert run_ensemble(spec).outcomes.tolist() == \
+            run_ensemble(paper_spec(4, 1)).outcomes.tolist()
+
+
+# strong noise and a low threshold give exploded, absorbed and surviving
+# paths within a few hundred steps
+BATCH_MODELS = st.one_of(
+    st.builds(hyperbolic_sde_model, st.sampled_from([0.5, 1.0]),
+              st.sampled_from([0.0, 0.8, 1.5])),
+    st.builds(gbm_model, st.just(0.5), st.just(1.0), st.sampled_from([0.3, 1.0])),
+)
+
 
 class TestSimulateBatch:
-    # a low threshold and strong noise give exploded, absorbed and
-    # surviving paths within 100 steps
-    @settings(max_examples=15)
-    @given(n_paths=st.integers(1, 24), chunk=st.integers(1, 9),
-           workers=st.sampled_from([1, 2]),
+    @settings(max_examples=25, deadline=None)
+    @given(members=st.lists(st.tuples(BATCH_MODELS, st.integers(1, 9),
+                                      st.sampled_from([5, 6, 2 ** 40])),
+                            min_size=1, max_size=4),
+           steps=st.integers(1, 250),
+           threshold=st.sampled_from([5.0, 1e9]),
+           block=st.sampled_from([3, 64, 4096]),
+           budget=st.sampled_from([1, 4, 17, 1 << 21]),
+           width=st.sampled_from([1, 2, 5, 4096]),
            record_points=st.one_of(st.none(), st.integers(1, 150)))
-    def test_chunks_and_workers_do_not_change_the_batch(
-            self, n_paths, chunk, workers, record_points):
-        spec = EnsembleSpec(model=hyperbolic_sde_model(1.0, 1.5), A0=1.0,
-                            dt=0.01, t_end=1.0, n_paths=n_paths,
-                            master_seed=5, threshold=5.0)
-        reference = simulate_batch(spec, record_points=record_points)
-        with mock.patch.object(ensemble, "_CHUNK_PATHS", chunk):
-            batch = simulate_batch(spec, workers=workers,
-                                   record_points=record_points)
-        for field in dataclasses.fields(reference):
-            name = field.name
-            expected, got = getattr(reference, name), getattr(batch, name)
-            if expected is None:
-                assert got is None and record_points is None
-            else:
-                assert got.dtype == expected.dtype
-                assert got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes(), name
+    def test_rows_do_not_depend_on_the_batch_around_them(
+            self, members, steps, threshold, block, budget, width, record_points):
+        # common master seeds make lanes share streams, which each block
+        # draws once; small blocks and budgets split the draws differently,
+        # and a small pass width steps the path indices in several passes
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                              n_paths=n_paths, master_seed=seed, threshold=threshold)
+                 for model, n_paths, seed in members]
+        alone = [simulate_batch(spec, record_points=record_points) for spec in specs]
+        with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_DRAW_BUDGET", budget), \
+                mock.patch.object(sde, "_PASS_STREAMS", width):
+            together = simulate_batches(specs, record_points=record_points)
+        assert len(together) == len(specs)
+        for reference, batch in zip(alone, together):
+            for field in dataclasses.fields(reference):
+                name = field.name
+                expected, got = getattr(reference, name), getattr(batch, name)
+                if expected is None:
+                    assert got is None and record_points is None
+                else:
+                    assert got.dtype == expected.dtype
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), name
+
+    def test_rejects_an_empty_list_and_mismatched_grids(self):
+        with pytest.raises(DomainError, match="empty"):
+            simulate_batches([])
+        base = paper_spec(3, 1)
+        for change in (dict(A0=2.0), dict(dt=0.02), dict(t_end=20.0),
+                       dict(threshold=1e8)):
+            with pytest.raises(DomainError, match="share"):
+                simulate_batches([base, dataclasses.replace(base, **change)])
+        # each spec is still validated on its own
+        with pytest.raises(DomainError, match="n_paths"):
+            simulate_batches([base, dataclasses.replace(base, n_paths=0)])
 
     def test_rows_follow_path_order(self):
         spec = paper_spec(3, 77)
@@ -233,3 +284,15 @@ class TestMaskingScan:
         with pytest.raises(DomainError, match="initial level"):
             volatility_masking_scan(0.01, [0.0],
                                     dataclasses.replace(template, threshold=1.0))
+
+    def test_short_grid_is_rejected_before_stepping(self):
+        # 50 steps record 51 samples, fewer than the window; the threshold
+        # makes every path explode, so no survivor would reach the check
+        # after the batch
+        template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=0.5,
+                                n_paths=4, master_seed=0, threshold=1.0001)
+        with mock.patch.object(ensemble, "_simulate_paths",
+                               side_effect=AssertionError("stepped")):
+            with pytest.raises(DomainError, match="51 samples"):
+                volatility_masking_scan(0.01, [0.0, 0.1], template, window=64,
+                                        record_points=64)
