@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .dsl import SystemSpec, as_function, evaluate, parse, pretty_print, to_field
 from .ensemble import (EnsembleSpec, EnsembleStats, MaskingPoint, run_ensemble,
-                       simulate_batch, simulate_batches, volatility_masking_scan)
+                       simulate_batches, volatility_masking_scan)
 from .errors import (
     BindingError,
     BlowupLabError,
@@ -86,7 +86,7 @@ __all__ = [
     "ergodicity_check", "ergodic_drift", "pathwise_growth_slope",
     # ensemble
     "EnsembleSpec", "EnsembleStats", "MaskingPoint", "run_ensemble",
-    "simulate_batch", "simulate_batches", "volatility_masking_scan",
+    "simulate_batches", "volatility_masking_scan",
     # analysis
     "FINITE_TIME", "INFINITE_TIME", "INCONCLUSIVE",
     "ConvergenceVerdict", "BarometerReport", "PhasePlan",

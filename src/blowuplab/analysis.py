@@ -41,7 +41,7 @@ from scipy.integrate import quad
 
 from . import dsl
 from .closedform import calibrate_k
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, check_integer
 from .ode import BlowUpEvent, VectorField, estimate_blowup_time, integrate
 
 __all__ = [
@@ -434,7 +434,7 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
         raise DomainError("times and values must be 1-d and equally long")
-    if window < 8:
+    if check_integer("window", window) < 8:
         raise DomainError(f"window must be at least 8 samples, got {window!r}")
     if len(t) < window:
         raise InsufficientDataError(

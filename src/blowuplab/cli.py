@@ -495,23 +495,23 @@ def _reproduce_fig3(args) -> int:
              for k, sigma in _FIG3_SETTINGS]
     batches = ensemble.simulate_batches(specs, record_points=400)
     tables = []
-    for (k, sigma), spec, batch in zip(_FIG3_SETTINGS, specs, batches):
+    for (k, sigma), spec, stats in zip(_FIG3_SETTINGS, specs, batches):
         # the figure shows the paths that never exploded; absorbed ones
         # keep their pre-absorption segment and go blank afterwards
-        keep = np.flatnonzero(~batch.exploded)
-        times = batch.rec_steps * spec.dt
+        keep = np.flatnonzero(~stats.exploded)
+        times = stats.rec_steps * spec.dt
         columns = ["t"] + [f"path_{i}" for i in keep]
-        rows = (np.concatenate([[times[j]], batch.series[keep, j]])
+        rows = (np.concatenate([[times[j]], stats.series[keep, j]])
                 for j in range(len(times)))
         name = f"fig3_k{k:g}_sigma{sigma:g}"
         tables.append({
             "table": _write_table(args, name, columns, rows),
             "k": k, "sigma": sigma,
-            "n_paths": spec.n_paths,
+            "n_paths": stats.n_paths,
             "n_never_exploded": int(keep.size),
-            "n_survivors": int(np.count_nonzero(batch.alive)),
-            "exploded_fraction": float(np.count_nonzero(batch.exploded)) / spec.n_paths,
-            "absorbed_fraction": float(np.count_nonzero(batch.absorbed)) / spec.n_paths,
+            "n_survivors": int(np.count_nonzero(stats.survived)),
+            "exploded_fraction": stats.exploded_fraction,
+            "absorbed_fraction": stats.absorbed_fraction,
         })
     print(_json_text({"command": "reproduce fig3", "master_seed": int(args.seed),
                       "settings": tables}))

@@ -4,11 +4,12 @@ Each path's random stream is keyed by ``(master_seed, path_index)``
 alone, so an ensemble's statistics are a pure function of its spec: it
 comes out bit for bit the same whether it is simulated alone or in one
 batch beside other ensembles on the same grid, and ensembles that share
-a master seed draw their common streams once.  Pathwise log-growth
-slopes come from running sums of the log-level and of its product with
-time, plus prefix sums of the time grid up to each path's last step,
-which lets the engine track a least-squares slope per path without
-storing the paths.
+a master seed draw their common streams once.  Every ensemble comes
+back as one :class:`~blowuplab.sde.EnsembleStats`, optionally with its
+paths recorded.  Pathwise log-growth slopes come from running sums of
+the log-level and of its product with time, plus prefix sums of the
+time grid up to each path's last step, which lets the engine track a
+least-squares slope per path without storing the paths.
 
 The volatility masking scan runs one hyperbolic ensemble per noise
 level with common random numbers, all in one batch, and feeds every
@@ -20,16 +21,15 @@ even though the drift, and the eventual singularity, is unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import barometer
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .ode import DEFAULT_BLOWUP_THRESHOLD
-from .sde import (StochasticModel, _Batch, _record_lattice, _simulate_paths,
+from .sde import (EnsembleStats, StochasticModel, _record_lattice, _simulate_paths,
                   _validate_grid, hyperbolic_sde_model)
 
 __all__ = [
@@ -37,12 +37,9 @@ __all__ = [
     "EnsembleStats",
     "MaskingPoint",
     "run_ensemble",
-    "simulate_batch",
     "simulate_batches",
     "volatility_masking_scan",
 ]
-
-_QUANTILE_ORDERS = (5, 25, 50, 75, 95)
 
 
 @dataclass(frozen=True)
@@ -67,10 +64,8 @@ class EnsembleSpec:
     def validate(self) -> None:
         if self.model is None:
             raise DomainError("ensemble spec has no model bound")
-        for name in ("n_paths", "master_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+        check_integer("n_paths", self.n_paths)
+        check_integer("master_seed", self.master_seed)
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if self.master_seed < 0:
@@ -78,64 +73,21 @@ class EnsembleSpec:
         self.steps()
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleStats:
-    """Merged outcome statistics of one ensemble.
-
-    The arrays are indexed by path: ``outcomes`` holds one of
-    ``"exploded"``, ``"absorbed"``, ``"survived"``; ``event_times`` the
-    explosion or absorption time (``nan`` for survivors);
-    ``final_levels`` the last meaningful level (crossing sample for
-    exploded paths, final value for survivors, ``nan`` for absorbed).
-    ``slopes`` has one entry per path (``nan`` where a slope was not
-    measurable); ``slope_mean``/``slope_std`` summarize the measurable
-    ones.
-    """
-
-    n_paths: int
-    exploded_fraction: float
-    absorbed_fraction: float
-    slopes: np.ndarray
-    slope_mean: float | None
-    slope_std: float | None
-    outcomes: np.ndarray
-    event_times: np.ndarray
-    final_levels: np.ndarray
-
-    @property
-    def blowup_times(self) -> np.ndarray:
-        """Explosion times of the exploded paths, in ascending order."""
-        return np.sort(self.event_times[self.outcomes == "exploded"])
-
-    @property
-    def quantiles(self) -> dict[int, float] | None:
-        """Quantiles 5, 25, 50, 75, 95 of blowup_times; ``None`` if empty."""
-        times = self.blowup_times
-        if not times.size:
-            return None
-        return {q: float(np.quantile(times, q / 100.0)) for q in _QUANTILE_ORDERS}
-
-    @property
-    def terminal_values(self) -> np.ndarray:
-        """Final levels of the surviving paths, in path order."""
-        return self.final_levels[self.outcomes == "survived"]
-
-
 def _record_stride(n_steps: int, record_points: int | None) -> int | None:
     if record_points is None:
         return None
-    if record_points < 1:
+    if check_integer("record_points", record_points) < 1:
         raise DomainError(f"record_points must be >= 1, got {record_points!r}")
     return max(1, n_steps // record_points)
 
 
 def simulate_batches(specs: Sequence[EnsembleSpec],
-                     record_points: int | None = None) -> list[_Batch]:
+                     record_points: int | None = None) -> list[EnsembleStats]:
     """Simulate every path of every spec in one lockstep batch.
 
     The specs must share ``A0``, ``dt``, ``t_end`` and ``threshold``;
-    their models, path counts and master seeds may differ.  Returns one
-    batch per spec, in order, each bit for bit what the spec gives
+    their models, path counts and master seeds may differ.  Returns the
+    stats of each spec, in order, each bit for bit what the spec gives
     alone, because every path's draws are fixed by ``(master_seed,
     path_index)``.  With ``record_points`` each level is also recorded
     every ``max(1, steps // record_points)`` steps and at the horizon,
@@ -157,36 +109,12 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                            record_stride=_record_stride(n_steps, record_points))
 
 
-def simulate_batch(spec: EnsembleSpec, *,
-                   record_points: int | None = None) -> _Batch:
-    """Simulate every path of ``spec``; see :func:`simulate_batches`."""
-    return simulate_batches([spec], record_points)[0]
-
-
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleStats:
-    """Simulate the ensemble and merge per-path outcomes into statistics.
+    """Simulate the ensemble; see :func:`simulate_batches`.
 
     ``workers`` has no effect; it is accepted for compatibility.
     """
-    batch = simulate_batch(spec)
-    n = spec.n_paths
-    outcomes = np.where(batch.exploded, "exploded",
-                        np.where(batch.absorbed, "absorbed", "survived"))
-    slopes = batch.slopes
-    measurable = slopes[np.isfinite(slopes)]
-    slope_mean = float(measurable.mean()) if measurable.size else None
-    slope_std = float(measurable.std(ddof=1)) if measurable.size > 1 else None
-    return EnsembleStats(
-        n_paths=n,
-        exploded_fraction=float(np.count_nonzero(batch.exploded)) / n,
-        absorbed_fraction=float(np.count_nonzero(batch.absorbed)) / n,
-        slopes=slopes,
-        slope_mean=slope_mean,
-        slope_std=slope_std,
-        outcomes=outcomes,
-        event_times=batch.event_time,
-        final_levels=batch.final_levels,
-    )
+    return simulate_batches([spec])[0]
 
 
 @dataclass(frozen=True)
@@ -221,7 +149,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     fraction and counted in ``absorbed_fraction`` instead.  ``workers``
     has no effect; it is accepted for compatibility.
     """
-    if window < 8:
+    if check_integer("window", window) < 8:
         raise DomainError(f"window must be at least 8, got {window!r}")
     if record_points < window:
         raise DomainError(
@@ -240,10 +168,10 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
         )
     specs = [replace(template, model=hyperbolic_sde_model(k, sigma)) for sigma in levels]
     points: list[MaskingPoint] = []
-    for sigma, spec, batch in zip(levels, specs, simulate_batches(specs, record_points)):
-        live = np.flatnonzero(batch.alive)
-        times = batch.rec_steps * spec.dt
-        n_flagged = sum(int(barometer(times, batch.series[lane], window).flagged)
+    for sigma, spec, stats in zip(levels, specs, simulate_batches(specs, record_points)):
+        live = np.flatnonzero(stats.survived)
+        times = stats.rec_steps * spec.dt
+        n_flagged = sum(int(barometer(times, stats.series[lane], window).flagged)
                         for lane in live)
         n_analyzed = int(live.size)
         fraction = (n_flagged / n_analyzed) if n_analyzed else math.nan
@@ -253,7 +181,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
             n_analyzed=n_analyzed,
             n_flagged=n_flagged,
             flagged_fraction=fraction,
-            exploded_fraction=int(np.count_nonzero(batch.exploded)) / spec.n_paths,
-            absorbed_fraction=int(np.count_nonzero(batch.absorbed)) / spec.n_paths,
+            exploded_fraction=stats.exploded_fraction,
+            absorbed_fraction=stats.absorbed_fraction,
         ))
     return points

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class BlowupLabError(Exception):
@@ -57,3 +59,10 @@ class DslSyntaxError(DslError):
 
 class BindingError(DslError):
     """An expression references a name with no bound value."""
+
+
+def check_integer(name: str, value) -> int:
+    """Return ``value`` as an int; reject bools and non-integral values."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)

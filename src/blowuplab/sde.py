@@ -6,7 +6,9 @@ per-path random streams derived as
 path can be reproduced bit for bit in isolation or inside a vectorized
 batch beside other ensembles: the draws depend only on the master seed
 and the path's index.  A batch draws each stream once, however many of
-its ensembles share it.
+its ensembles share it, and returns one :class:`EnsembleStats` per
+ensemble: the per-path outcomes, event times, final levels and slopes,
+and the recorded levels when asked for.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -36,12 +38,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, FieldEvaluationError, InsufficientDataError
+from .errors import DomainError, FieldEvaluationError, InsufficientDataError, check_integer
 from .ode import DEFAULT_BLOWUP_THRESHOLD
 
 __all__ = [
     "StochasticModel",
     "PathResult",
+    "EnsembleStats",
     "ErgodicityReport",
     "em_path",
     "gbm_model",
@@ -105,6 +108,88 @@ class PathResult:
 
 
 @dataclass(frozen=True, eq=False)
+class EnsembleStats:
+    """Per-path outcomes of one ensemble, and the statistics derived from them.
+
+    The stored arrays are indexed by path: ``outcomes`` holds one of
+    ``"exploded"``, ``"absorbed"``, ``"survived"``; ``event_times`` the
+    explosion or absorption time (``nan`` for survivors);
+    ``final_levels`` the finite crossing sample of an exploded path, the
+    final value of a survivor, and ``nan`` otherwise; ``slopes`` the
+    least-squares slope of ``ln(level)`` against time over the steps a
+    path was alive (``nan`` where it was not measurable).  A recorded
+    ensemble also holds its levels every few steps, on the step grid
+    ``rec_steps``, in the rows of ``series`` (``nan`` once a path has
+    ended); both are ``None`` otherwise.
+
+    Derived from these: ``n_paths``; the outcome masks ``exploded``,
+    ``absorbed`` and ``survived`` (alive at the horizon) and the first
+    two's fractions; ``slope_mean`` and ``slope_std`` over the
+    measurable slopes; ``blowup_times``, ``quantiles`` and
+    ``terminal_values``.
+    """
+
+    outcomes: np.ndarray
+    event_times: np.ndarray
+    final_levels: np.ndarray
+    slopes: np.ndarray
+    rec_steps: np.ndarray | None = None
+    series: np.ndarray | None = None
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def exploded(self) -> np.ndarray:
+        return self.outcomes == "exploded"
+
+    @property
+    def absorbed(self) -> np.ndarray:
+        return self.outcomes == "absorbed"
+
+    @property
+    def survived(self) -> np.ndarray:
+        return self.outcomes == "survived"
+
+    @property
+    def exploded_fraction(self) -> float:
+        return float(np.count_nonzero(self.exploded)) / self.n_paths
+
+    @property
+    def absorbed_fraction(self) -> float:
+        return float(np.count_nonzero(self.absorbed)) / self.n_paths
+
+    @property
+    def slope_mean(self) -> float | None:
+        measurable = self.slopes[np.isfinite(self.slopes)]
+        return float(measurable.mean()) if measurable.size else None
+
+    @property
+    def slope_std(self) -> float | None:
+        measurable = self.slopes[np.isfinite(self.slopes)]
+        return float(measurable.std(ddof=1)) if measurable.size > 1 else None
+
+    @property
+    def blowup_times(self) -> np.ndarray:
+        """Explosion times of the exploded paths, in ascending order."""
+        return np.sort(self.event_times[self.exploded])
+
+    @property
+    def quantiles(self) -> dict[int, float] | None:
+        """Quantiles 5, 25, 50, 75, 95 of blowup_times; ``None`` if empty."""
+        times = self.blowup_times
+        if not times.size:
+            return None
+        return {q: float(np.quantile(times, q / 100.0)) for q in (5, 25, 50, 75, 95)}
+
+    @property
+    def terminal_values(self) -> np.ndarray:
+        """Final levels of the surviving paths, in path order."""
+        return self.final_levels[self.survived]
+
+
+@dataclass(frozen=True, eq=False)
 class ErgodicityReport:
     """Outcome of the variance-stabilizing transform analysis.
 
@@ -133,8 +218,8 @@ def _normalize_seed(seed) -> tuple[int, int]:
         master, index = seed
     else:
         master, index = seed, 0
-    master = int(master)
-    index = int(index)
+    master = check_integer("master_seed", master)
+    index = check_integer("path_index", index)
     if master < 0 or index < 0:
         raise DomainError(f"seed components must be nonnegative, got {seed!r}")
     return master, index
@@ -143,25 +228,6 @@ def _normalize_seed(seed) -> tuple[int, int]:
 def _derive_rng(master_seed: int, path_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(master_seed, spawn_key=(path_index,))
     return np.random.Generator(np.random.PCG64(seq))
-
-
-@dataclass(frozen=True, eq=False)
-class _Batch:
-    """Raw output of the vectorized Euler-Maruyama loop, one row per path.
-
-    ``final_levels`` holds the finite crossing sample of an exploded
-    path, the final value of a live one, and ``nan`` otherwise;
-    ``rec_steps`` and ``series`` are ``None`` unless recording.
-    """
-
-    exploded: np.ndarray
-    absorbed: np.ndarray
-    alive: np.ndarray
-    event_time: np.ndarray
-    final_levels: np.ndarray
-    slopes: np.ndarray
-    rec_steps: np.ndarray | None
-    series: np.ndarray | None
 
 
 def _record_lattice(n_steps: int, stride: int) -> np.ndarray:
@@ -189,7 +255,7 @@ def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
 
 def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: float,
                     dt: float, n_steps: int, threshold: float,
-                    record_stride: int | None = None) -> list[_Batch]:
+                    record_stride: int | None = None) -> list[EnsembleStats]:
     """March the paths of every ``(model, master_seed, n_paths)`` group in lockstep.
 
     Path ``i`` of a group is driven by the stream ``(master_seed, i)``;
@@ -202,8 +268,8 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
     its steps are split into blocks, so every path comes out as if
     simulated alone.  The live lanes of a group stay in one contiguous
     slice: each model is called once per step on its own live levels,
-    and a lane that ends is dropped from the state arrays.  Returns one
-    batch per group.
+    and a lane that ends is dropped from the state arrays.  Returns the
+    stats of each group, recorded every ``record_stride`` steps if given.
     """
     sizes = [count for _, _, count in groups]
     bounds = np.cumsum([0] + sizes).tolist()  # rows of each group in the output
@@ -212,10 +278,8 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
     width = max(1, _PASS_STREAMS // n_seeds)
     stream = np.empty(n, dtype=np.intp)  # generator of each output row in its pass
     sqdt = math.sqrt(dt)
-    exploded = np.zeros(n, dtype=bool)
-    absorbed = np.zeros(n, dtype=bool)
-    alive = np.zeros(n, dtype=bool)
-    event_time = np.full(n, np.nan)
+    outcomes = np.full(n, "survived")
+    event_times = np.full(n, np.nan)
     final_levels = np.full(n, np.nan)
 
     # slope sums of y = ln(value) against time; time is shifted by half
@@ -231,11 +295,10 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
     series = None
     first_rec = n_steps + 1  # never reached unless recording
     if record_stride is not None:
-        stride = max(1, int(record_stride))
-        rec_steps = _record_lattice(n_steps, stride)
+        rec_steps = _record_lattice(n_steps, record_stride)
         series = np.full((n, len(rec_steps)), np.nan)
         series[:, 0] = A0
-        first_rec = min(stride, n_steps)
+        first_rec = min(record_stride, n_steps)
 
     # one buffer holds the draws of every block in turn
     buffer = np.empty(max(_DRAW_BUDGET, width * n_seeds))
@@ -292,9 +355,8 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
                         level = a_next[ended]
                         # nan and -inf count as exploded
                         sunk = (level <= 0.0) & (level > -np.inf)
-                        absorbed[gone] = sunk
-                        exploded[gone] = ~sunk
-                        event_time[gone] = step * dt
+                        outcomes[gone] = np.where(sunk, "absorbed", "exploded")
+                        event_times[gone] = step * dt
                         final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
                         last[gone] = step - 1
                         sy[gone] = y_run[ended]
@@ -313,14 +375,13 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
                     if step == next_rec:
                         series[lanes, rec_pos] = a
                         rec_pos += 1
-                        next_rec = min(next_rec + stride, n_steps)
+                        next_rec = min(next_rec + record_stride, n_steps)
             if lanes.size:
                 y = np.log(a)
                 y_run += y
                 ty_run += y * (n_steps * dt - t_shift)
                 sy[lanes] = y_run
                 sty[lanes] = ty_run
-                alive[lanes] = True
                 final_levels[lanes] = a
 
         ts = np.arange(n_steps + 1) * dt - t_shift
@@ -331,11 +392,10 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
         sxy = sty - st * sy / np.maximum(cnt, 1.0)
         slopes = np.where((cnt >= _MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
 
-    return [_Batch(exploded=exploded[lo:hi], absorbed=absorbed[lo:hi],
-                   alive=alive[lo:hi], event_time=event_time[lo:hi],
-                   final_levels=final_levels[lo:hi], slopes=slopes[lo:hi],
-                   rec_steps=rec_steps,
-                   series=None if series is None else series[lo:hi])
+    return [EnsembleStats(outcomes=outcomes[lo:hi], event_times=event_times[lo:hi],
+                          final_levels=final_levels[lo:hi], slopes=slopes[lo:hi],
+                          rec_steps=rec_steps,
+                          series=None if series is None else series[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -376,13 +436,13 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     ``label``, as it does in the batch kernel.
     """
     n_steps = _validate_grid(A0, dt, t_end, threshold)
-    if record_every < 1:
+    stride = check_integer("record_every", record_every)
+    if stride < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
     master, index = _normalize_seed(seed)
     rng = _derive_rng(master, index)
     drift, diffusion = model.drift, model.diffusion
     sqdt = math.sqrt(dt)
-    stride = int(record_every)
     rec_steps = _record_lattice(n_steps, stride)
     values = np.empty(len(rec_steps))
     values[0] = a = float(A0)

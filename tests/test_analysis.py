@@ -205,6 +205,12 @@ class TestBarometer:
         with pytest.raises(DomainError):
             barometer(times, values[:-1], 16)
 
+    def test_rejects_a_non_integral_window(self):
+        times = np.linspace(0.0, 1.0, 32)
+        with pytest.raises(DomainError, match="window must be an integer"):
+            barometer(times, np.exp(times), 8.5)
+        assert barometer(times, np.exp(times), np.int64(16)).n_samples == 16
+
 
 class TestComposePhases:
     HEADLINE = dict(R=1.5872, I=100.0)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from blowuplab import (
     EnsembleSpec,
+    EnsembleStats,
     FieldEvaluationError,
     StochasticModel,
     em_path,
@@ -23,7 +24,6 @@ from blowuplab import (
     hyperbolic_sde_model,
     run_ensemble,
     sde,
-    simulate_batch,
     simulate_batches,
 )
 
@@ -116,10 +116,11 @@ def masked_lockstep(model, A0, dt, n_steps, rngs, threshold, record_stride=None)
         sxy = sty - st_ * sy / np.maximum(cnt, 1.0)
         slopes = np.where((cnt >= sde._MIN_SLOPE_SAMPLES) & (sxx > 0.0), sxy / sxx, np.nan)
 
-    return sde._Batch(exploded=exploded, absorbed=absorbed, alive=alive,
-                      event_time=event_time,
-                      final_levels=np.where(alive, a, final_value),
-                      slopes=slopes, rec_steps=rec_steps, series=series)
+    return EnsembleStats(outcomes=np.where(exploded, "exploded",
+                                           np.where(absorbed, "absorbed", "survived")),
+                         event_times=event_time,
+                         final_levels=np.where(alive, a, final_value),
+                         slopes=slopes, rec_steps=rec_steps, series=series)
 
 
 def oracle_batch(spec, record_points=None):
@@ -178,7 +179,7 @@ class TestBatchMatchesMaskedLockstep:
                             threshold=threshold)
         with mock.patch.object(sde, "_BLOCK_STEPS", block):
             expected = oracle_batch(spec, record_points)
-            got = simulate_batch(spec, record_points=record_points)
+            got = simulate_batches([spec], record_points)[0]
         assert_batches_identical(expected, got)
 
     @settings(max_examples=25, deadline=None)
@@ -214,7 +215,7 @@ class TestBatchMatchesMaskedLockstep:
                  "cliff": cliff_model(0.9)}[name]
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=2.0,
                             n_paths=40, master_seed=3, threshold=5.0)
-        batch = simulate_batch(spec, record_points=50)
+        batch = simulate_batches([spec], 50)[0]
         assert_batches_identical(oracle_batch(spec, 50), batch)
         if name == "absorbing":
             assert batch.absorbed.any()
@@ -223,7 +224,7 @@ class TestBatchMatchesMaskedLockstep:
             assert batch.exploded.any()
             assert np.isnan(batch.final_levels[batch.exploded]).any()
         else:
-            assert batch.exploded.any() and batch.alive.any()
+            assert batch.exploded.any() and batch.survived.any()
 
 
 class TestScalarPath:
@@ -236,7 +237,7 @@ class TestScalarPath:
                                           record_points):
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                             n_paths=index + 1, master_seed=11, threshold=threshold)
-        batch = simulate_batch(spec, record_points=record_points)
+        batch = simulate_batches([spec], record_points)[0]
         stride = max(1, steps // record_points)
         path = em_path(model, 1.0, 0.01, spec.t_end, seed=(11, index),
                        record_every=stride, threshold=threshold)
@@ -246,17 +247,17 @@ class TestScalarPath:
         values = row[kept]
         crossing = batch.final_levels[index]
         if batch.exploded[index] and np.isfinite(crossing):
-            times = np.append(times, batch.event_time[index])
+            times = np.append(times, batch.event_times[index])
             values = np.append(values, crossing)
         assert path.times.tobytes() == times.tobytes()
         assert path.values.tobytes() == values.tobytes()
         assert path.exploded == bool(batch.exploded[index])
         assert path.absorbed == bool(batch.absorbed[index])
         event = path.explosion_step_time or path.absorption_time
-        if batch.alive[index]:
+        if batch.survived[index]:
             assert event is None
         else:
-            assert event == batch.event_time[index]
+            assert event == batch.event_times[index]
 
     def test_overflowing_power_explodes_without_a_crossing_sample(self):
         model = StochasticModel(drift=lambda a: a ** 3,
@@ -268,7 +269,7 @@ class TestScalarPath:
         path = em_path(model, 1.0, 0.01, n_steps * 0.01, seed=(1, 2),
                        threshold=1e300)
         assert path.exploded and not path.absorbed
-        assert path.explosion_step_time == expected.event_time[0]
+        assert path.explosion_step_time == expected.event_times[0]
         assert path.times[-1] < path.explosion_step_time
         assert len(path.values) == round(path.explosion_step_time / 0.01)
         assert np.all(np.isfinite(path.values))
@@ -281,10 +282,10 @@ class TestScalarPath:
                                 diffusion=lambda a: 0.0 * a, label="pole")
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=1.0,
                             n_paths=1, master_seed=0)
-        batch = simulate_batch(spec, record_points=100)
+        batch = simulate_batches([spec], 100)[0]
         path = em_path(model, 1.0, 0.01, 1.0, seed=0)
         assert batch.exploded[0] and path.exploded
-        assert path.explosion_step_time == batch.event_time[0] == 0.01
+        assert path.explosion_step_time == batch.event_times[0] == 0.01
         assert path.values.tolist() == [1.0]
 
 

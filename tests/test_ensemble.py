@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from blowuplab import (
     DomainError,
     EnsembleSpec,
+    EnsembleStats,
     em_path,
     ensemble,
     gbm_model,
@@ -16,7 +17,6 @@ from blowuplab import (
     pathwise_growth_slope,
     run_ensemble,
     sde,
-    simulate_batch,
     simulate_batches,
     volatility_masking_scan,
 )
@@ -148,7 +148,7 @@ class TestSimulateBatch:
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                               n_paths=n_paths, master_seed=seed, threshold=threshold)
                  for model, n_paths, seed in members]
-        alone = [simulate_batch(spec, record_points=record_points) for spec in specs]
+        alone = [simulate_batches([spec], record_points)[0] for spec in specs]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
                 mock.patch.object(sde, "_DRAW_BUDGET", budget), \
                 mock.patch.object(sde, "_PASS_STREAMS", width):
@@ -164,6 +164,10 @@ class TestSimulateBatch:
                     assert got.dtype == expected.dtype
                     assert got.shape == expected.shape
                     assert got.tobytes() == expected.tobytes(), name
+            for name in ("n_paths", "exploded_fraction", "absorbed_fraction",
+                         "slope_mean", "slope_std"):
+                assert getattr(batch, name) == getattr(reference, name), name
+            assert np.array_equal(batch.survived, reference.survived)
 
     def test_rejects_an_empty_list_and_mismatched_grids(self):
         with pytest.raises(DomainError, match="empty"):
@@ -179,7 +183,7 @@ class TestSimulateBatch:
 
     def test_rows_follow_path_order(self):
         spec = paper_spec(3, 77)
-        batch = simulate_batch(spec, record_points=100)
+        batch = simulate_batches([spec], 100)[0]
         assert batch.series.shape == (3, len(batch.rec_steps))
         for index in range(3):
             path = em_path(spec.model, 1.0, 0.01, 30.0, seed=(77, index),
@@ -189,7 +193,17 @@ class TestSimulateBatch:
 
     def test_rejects_nonpositive_record_points(self):
         with pytest.raises(DomainError):
-            simulate_batch(paper_spec(2, 1), record_points=0)
+            simulate_batches([paper_spec(2, 1)], 0)[0]
+
+    @pytest.mark.parametrize("record_points", [2.5, True])
+    def test_rejects_non_integral_record_points(self, record_points):
+        with pytest.raises(DomainError, match="record_points must be an integer"):
+            simulate_batches([paper_spec(2, 1)], record_points)
+
+    def test_is_the_one_result_type(self):
+        stats = simulate_batches([paper_spec(2, 1)])[0]
+        assert type(stats) is EnsembleStats
+        assert stats.rec_steps is None and stats.series is None
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +260,35 @@ class TestStatsInvariants:
         assert stats.slope_mean == pytest.approx(float(measured.mean()))
         assert stats.slope_std == pytest.approx(float(measured.std(ddof=1)))
 
+    @settings(max_examples=50)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["exploded", "absorbed", "survived"]),
+                                   st.floats(0.01, 100.0),
+                                   st.one_of(st.just(math.nan), st.floats(-1.0, 1.0))),
+                         min_size=1, max_size=30))
+    def test_derived_values_recompute_from_the_path_arrays(self, rows):
+        # few paths, so the empty-quantile and single-slope cases come up
+        outcomes = np.array([outcome for outcome, _, _ in rows])
+        times = np.array([time for _, time, _ in rows])
+        slopes = np.array([slope for _, _, slope in rows])
+        levels = np.where(outcomes == "absorbed", np.nan, 10.0 * times)
+        stats = EnsembleStats(outcomes=outcomes, final_levels=levels, slopes=slopes,
+                              event_times=np.where(outcomes == "survived", np.nan, times))
+        n = len(rows)
+        assert stats.n_paths == n
+        for outcome in ("exploded", "absorbed"):
+            count = sum(1 for row in rows if row[0] == outcome)
+            assert getattr(stats, f"{outcome}_fraction") == count / n
+        measurable = [slope for _, _, slope in rows if not math.isnan(slope)]
+        assert stats.slope_mean == (float(np.mean(measurable)) if measurable else None)
+        assert stats.slope_std == (float(np.std(measurable, ddof=1))
+                                   if len(measurable) > 1 else None)
+        exploded = sorted(time for outcome, time, _ in rows if outcome == "exploded")
+        assert stats.blowup_times.tolist() == exploded
+        assert stats.quantiles == ({q: float(np.quantile(exploded, q / 100.0))
+                                    for q in (5, 25, 50, 75, 95)} if exploded else None)
+        assert stats.terminal_values.tolist() == [10.0 * time for outcome, time, _ in rows
+                                                  if outcome == "survived"]
+
 
 class TestMaskingScan:
     def test_noiseless_growth_is_always_flagged(self, points):
@@ -284,6 +327,12 @@ class TestMaskingScan:
         with pytest.raises(DomainError, match="initial level"):
             volatility_masking_scan(0.01, [0.0],
                                     dataclasses.replace(template, threshold=1.0))
+
+    def test_rejects_a_non_integral_window(self):
+        template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=1.0,
+                                n_paths=2, master_seed=0)
+        with pytest.raises(DomainError, match="window must be an integer"):
+            volatility_masking_scan(0.01, [0.0], template, window=8.5, record_points=64)
 
     def test_short_grid_is_rejected_before_stepping(self):
         # 50 steps record 51 samples, fewer than the window; the threshold

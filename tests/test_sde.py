@@ -167,6 +167,24 @@ class TestEmPath:
             with pytest.raises(DomainError, match="threshold"):
                 em_path(model, 1.0, 0.01, 10.0, seed=0, threshold=threshold)
 
+    @pytest.mark.parametrize("seed", [1.5, (True, 0.9), (0, 2.0), None])
+    def test_rejects_a_non_integral_seed(self, seed):
+        with pytest.raises(DomainError, match="must be an integer"):
+            em_path(hyperbolic_sde_model(0.05, 0.05), 1.0, 0.01, 1.0, seed=seed)
+
+    def test_numpy_integer_seeds_pass(self):
+        model = hyperbolic_sde_model(0.05, 0.05)
+        path = em_path(model, 1.0, 0.01, 1.0, seed=(np.int64(3), np.uint8(1)))
+        assert path.seed == (3, 1)
+        assert path.values.tobytes() == em_path(model, 1.0, 0.01, 1.0,
+                                                seed=(3, 1)).values.tobytes()
+
+    @pytest.mark.parametrize("record_every", [2.5, True])
+    def test_rejects_a_non_integral_record_every(self, record_every):
+        with pytest.raises(DomainError, match="record_every must be an integer"):
+            em_path(hyperbolic_sde_model(0.05, 0.05), 1.0, 0.01, 1.0, seed=0,
+                    record_every=record_every)
+
     def test_threshold_must_exceed_the_initial_level(self):
         # a threshold at or below A0 would "explode" every path at step 1
         model = hyperbolic_sde_model(0.05, 0.05)
