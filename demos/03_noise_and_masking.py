@@ -18,9 +18,9 @@ K = 0.01
 
 def describe(path) -> str:
     if path.exploded:
-        return f"explodes at t = {path.explosion_step_time:.2f}"
+        return f"explodes at t = {path.event_time:.2f}"
     if path.absorbed:
-        return f"is absorbed at t = {path.absorption_time:.2f}"
+        return f"is absorbed at t = {path.event_time:.2f}"
     return f"survives with A(200) = {path.values[-1]:.3f}"
 
 

@@ -2,9 +2,10 @@
 
 The package splits into closed forms (:mod:`~blowuplab.closedform`),
 an adaptive blow-up aware ODE integrator (:mod:`~blowuplab.ode`), a
-reproducible stochastic engine (:mod:`~blowuplab.sde`), deterministic
-Monte Carlo ensembles (:mod:`~blowuplab.ensemble`), convergence and
-trend analysis (:mod:`~blowuplab.analysis`), a tiny growth-law DSL
+reproducible stochastic engine with its ensemble batches
+(:mod:`~blowuplab.sde`), ensemble runs and the volatility masking scan
+(:mod:`~blowuplab.ensemble`), convergence and trend analysis
+(:mod:`~blowuplab.analysis`), a tiny growth-law DSL
 (:mod:`~blowuplab.dsl`), and a command line (:mod:`~blowuplab.cli`).
 """
 
@@ -34,8 +35,7 @@ from .analysis import (
     compose_phases,
 )
 from .dsl import SystemSpec, as_function, evaluate, parse, pretty_print, to_field
-from .ensemble import (EnsembleSpec, EnsembleStats, MaskingPoint, run_ensemble,
-                       simulate_batches, volatility_masking_scan)
+from .ensemble import MaskingPoint, run_ensemble, volatility_masking_scan
 from .errors import (
     BindingError,
     BlowupLabError,
@@ -56,6 +56,8 @@ from .ode import (
     integrate_multiplicative,
 )
 from .sde import (
+    EnsembleSpec,
+    EnsembleStats,
     ErgodicityReport,
     PathResult,
     StochasticModel,
@@ -66,6 +68,7 @@ from .sde import (
     gbm_time_average_exponent,
     hyperbolic_sde_model,
     pathwise_growth_slope,
+    simulate_batches,
 )
 
 __version__ = "0.1.0"
@@ -81,12 +84,12 @@ __all__ = [
     "VectorField", "Trajectory", "BlowUpEvent", "IntegrationOptions",
     "integrate", "estimate_blowup_time", "integrate_multiplicative",
     # sde
-    "StochasticModel", "PathResult", "ErgodicityReport", "em_path",
+    "StochasticModel", "PathResult", "EnsembleSpec", "EnsembleStats",
+    "ErgodicityReport", "em_path", "simulate_batches",
     "gbm_model", "gbm_time_average_exponent", "hyperbolic_sde_model",
     "ergodicity_check", "ergodic_drift", "pathwise_growth_slope",
     # ensemble
-    "EnsembleSpec", "EnsembleStats", "MaskingPoint", "run_ensemble",
-    "simulate_batches", "volatility_masking_scan",
+    "MaskingPoint", "run_ensemble", "volatility_masking_scan",
     # analysis
     "FINITE_TIME", "INFINITE_TIME", "INCONCLUSIVE",
     "ConvergenceVerdict", "BarometerReport", "PhasePlan",

@@ -83,6 +83,8 @@ _TAIL_TARGET = 0.02
 _QUAD_RTOL = 1e-10
 # relative floor under the barometer's curvature, in standardized units
 _CURVATURE_FLOOR = 1e-12
+# samples of compose_phases' exponential phase, the switch included
+_PHASE1_SAMPLES = 129
 
 
 @dataclass(frozen=True)
@@ -484,14 +486,14 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
                    c: float = 1.0,
                    switch_level: float | None = None,
                    horizon: float = 1e4,
-                   phase1_samples: int = 129,
                    parameters: Mapping[str, float] | None = None) -> PhasePlan:
     """Stitch the driven exponential phase to a self-referential phase.
 
-    Phase 1 grows as ``c * R**t`` until the switching level (default:
-    the driver capability ``I``), which both phases share as the exact
-    same float.  Phase 2 integrates ``phase2_law`` from that level; its
-    blow-up, when one is found, is reported on the combined clock.
+    Phase 1 grows as ``c * R**t``, in 129 samples, until the switching
+    level (default: the driver capability ``I``), which both phases
+    share as the exact same float.  Phase 2 integrates ``phase2_law``
+    from that level; its blow-up, when one is found, is reported on the
+    combined clock.
     """
     k = calibrate_k(R, I)
     if not math.isfinite(c) or c <= 0.0:
@@ -501,11 +503,9 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
         raise DomainError(
             f"switch level must exceed the initial level {c!r}, got {switch!r}"
         )
-    if phase1_samples < 2:
-        raise DomainError("phase1_samples must be at least 2")
 
     t_switch = math.log(switch / c) / math.log(R)
-    t1 = np.linspace(0.0, t_switch, phase1_samples)
+    t1 = np.linspace(0.0, t_switch, _PHASE1_SAMPLES)
     levels1 = c * np.exp(math.log(R) * t1)
     levels1[-1] = switch  # the boundary sample is shared bit for bit
 

@@ -275,7 +275,7 @@ def cmd_ensemble(args) -> int:
     else:
         _need(args, "k", "sigma")
         model = sde.hyperbolic_sde_model(args.k, args.sigma)
-    spec = ensemble.EnsembleSpec(
+    spec = sde.EnsembleSpec(
         model=model, A0=args.A0, dt=args.dt, t_end=args.t_max,
         n_paths=args.paths, master_seed=args.seed,
     )
@@ -489,11 +489,11 @@ def _reproduce_fig2(args) -> int:
 
 
 def _reproduce_fig3(args) -> int:
-    specs = [ensemble.EnsembleSpec(model=sde.hyperbolic_sde_model(k, sigma),
-                                   A0=1.0, dt=0.01, t_end=200.0, n_paths=100,
-                                   master_seed=args.seed)
+    specs = [sde.EnsembleSpec(model=sde.hyperbolic_sde_model(k, sigma),
+                              A0=1.0, dt=0.01, t_end=200.0, n_paths=100,
+                              master_seed=args.seed)
              for k, sigma in _FIG3_SETTINGS]
-    batches = ensemble.simulate_batches(specs, record_points=400)
+    batches = sde.simulate_batches(specs, record_points=400)
     tables = []
     for (k, sigma), spec, stats in zip(_FIG3_SETTINGS, specs, batches):
         # the figure shows the paths that never exploded; absorbed ones

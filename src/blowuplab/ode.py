@@ -545,8 +545,7 @@ def _tail_asymptote(tail, y: list) -> float | None:
     for span in (1e4, 1e8):
         lo = peak / span
         points = [(t, s[component], f[component]) for t, s, f in tail
-                  if lo <= s[component] <= peak and f[component] > 0.0
-                  and np.isfinite(s[component]) and np.isfinite(f[component])]
+                  if lo <= s[component] <= peak and f[component] > 0.0]
         if len(points) < 5:
             continue
         log_v = np.log([v for _, v, _ in points])

@@ -1,14 +1,14 @@
-"""Stochastic growth models under Euler-Maruyama discretization.
+"""The stochastic engine: Euler-Maruyama paths, ensemble batches and ergodicity.
 
 Paths of ``dA = a(A) dt + b(A) dW`` are simulated on a fixed grid with
 per-path random streams derived as
 ``PCG64(SeedSequence(master_seed, spawn_key=(path_index,)))``, so any
 path can be reproduced bit for bit in isolation or inside a vectorized
 batch beside other ensembles: the draws depend only on the master seed
-and the path's index.  A batch draws each stream once, however many of
-its ensembles share it, and returns one :class:`EnsembleStats` per
-ensemble: the per-path outcomes, event times, final levels and slopes,
-and the recorded levels when asked for.
+and the path's index.  :func:`em_path` steps one path on Python
+floats; :func:`simulate_batches` steps the ensembles of several
+:class:`EnsembleSpec` in one lockstep batch, drawing each shared stream
+once, and returns one :class:`EnsembleStats` per spec.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -44,9 +44,11 @@ from .ode import DEFAULT_BLOWUP_THRESHOLD
 __all__ = [
     "StochasticModel",
     "PathResult",
+    "EnsembleSpec",
     "EnsembleStats",
     "ErgodicityReport",
     "em_path",
+    "simulate_batches",
     "gbm_model",
     "gbm_time_average_exponent",
     "hyperbolic_sde_model",
@@ -91,20 +93,58 @@ class PathResult:
     """One simulated path.
 
     ``times``/``values`` hold the recorded samples, all finite and
-    positive.  An exploded path ends with the sample that crossed the
-    explosion threshold (when it is finite); an absorbed path ends with
-    the last positive sample, and ``absorption_time`` marks the step
-    that went nonpositive.  ``seed`` is the ``(master_seed,
-    path_index)`` pair that reproduces the path exactly.
+    positive.  ``outcome`` is ``"exploded"``, ``"absorbed"`` or
+    ``"survived"`` and ``event_time`` the time of the ending step
+    (``None`` for a survivor), as in :class:`EnsembleStats`.  An
+    exploded path ends with the crossing sample when it is finite; an
+    absorbed path ends with the last positive sample.  ``seed`` is the
+    ``(master_seed, path_index)`` pair that reproduces the path exactly.
     """
 
     times: np.ndarray
     values: np.ndarray
-    exploded: bool
-    explosion_step_time: float | None
-    absorbed: bool
-    absorption_time: float | None
+    outcome: str
+    event_time: float | None
     seed: tuple[int, int]
+
+    @property
+    def exploded(self) -> bool:
+        return self.outcome == "exploded"
+
+    @property
+    def absorbed(self) -> bool:
+        return self.outcome == "absorbed"
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """Everything that determines an ensemble, and nothing else.
+
+    ``model`` may be ``None`` in templates that a scan fills in.
+    The same spec always produces the same statistics.
+    """
+
+    model: StochasticModel | None
+    A0: float
+    dt: float
+    t_end: float
+    n_paths: int
+    master_seed: int
+    threshold: float = DEFAULT_BLOWUP_THRESHOLD
+
+    def steps(self) -> int:
+        return _validate_grid(self.A0, self.dt, self.t_end, self.threshold)
+
+    def validate(self) -> None:
+        if self.model is None:
+            raise DomainError("ensemble spec has no model bound")
+        check_integer("n_paths", self.n_paths)
+        check_integer("master_seed", self.master_seed)
+        if self.n_paths < 1:
+            raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if self.master_seed < 0:
+            raise DomainError("master_seed must be nonnegative")
+        self.steps()
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,34 +287,65 @@ def _model_failure(model: StochasticModel, t: float,
 
 def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
     try:
-        return (np.asarray(model.drift(a), dtype=float),
-                np.asarray(model.diffusion(a), dtype=float))
+        drift = np.asarray(model.drift(a), dtype=float)
+        diffusion = np.asarray(model.diffusion(a), dtype=float)
     except Exception as exc:
         raise _model_failure(model, t, exc) from exc
+    # each result is one number, or one per level
+    if drift.shape != a.shape and drift.ndim or diffusion.shape != a.shape and diffusion.ndim:
+        raise FieldEvaluationError(
+            f"drift and diffusion of model {model.label!r} returned shapes {drift.shape} "
+            f"and {diffusion.shape} for levels of shape {a.shape} at t={t!r}"
+        )
+    return drift, diffusion
 
 
-def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: float,
-                    dt: float, n_steps: int, threshold: float,
-                    record_stride: int | None = None) -> list[EnsembleStats]:
-    """March the paths of every ``(model, master_seed, n_paths)`` group in lockstep.
+def simulate_batches(specs: Sequence[EnsembleSpec],
+                     record_points: int | None = None) -> list[EnsembleStats]:
+    """Simulate every path of every spec in one lockstep batch.
 
-    Path ``i`` of a group is driven by the stream ``(master_seed, i)``;
-    groups that share a master seed share those streams.  The paths run
-    in passes over consecutive path indices, each holding at most
-    ``_PASS_STREAMS`` streams, so a large ensemble keeps few generators
-    alive and long blocks.  Each block draws every live stream once, at
-    most ``_BLOCK_STEPS`` rows and ``_DRAW_BUDGET`` numbers, and a lane
-    reads its stream's column.  A stream's draws do not depend on how
-    its steps are split into blocks, so every path comes out as if
-    simulated alone.  The live lanes of a group stay in one contiguous
-    slice: each model is called once per step on its own live levels,
-    and a lane that ends is dropped from the state arrays.  Returns the
-    stats of each group, recorded every ``record_stride`` steps if given.
+    The specs must share ``A0``, ``dt``, ``t_end`` and ``threshold``;
+    their models, path counts and master seeds may differ.  Returns the
+    stats of each spec, in order, each bit for bit what the spec gives
+    alone: path ``i`` of a spec is driven by the stream ``(master_seed,
+    i)``, and specs that share a master seed share those streams.  With
+    ``record_points`` each level is also recorded every ``max(1, steps
+    // record_points)`` steps and at the horizon, into ``series`` on the
+    step grid ``rec_steps`` (``nan`` once a path has ended).  A drift or
+    diffusion that raises, or returns neither one number nor one per
+    level, surfaces as :class:`~blowuplab.errors.FieldEvaluationError`
+    naming the model's ``label`` and the time.
+
+    The paths run in passes over consecutive path indices, each holding
+    at most ``_PASS_STREAMS`` streams, so a large ensemble keeps few
+    generators alive and long blocks.  Each block draws every live
+    stream once, at most ``_BLOCK_STEPS`` rows and ``_DRAW_BUDGET``
+    numbers, and a lane reads its stream's column.  A stream's draws do
+    not depend on how its steps are split into blocks, so every path
+    comes out as if simulated alone.  The live lanes of a spec stay in
+    one contiguous slice: each model is called once per step on its own
+    live levels, and a lane that ends is dropped from the state arrays.
     """
-    sizes = [count for _, _, count in groups]
-    bounds = np.cumsum([0] + sizes).tolist()  # rows of each group in the output
+    specs = list(specs)
+    if not specs:
+        raise DomainError("specs must not be empty")
+    for spec in specs:
+        spec.validate()
+    head = specs[0]
+    A0, dt, threshold = head.A0, head.dt, head.threshold
+    if any((s.A0, s.dt, s.t_end, s.threshold) != (A0, dt, head.t_end, threshold)
+           for s in specs):
+        raise DomainError("specs in one batch must share A0, dt, t_end and threshold")
+    n_steps = head.steps()
+    record_stride = None
+    if record_points is not None:
+        if check_integer("record_points", record_points) < 1:
+            raise DomainError(f"record_points must be >= 1, got {record_points!r}")
+        record_stride = max(1, n_steps // record_points)
+    sizes = [int(s.n_paths) for s in specs]
+    bounds = np.cumsum([0] + sizes).tolist()  # rows of each spec in the output
     n = bounds[-1]
-    n_seeds = len({master for _, master, _ in groups})
+    n_seeds = len({int(s.master_seed) for s in specs})
     width = max(1, _PASS_STREAMS // n_seeds)
     stream = np.empty(n, dtype=np.intp)  # generator of each output row in its pass
     sqdt = math.sqrt(dt)
@@ -304,15 +375,15 @@ def _simulate_paths(groups: Sequence[tuple[StochasticModel, int, int]], A0: floa
     buffer = np.empty(max(_DRAW_BUDGET, width * n_seeds))
     with np.errstate(all="ignore"):
         for first in range(0, max(sizes), width):
-            # paths first..first+width-1 of each group that has them
-            part = [(model, master, lo + first, lo + min(count, first + width))
-                    for (model, master, count), lo in zip(groups, bounds) if count > first]
+            # paths first..first+width-1 of each spec that has them
+            part = [(s.model, int(s.master_seed), lo + first, lo + min(count, first + width))
+                    for s, count, lo in zip(specs, sizes, bounds) if count > first]
             keys: dict[tuple[int, int], int] = {}
             lanes = np.concatenate([np.arange(lo, hi) for *_, lo, hi in part])
             stream[lanes] = [keys.setdefault((master, first + j), len(keys))
                              for _, master, lo, hi in part for j in range(hi - lo)]
             rngs = [_derive_rng(master, i) for master, i in keys]
-            # the live lanes of each group with any left, as consecutive slices
+            # the live lanes of each spec with any left, as consecutive slices
             ends = np.cumsum([hi - lo for *_, lo, hi in part]).tolist()
             slices = [(model, lo, hi) for (model, *_), lo, hi in zip(part, [0] + ends, ends)]
             a = np.full(lanes.size, float(A0))
@@ -431,9 +502,10 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     absorption).  The path is stepped on Python floats; a step whose
     float evaluation overflows or divides by zero is redone on
     ``np.float64``, so it ends the path as in the batch kernel instead
-    of raising.  A drift or diffusion that still raises surfaces as
+    of raising.  A drift or diffusion that still raises, or whose
+    result is not one number, surfaces as
     :class:`~blowuplab.errors.FieldEvaluationError` naming the model's
-    ``label``, as it does in the batch kernel.
+    ``label`` and the time, as it does in the batch kernel.
     """
     n_steps = _validate_grid(A0, dt, t_end, threshold)
     stride = check_integer("record_every", record_every)
@@ -460,11 +532,15 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
                     da, db = _evaluate(model, np.float64(a), step * dt)
                 except Exception as exc:
                     raise _model_failure(model, step * dt, exc) from exc
-                a_next = a + da * dt + db * sqdt * z
+                try:
+                    a_next = a + da * dt + db * sqdt * z
+                    if not 0.0 < a_next < threshold:
+                        end = a_next
+                        break
+                except (TypeError, ValueError) as exc:
+                    # a result that is not one number
+                    raise _model_failure(model, step * dt, exc) from exc
                 step += 1
-                if not 0.0 < a_next < threshold:
-                    end = a_next
-                    break
                 a = a_next
                 if step == next_rec:
                     values[n_rec] = a
@@ -474,20 +550,15 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     times = rec_steps[:n_rec] * dt
     if n_rec < len(values):
         values = values[:n_rec].copy()
-    event = None if end is None else step * dt
-    absorbed = end is not None and bool(-math.inf < end <= 0.0)
-    exploded = end is not None and not absorbed
-    if exploded and math.isfinite(end):
+    if end is None:
+        return PathResult(times, values, "survived", None, (master, index))
+    event = (step + 1) * dt  # the step that ended the path
+    if -math.inf < end <= 0.0:
+        return PathResult(times, values, "absorbed", event, (master, index))
+    if math.isfinite(end):
         times = np.append(times, event)
         values = np.append(values, end)
-    return PathResult(
-        times=times, values=values,
-        exploded=exploded,
-        explosion_step_time=event if exploded else None,
-        absorbed=absorbed,
-        absorption_time=event if absorbed else None,
-        seed=(master, index),
-    )
+    return PathResult(times, values, "exploded", event, (master, index))
 
 
 def pathwise_growth_slope(path: PathResult) -> float:
@@ -498,8 +569,7 @@ def pathwise_growth_slope(path: PathResult) -> float:
     """
     times = path.times
     values = path.values
-    if path.exploded and path.explosion_step_time is not None \
-            and len(times) and times[-1] == path.explosion_step_time:
+    if path.exploded and len(times) and times[-1] == path.event_time:
         times = times[:-1]
         values = values[:-1]
     if len(times) < _MIN_SLOPE_SAMPLES:
@@ -659,11 +729,11 @@ def ergodicity_check(model: StochasticModel,
     )
 
 
-def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0):
+def ergodic_drift(diffusion, a_u: float):
     """Build the drift that makes ``diffusion`` exactly transformable.
 
     Inverts the transform relation: the returned callable is
-    ``a(A) = (a_u/b_u) * b(A) + b(A) * b'(A) / 2`` with ``b'`` taken by
+    ``a(A) = a_u * b(A) + b(A) * b'(A) / 2`` with ``b'`` taken by
     central differences.  An SDE with this drift and the given
     diffusion maps through the unit-diffusion transform to constant
     coefficients, so :func:`ergodicity_check` on it reports that the
@@ -671,11 +741,9 @@ def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0):
     """
     if not callable(diffusion):
         raise DomainError("diffusion must be callable")
-    if float(b_u) == 0.0:
-        raise DomainError(f"b_u must be nonzero, got {b_u!r}")
-    ratio = float(a_u) / float(b_u)
-    if not math.isfinite(ratio):
-        raise DomainError(f"a_u/b_u must be finite, got {a_u!r}/{b_u!r}")
+    a_u = float(a_u)
+    if not math.isfinite(a_u):
+        raise DomainError(f"a_u must be finite, got {a_u!r}")
 
     def drift(level):
         values = np.asarray(level, dtype=float)
@@ -683,7 +751,7 @@ def ergodic_drift(diffusion, a_u: float, b_u: float = 1.0):
         if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
             raise DomainError("diffusion must be positive where the drift is evaluated")
         derivative = _central_derivative(diffusion, values)
-        result = ratio * b + 0.5 * b * derivative
+        result = a_u * b + 0.5 * b * derivative
         if np.ndim(level) == 0:
             return float(result)
         return result

@@ -230,7 +230,7 @@ class TestComposePhases:
 
     def test_switch_sample_is_shared_exactly(self):
         plan = self.headline_plan()
-        boundary = 129  # default phase1_samples
+        boundary = 129  # samples of the exponential phase
         assert plan.levels[0] == 1.0
         assert plan.levels[boundary - 1] == 100.0
         assert plan.times[boundary - 1] == plan.switch_time
@@ -269,7 +269,5 @@ class TestComposePhases:
             self.headline_plan(c=0.0)
         with pytest.raises(DomainError):
             self.headline_plan(switch_level=0.5)  # below the initial level
-        with pytest.raises(DomainError):
-            self.headline_plan(phase1_samples=1)
         with pytest.raises(DomainError):
             compose_phases(1.0, 100.0, "A^2")  # no growth, k undefined

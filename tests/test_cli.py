@@ -150,6 +150,15 @@ def test_readme_command_examples_parse():
         parser.parse_args(argv[1:])
 
 
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:  # in order, each building on the ones before
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 class TestHeadline:
     def test_numbers(self, tmp_path):
         data = run_json("reproduce", "headline", "--out", str(tmp_path))
@@ -355,18 +364,14 @@ MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_names_of_sibling_modules(module):
-    # ensemble drives the Euler-Maruyama kernel in sde; no other module
-    # may depend on another's private helpers
-    allowed = {"sde"} if module == "ensemble" else set()
+    # no module may depend on another's private helpers
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     reached = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in MODULES and node.value.id not in allowed \
-                and node.attr.startswith("_"):
+                and node.value.id in MODULES and node.attr.startswith("_"):
             reached.append(f"{node.value.id}.{node.attr}")
-        if isinstance(node, ast.ImportFrom) and node.level \
-                and node.module not in allowed:
+        if isinstance(node, ast.ImportFrom) and node.level:
             reached += [f"{node.module}.{alias.name}" for alias in node.names
                         if alias.name.startswith("_")]
     assert reached == []

@@ -251,13 +251,11 @@ class TestScalarPath:
             values = np.append(values, crossing)
         assert path.times.tobytes() == times.tobytes()
         assert path.values.tobytes() == values.tobytes()
-        assert path.exploded == bool(batch.exploded[index])
-        assert path.absorbed == bool(batch.absorbed[index])
-        event = path.explosion_step_time or path.absorption_time
+        assert path.outcome == batch.outcomes[index]
         if batch.survived[index]:
-            assert event is None
+            assert path.event_time is None
         else:
-            assert event == batch.event_times[index]
+            assert path.event_time == batch.event_times[index]
 
     def test_overflowing_power_explodes_without_a_crossing_sample(self):
         model = StochasticModel(drift=lambda a: a ** 3,
@@ -269,9 +267,9 @@ class TestScalarPath:
         path = em_path(model, 1.0, 0.01, n_steps * 0.01, seed=(1, 2),
                        threshold=1e300)
         assert path.exploded and not path.absorbed
-        assert path.explosion_step_time == expected.event_times[0]
-        assert path.times[-1] < path.explosion_step_time
-        assert len(path.values) == round(path.explosion_step_time / 0.01)
+        assert path.event_time == expected.event_times[0]
+        assert path.times[-1] < path.event_time
+        assert len(path.values) == round(path.event_time / 0.01)
         assert np.all(np.isfinite(path.values))
         # the last step overflowed a float power, which em_path recovers from
         with pytest.raises(OverflowError):
@@ -285,7 +283,7 @@ class TestScalarPath:
         batch = simulate_batches([spec], 100)[0]
         path = em_path(model, 1.0, 0.01, 1.0, seed=0)
         assert batch.exploded[0] and path.exploded
-        assert path.explosion_step_time == batch.event_times[0] == 0.01
+        assert path.event_time == batch.event_times[0] == 0.01
         assert path.values.tolist() == [1.0]
 
 
@@ -322,6 +320,30 @@ class TestModelFailures:
         with pytest.raises(FieldEvaluationError, match="'broken'") as info:
             em_path(self.failing(exc_type), 1.0, 0.01, 1.0, seed=0)
         assert isinstance(info.value.__cause__, exc_type)
+
+    # drift and diffusion results that are not one number per level
+    WRONG_SHAPES = {
+        "array drift": (lambda a: np.ones(2), lambda a: 0.1 * a),
+        "list drift": (lambda a: [1.0, 1.0], lambda a: 0.1 * a),
+        "array diffusion": (lambda a: 0.1 * a, lambda a: np.ones(4)),
+        "none drift": (lambda a: None, lambda a: 0.1 * a),
+    }
+
+    @pytest.mark.parametrize("case", ["array drift", "list drift", "array diffusion"])
+    def test_batch_rejects_results_of_the_wrong_shape(self, case):
+        drift, diffusion = self.WRONG_SHAPES[case]
+        model = StochasticModel(drift=drift, diffusion=diffusion, label="shapeless")
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=1.0, n_paths=3,
+                            master_seed=0)
+        with pytest.raises(FieldEvaluationError, match=r"'shapeless' .*t=0\.0"):
+            run_ensemble(spec)
+
+    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+    def test_em_path_rejects_results_that_are_not_one_number(self, case):
+        drift, diffusion = self.WRONG_SHAPES[case]
+        model = StochasticModel(drift=drift, diffusion=diffusion, label="shapeless")
+        with pytest.raises(FieldEvaluationError, match=r"'shapeless' .*t=0\.0"):
+            em_path(model, 1.0, 0.01, 1.0, seed=0)
 
     def test_em_path_reports_the_failing_step(self):
         # the drift pushes the level down until math.log leaves its

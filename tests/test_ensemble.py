@@ -64,7 +64,7 @@ class TestRunEnsemble:
         stats = run_ensemble(spec)
         path = em_path(model, 1.0, 0.01, 30.0, seed=(77, 0))
         assert stats.outcomes[0] == "exploded"
-        assert stats.event_times[0] == path.explosion_step_time
+        assert stats.event_times[0] == path.event_time
         assert stats.final_levels[0] >= spec.threshold
 
     def test_zero_noise_ensemble_is_degenerate(self):
@@ -340,8 +340,28 @@ class TestMaskingScan:
         # after the batch
         template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=0.5,
                                 n_paths=4, master_seed=0, threshold=1.0001)
-        with mock.patch.object(ensemble, "_simulate_paths",
+        with mock.patch.object(ensemble, "simulate_batches",
                                side_effect=AssertionError("stepped")):
             with pytest.raises(DomainError, match="51 samples"):
                 volatility_masking_scan(0.01, [0.0, 0.1], template, window=64,
                                         record_points=64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_steps=st.integers(1, 3000), window=st.integers(8, 400),
+           extra_points=st.integers(0, 400))
+    def test_short_grid_check_matches_the_recorded_lattice(self, n_steps, window,
+                                                           extra_points):
+        # the scan checks the step count; the recorded lattice it stands
+        # for is short exactly when the step count is
+        record_points = window + extra_points
+        lattice = sde._record_lattice(n_steps, max(1, n_steps // record_points))
+        template = EnsembleSpec(model=None, A0=1.0, dt=1.0, t_end=float(n_steps),
+                                n_paths=1, master_seed=0)
+        stepped = AssertionError("stepped")
+        with mock.patch.object(ensemble, "simulate_batches", side_effect=stepped):
+            with pytest.raises((DomainError, AssertionError)) as info:
+                volatility_masking_scan(0.01, [0.0], template, window=window,
+                                        record_points=record_points)
+        assert (info.value is not stepped) == (len(lattice) < window)
+        if len(lattice) < window:
+            assert f"{len(lattice)} samples" in str(info.value)
