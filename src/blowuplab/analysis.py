@@ -41,7 +41,7 @@ from scipy.integrate import quad
 
 from . import dsl
 from .closedform import calibrate_k
-from .errors import DomainError, InsufficientDataError, check_integer
+from .errors import DomainError, InsufficientDataError, check_integer, check_real
 from .ode import BlowUpEvent, VectorField, estimate_blowup_time, integrate
 
 __all__ = [
@@ -391,8 +391,7 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
     The law must be positive and monotone non-decreasing on
     ``[A0, inf)``; both are validated by sampling.
     """
-    if not math.isfinite(A0) or A0 <= 0.0:
-        raise DomainError(f"A0 must be positive and finite, got {A0!r}")
+    check_real("A0", A0, above=0.0)
     fn, label = _as_rate(law, parameters)
     rate = _safe_rate(fn)
     _validate_rate_shape(rate, A0)
@@ -436,8 +435,8 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     v = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.shape != v.shape:
         raise DomainError("times and values must be 1-d and equally long")
-    if check_integer("window", window) < 8:
-        raise DomainError(f"window must be at least 8 samples, got {window!r}")
+    check_integer("window", window, at_least=8)
+    check_real("z_threshold", z_threshold)
     if len(t) < window:
         raise InsufficientDataError(
             f"need at least {window} samples, got {len(t)}"
@@ -496,10 +495,9 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
     combined clock.
     """
     k = calibrate_k(R, I)
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"initial level c must be positive, got {c!r}")
-    switch = float(I) if switch_level is None else float(switch_level)
-    if not math.isfinite(switch) or switch <= c:
+    check_real("initial level c", c, above=0.0)
+    switch = float(check_real("switch level", I if switch_level is None else switch_level))
+    if switch <= c:
         raise DomainError(
             f"switch level must exceed the initial level {c!r}, got {switch!r}"
         )

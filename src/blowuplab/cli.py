@@ -268,13 +268,17 @@ def cmd_simulate(args) -> int:
 # ensemble
 
 
+# ensemble --model -> (flags it needs, the model built from them)
+_SDE_MODELS = {
+    "hyperbolic-sde": (("k", "sigma"), lambda a: sde.hyperbolic_sde_model(a.k, a.sigma)),
+    "gbm": (("k", "I", "sigma"), lambda a: sde.gbm_model(a.k, a.I, a.sigma)),
+}
+
+
 def cmd_ensemble(args) -> int:
-    if args.model == "gbm":
-        _need(args, "k", "I", "sigma")
-        model = sde.gbm_model(args.k, args.I, args.sigma)
-    else:
-        _need(args, "k", "sigma")
-        model = sde.hyperbolic_sde_model(args.k, args.sigma)
+    flags, build = _SDE_MODELS[args.model]
+    _need(args, *flags)
+    model = build(args)
     spec = sde.EnsembleSpec(
         model=model, A0=args.A0, dt=args.dt, t_end=args.t_max,
         n_paths=args.paths, master_seed=args.seed,
@@ -582,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     ens = subs.add_parser("ensemble", help="Monte Carlo ensemble statistics")
-    ens.add_argument("--model", required=True, choices=("hyperbolic-sde", "gbm"))
+    ens.add_argument("--model", required=True, choices=tuple(_SDE_MODELS))
     ens.add_argument("--k", type=float, help="growth coefficient")
     ens.add_argument("--I", type=float, help="driver capability ratio (gbm)")
     ens.add_argument("--sigma", type=float, help="volatility coefficient")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, LevelOverflowError
+from .errors import DomainError, LevelOverflowError, check_real
 
 __all__ = [
     "ScenarioParams",
@@ -78,10 +78,9 @@ class ScenarioParams:
         annual growth factor via :func:`calibrate_k`.
         """
         if self.k is not None:
-            _require_positive("k", self.k)
-            return self.k
+            return check_real("k", self.k, above=0.0)
         if self.R is not None:
-            return calibrate_k(self.R, _get_positive("I", self.I))
+            return calibrate_k(self.R, self.I)
         raise DomainError("no growth rate available: set k or R")
 
 
@@ -99,10 +98,7 @@ class BlowUpTime:
 
     def __post_init__(self) -> None:
         if self.finite:
-            if self.t_star is None or not math.isfinite(self.t_star) or self.t_star <= 0.0:
-                raise DomainError(
-                    f"finite blow-up requires a positive finite t_star, got {self.t_star!r}"
-                )
+            check_real("t_star of a finite blow-up", self.t_star, above=0.0)
         elif self.t_star is not None:
             raise DomainError("t_star must be None when no finite blow-up occurs")
 
@@ -113,18 +109,6 @@ class BlowUpTime:
     @classmethod
     def never(cls) -> "BlowUpTime":
         return cls(finite=False, t_star=None)
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _get_positive(name: str, value: float | None) -> float:
-    if value is None:
-        raise DomainError(f"parameter {name} is required but unset")
-    _require_positive(name, value)
-    return value
 
 
 def _check_before_blowup(t: float, t_star: float, what: str) -> None:
@@ -143,9 +127,8 @@ def calibrate_k(R: float, I: float) -> float:
     of its own capability so the level grows by factor ``R`` a year.
     Requires ``R > 1`` and ``I > 0``.
     """
-    _require_positive("I", I)
-    if not math.isfinite(R) or R <= 1.0:
-        raise DomainError(f"growth factor R must exceed 1, got {R!r}")
+    check_real("I", I, above=0.0)
+    check_real("growth factor R", R, above=1.0)
     return math.log(R) / I
 
 
@@ -156,12 +139,10 @@ def exp_phase_solution(params: ScenarioParams, t1: float) -> float:
     ``k`` calibrated from the annual growth factor this equals
     ``c * R**t1``.
     """
-    if not math.isfinite(t1) or t1 < 0.0:
-        raise DomainError(f"phase-1 time must be >= 0, got {t1!r}")
-    c = 1.0 if params.c is None else params.c
-    _require_positive("c", c)
+    check_real("phase-1 time", t1, at_least=0.0)
+    c = check_real("c", 1.0 if params.c is None else params.c, above=0.0)
     k = params.growth_coefficient()
-    I = _get_positive("I", params.I)
+    I = check_real("I", params.I, above=0.0)
     exponent = k * I * t1
     if exponent > 709.0:
         raise LevelOverflowError(
@@ -176,10 +157,8 @@ def phase1_duration(R: float, I: float) -> float:
     Equals ``ln(I)/ln(R)``.  ``I = 1`` means the phase is already over
     (returns 0); ``I < 1`` has no meaning here and is rejected.
     """
-    if not math.isfinite(R) or R <= 1.0:
-        raise DomainError(f"growth factor R must exceed 1, got {R!r}")
-    if not math.isfinite(I) or I < 1.0:
-        raise DomainError(f"capability ratio I must be >= 1 for phase 1, got {I!r}")
+    check_real("growth factor R", R, above=1.0)
+    check_real("capability ratio I", I, at_least=1.0)
     if I == 1.0:
         return 0.0
     return math.log(I) / math.log(R)
@@ -194,10 +173,9 @@ def hyperbolic_solution(k: float, I: float, t2: float) -> float:
     Evaluation at or beyond ``t2 = 1/(k*I)`` raises
     :class:`~blowuplab.errors.DomainError`.
     """
-    _require_positive("k", k)
-    _require_positive("I", I)
-    if not math.isfinite(t2) or t2 < 0.0:
-        raise DomainError(f"phase-2 time must be >= 0, got {t2!r}")
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
+    check_real("phase-2 time", t2, at_least=0.0)
     t_star = 1.0 / (k * I)
     _check_before_blowup(t2, t_star, "hyperbolic level")
     return I / (1.0 - k * I * t2)
@@ -205,8 +183,8 @@ def hyperbolic_solution(k: float, I: float, t2: float) -> float:
 
 def hyperbolic_blowup_time(k: float, I: float) -> BlowUpTime:
     """Blow-up time ``1/(k*I)`` of the hyperbolic phase."""
-    _require_positive("k", k)
-    _require_positive("I", I)
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
     return BlowUpTime.at(1.0 / (k * I))
 
 
@@ -231,15 +209,10 @@ def powerlaw_solution(k: float, I: float, n_exp: float, t2: float) -> float:
     here; use :func:`powerlaw_blowup_time` to probe finiteness without
     an exception.  ``n = 2`` reproduces :func:`hyperbolic_solution`.
     """
-    _require_positive("k", k)
-    _require_positive("I", I)
-    if not math.isfinite(n_exp) or n_exp <= 1.0:
-        raise DomainError(
-            f"power-law solution requires exponent n > 1, got {n_exp!r} "
-            "(no finite-time blow-up otherwise)"
-        )
-    if not math.isfinite(t2) or t2 < 0.0:
-        raise DomainError(f"phase-2 time must be >= 0, got {t2!r}")
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
+    check_real("exponent n", n_exp, above=1.0)
+    check_real("phase-2 time", t2, at_least=0.0)
     m = n_exp - 1.0
     head = I ** (-m)
     t_star = head / (m * k)
@@ -256,11 +229,9 @@ def powerlaw_blowup_time(k: float, I: float, n_exp: float) -> BlowUpTime:
     outcome instead of an exception, so callers can scan exponent
     ranges without try/except.
     """
-    _require_positive("k", k)
-    _require_positive("I", I)
-    if not math.isfinite(n_exp):
-        raise DomainError(f"exponent must be finite, got {n_exp!r}")
-    if n_exp <= 1.0:
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
+    if check_real("exponent n", n_exp) <= 1.0:
         return BlowUpTime.never()
     m = n_exp - 1.0
     return BlowUpTime.at(I ** (-m) / (m * k))
@@ -277,12 +248,9 @@ def loglaw_solution(c: float, k: float, t: float) -> float:
     """
     # any finite (c, k, t) is fine: k = 0 freezes the level and k < 0
     # decays it toward 1; only overflow needs guarding
-    if not math.isfinite(k):
-        raise DomainError(f"growth coefficient must be finite, got {k!r}")
-    if not math.isfinite(c):
-        raise DomainError(f"integration constant must be finite, got {c!r}")
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
+    check_real("growth coefficient", k)
+    check_real("integration constant", c)
+    check_real("time", t)
     inner = c + k * t
     if inner > _MAX_DOUBLE_EXP_ARG:
         raise LevelOverflowError(
@@ -303,9 +271,8 @@ def coupled_gdp_solution(k1: float, t: float) -> float:
     blowing up at ``t = 1/k1``.  Evaluation at or beyond the pole is
     rejected.
     """
-    _require_positive("k1", k1)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be >= 0, got {t!r}")
+    check_real("k1", k1, above=0.0)
+    check_real("time", t, at_least=0.0)
     t_star = 1.0 / k1
     _check_before_blowup(t, t_star, "coupled-economy level")
     return 1.0 / (1.0 - k1 * t)

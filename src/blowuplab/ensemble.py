@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import barometer
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 from .sde import EnsembleSpec, EnsembleStats, hyperbolic_sde_model, simulate_batches
 
 __all__ = [
@@ -73,13 +73,9 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     fraction and counted in ``absorbed_fraction`` instead.  ``workers``
     has no effect; it is accepted for compatibility.
     """
-    if check_integer("window", window) < 8:
-        raise DomainError(f"window must be at least 8, got {window!r}")
-    if record_points < window:
-        raise DomainError(
-            f"record_points={record_points!r} cannot support window={window!r}"
-        )
-    levels = [float(s) for s in sigmas]
+    check_integer("window", window, at_least=8)
+    check_integer("record_points", record_points, at_least=window)
+    levels = [float(check_real("sigma", s)) for s in sigmas]
     if not levels:
         raise DomainError("sigmas must not be empty")
     if any(b <= a for a, b in zip(levels, levels[1:])):

@@ -1,5 +1,18 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the scalar argument checks.
 
+Every public function either returns its documented result or raises a
+:class:`BlowupLabError`.  A scalar argument is checked by
+:func:`check_real` or :func:`check_integer`, which reject with
+:class:`DomainError` a bool, a value of the wrong type (a str, ``None``,
+a complex number, or a non-integral number where an integer is due), nan,
+an infinity unless the argument may be ``+inf``, and a number outside
+the argument's bound.  numpy scalars pass like Python numbers.  The
+message always takes one form: ``"<name> must be <requirement>, got
+<repr of value>"``, for instance ``"k must be a finite real number >
+0, got '2'"``.
+"""
+
+import math
 import numbers
 
 
@@ -33,7 +46,8 @@ class FieldEvaluationError(BlowupLabError, RuntimeError):
 
     Raised when a vector field's rate raises or returns a non-finite or
     malformed derivative, and when a stochastic model's drift or
-    diffusion raises; the message then names the model's ``label``.
+    diffusion raises or returns ``None`` or a result of the wrong shape;
+    the message then names the model's ``label``.
     """
 
 
@@ -61,8 +75,36 @@ class BindingError(DslError):
     """An expression references a name with no bound value."""
 
 
-def check_integer(name: str, value) -> int:
-    """Return ``value`` as an int; reject bools and non-integral values."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _bound(above: float | None, at_least: float | None) -> str:
+    if above is not None:
+        return f" > {above:g}"
+    return "" if at_least is None else f" >= {at_least:g}"
+
+
+def check_integer(name: str, value, at_least: int | None = None) -> int:
+    """Return ``value`` as an int; reject bools, non-integral values and
+    values below ``at_least``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) \
+            and (at_least is None or value >= at_least):
+        return int(value)
+    raise DomainError(f"{name} must be an integer{_bound(None, at_least)}, got {value!r}")
+
+
+def check_real(name: str, value, *, above: float | None = None,
+               at_least: float | None = None, allow_inf: bool = False):
+    """Return ``value`` unchanged if it is a real number in range.
+
+    The value must be finite, or ``+inf`` when ``allow_inf`` is set, and
+    lie ``above`` the one bound or ``at_least`` at it, when either is
+    given; anything else raises :class:`DomainError`.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int too large for a double
+            x = math.nan
+        if (math.isfinite(x) or allow_inf and x == math.inf) \
+                and (above is None or x > above) and (at_least is None or x >= at_least):
+            return value
+    requirement = "a finite real number" + _bound(above, at_least) + (" or inf" if allow_inf else "")
+    raise DomainError(f"{name} must be {requirement}, got {value!r}")

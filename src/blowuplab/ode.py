@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, StiffnessError
+from .errors import DomainError, FieldEvaluationError, StiffnessError, check_integer, check_real
 
 __all__ = [
     "VectorField",
@@ -100,8 +100,7 @@ class VectorField:
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension!r}")
+        check_integer("dimension", self.dimension, at_least=1)
         if self.names and len(self.names) != self.dimension:
             raise DomainError(
                 f"got {len(self.names)} names for dimension {self.dimension}"
@@ -187,13 +186,11 @@ class IntegrationOptions:
     blowup_tol: float | None = None
 
     def __post_init__(self) -> None:
-        # each check is written so that nan fails it
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
-            raise DomainError("tolerances must be positive and finite")
-        if not self.blowup_threshold > 0.0:
-            raise DomainError("blowup_threshold must be positive")
-        if self.blowup_tol is not None and not self.blowup_tol > 0.0:
-            raise DomainError("blowup_tol must be positive")
+        check_real("rtol", self.rtol, above=0.0)
+        check_real("atol", self.atol, above=0.0)
+        check_real("blowup_threshold", self.blowup_threshold, above=0.0, allow_inf=True)
+        if self.blowup_tol is not None:
+            check_real("blowup_tol", self.blowup_tol, above=0.0)
 
 
 def _call_rate(rate: Callable, y: np.ndarray, dim: int) -> np.ndarray:
@@ -488,8 +485,7 @@ def integrate(field: VectorField, state0, t_end: float,
     ``reciprocal-extrapolation`` event instead of a stiffness error.
     """
     opts = opts or IntegrationOptions()
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
+    check_real("t_end", t_end, above=0.0)
     y0 = _as_state(state0, field.dimension)
     eval_arr = None
     if t_eval is not None:
@@ -593,8 +589,7 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     pinned to the requested tolerance within double precision.
     """
     opts = opts or IntegrationOptions()
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
+    check_real("t_end", t_end, above=0.0)
     y0 = _as_state(state0, field.dimension)
     core = _Core(field.rate, y0, opts, horizon=t_end)
 

@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DomainError, FieldEvaluationError, InsufficientDataError, check_integer
+from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_integer,
+                     check_real)
 from .ode import DEFAULT_BLOWUP_THRESHOLD
 
 __all__ = [
@@ -138,12 +139,8 @@ class EnsembleSpec:
     def validate(self) -> None:
         if self.model is None:
             raise DomainError("ensemble spec has no model bound")
-        check_integer("n_paths", self.n_paths)
-        check_integer("master_seed", self.master_seed)
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if self.master_seed < 0:
-            raise DomainError("master_seed must be nonnegative")
+        check_integer("n_paths", self.n_paths, at_least=1)
+        check_integer("master_seed", self.master_seed, at_least=0)
         self.steps()
 
 
@@ -258,11 +255,8 @@ def _normalize_seed(seed) -> tuple[int, int]:
         master, index = seed
     else:
         master, index = seed, 0
-    master = check_integer("master_seed", master)
-    index = check_integer("path_index", index)
-    if master < 0 or index < 0:
-        raise DomainError(f"seed components must be nonnegative, got {seed!r}")
-    return master, index
+    return check_integer("master_seed", master, at_least=0), \
+        check_integer("path_index", index, at_least=0)
 
 
 def _derive_rng(master_seed: int, path_index: int) -> np.random.Generator:
@@ -287,10 +281,15 @@ def _model_failure(model: StochasticModel, t: float,
 
 def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
     try:
-        drift = np.asarray(model.drift(a), dtype=float)
-        diffusion = np.asarray(model.diffusion(a), dtype=float)
+        drift, diffusion = model.drift(a), model.diffusion(a)
+        returned_none = drift is None or diffusion is None  # asarray reads None as nan
+        drift, diffusion = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
     except Exception as exc:
         raise _model_failure(model, t, exc) from exc
+    if returned_none:
+        raise FieldEvaluationError(
+            f"drift or diffusion of model {model.label!r} returned None at t={t!r}"
+        )
     # each result is one number, or one per level
     if drift.shape != a.shape and drift.ndim or diffusion.shape != a.shape and diffusion.ndim:
         raise FieldEvaluationError(
@@ -339,8 +338,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     n_steps = head.steps()
     record_stride = None
     if record_points is not None:
-        if check_integer("record_points", record_points) < 1:
-            raise DomainError(f"record_points must be >= 1, got {record_points!r}")
+        check_integer("record_points", record_points, at_least=1)
         record_stride = max(1, n_steps // record_points)
     sizes = [int(s.n_paths) for s in specs]
     bounds = np.cumsum([0] + sizes).tolist()  # rows of each spec in the output
@@ -471,18 +469,14 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
 
 
 def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
-    if not threshold > 0.0:  # also rejects nan
-        raise DomainError(f"explosion threshold must be positive, got {threshold!r}")
-    if not math.isfinite(A0) or A0 <= 0.0:
-        raise DomainError(f"initial level must be positive, got {A0!r}")
+    check_real("explosion threshold", threshold, above=0.0, allow_inf=True)
+    check_real("initial level", A0, above=0.0)
     if threshold <= A0:
         raise DomainError(
             f"explosion threshold {threshold!r} must exceed the initial level {A0!r}"
         )
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt!r}")
-    if not math.isfinite(t_end) or t_end <= 0.0:
-        raise DomainError(f"t_end must be positive, got {t_end!r}")
+    check_real("dt", dt, above=0.0)
+    check_real("t_end", t_end, above=0.0)
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise DomainError(f"horizon {t_end!r} is shorter than one step {dt!r}")
@@ -508,9 +502,7 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     ``label`` and the time, as it does in the batch kernel.
     """
     n_steps = _validate_grid(A0, dt, t_end, threshold)
-    stride = check_integer("record_every", record_every)
-    if stride < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    stride = check_integer("record_every", record_every, at_least=1)
     master, index = _normalize_seed(seed)
     rng = _derive_rng(master, index)
     drift, diffusion = model.drift, model.diffusion
@@ -594,9 +586,9 @@ def gbm_model(k: float, I: float, sigma: float) -> StochasticModel:
     phase with the driver's capability scaling both the push and the
     noise.
     """
-    _check_rate("k", k)
-    _check_rate("I", I)
-    _check_sigma(sigma)
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
+    check_real("sigma", sigma, at_least=0.0)
     mu = k * I
     vol = sigma * I
     return StochasticModel(
@@ -614,9 +606,9 @@ def gbm_time_average_exponent(k: float, I: float, sigma: float) -> float:
     ensemble can grow in the mean while almost every individual path
     decays.
     """
-    _check_rate("k", k)
-    _check_rate("I", I)
-    _check_sigma(sigma)
+    check_real("k", k, above=0.0)
+    check_real("I", I, above=0.0)
+    check_real("sigma", sigma, at_least=0.0)
     return k * I - 0.5 * (sigma * I) ** 2
 
 
@@ -627,23 +619,13 @@ def hyperbolic_sde_model(k: float, sigma: float) -> StochasticModel:
     up at ``1/(k*A0)``; with noise the discretized paths explode at
     widely dispersed times or get absorbed near zero instead.
     """
-    _check_rate("k", k)
-    _check_sigma(sigma)
+    check_real("k", k, above=0.0)
+    check_real("sigma", sigma, at_least=0.0)
     return StochasticModel(
         drift=lambda a: k * a * a,
         diffusion=lambda a: sigma * a * a,
         label="hyperbolic-sde",
     )
-
-
-def _check_rate(name: str, value: float) -> None:
-    if not math.isfinite(value) or value <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not math.isfinite(sigma) or sigma < 0.0:
-        raise DomainError(f"sigma must be >= 0 and finite, got {sigma!r}")
 
 
 def _central_derivative(fn, levels: np.ndarray) -> np.ndarray:
@@ -741,9 +723,7 @@ def ergodic_drift(diffusion, a_u: float):
     """
     if not callable(diffusion):
         raise DomainError("diffusion must be callable")
-    a_u = float(a_u)
-    if not math.isfinite(a_u):
-        raise DomainError(f"a_u must be finite, got {a_u!r}")
+    a_u = float(check_real("a_u", a_u))
 
     def drift(level):
         values = np.asarray(level, dtype=float)

@@ -329,7 +329,7 @@ class TestModelFailures:
         "none drift": (lambda a: None, lambda a: 0.1 * a),
     }
 
-    @pytest.mark.parametrize("case", ["array drift", "list drift", "array diffusion"])
+    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
     def test_batch_rejects_results_of_the_wrong_shape(self, case):
         drift, diffusion = self.WRONG_SHAPES[case]
         model = StochasticModel(drift=drift, diffusion=diffusion, label="shapeless")

@@ -1,0 +1,235 @@
+"""Every public entry point rejects a malformed scalar with DomainError.
+
+Each row of ``ROWS`` is one scalar parameter of a public function: a
+call that takes the parameter's value, a valid value, and numbers out
+of its range.  Swapping the valid value for a str, ``None``, a bool, a
+complex number, nan or an out-of-range number must raise exactly
+:class:`DomainError`; it is itself a ``ValueError``, so a leaked raw
+``ValueError`` must not pass.  numpy scalars of a valid value pass.
+"""
+
+import dataclasses
+import math
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from blowuplab import (
+    BlowUpTime,
+    DomainError,
+    EnsembleSpec,
+    IntegrationOptions,
+    ScenarioParams,
+    VectorField,
+    barometer,
+    calibrate_k,
+    classify_growth_law,
+    compose_phases,
+    coupled_gdp_solution,
+    em_path,
+    ergodic_drift,
+    estimate_blowup_time,
+    exp_phase_solution,
+    gbm_model,
+    gbm_time_average_exponent,
+    hyperbolic_blowup_time,
+    hyperbolic_sde_model,
+    hyperbolic_solution,
+    integrate,
+    integrate_multiplicative,
+    loglaw_solution,
+    phase1_duration,
+    powerlaw_blowup_time,
+    powerlaw_solution,
+    run_ensemble,
+    simulate_batches,
+    total_singularity_time,
+    volatility_masking_scan,
+)
+from blowuplab.errors import check_integer, check_real
+
+inf = math.inf
+
+
+class Row(NamedTuple):
+    name: str
+    call: Callable
+    valid: float
+    out_of_range: tuple
+    integer: bool = False
+    none_ok: bool = False  # None selects a default
+
+
+POSITIVE = (0, -1.0, inf)
+NONNEGATIVE = (-0.5, inf)
+FINITE = (inf, -inf)
+THRESHOLD = (0.0, -1.0, -inf)
+
+MODEL = hyperbolic_sde_model(0.05, 0.05)
+SPEC = EnsembleSpec(model=MODEL, A0=1.0, dt=0.01, t_end=0.1, n_paths=2, master_seed=0)
+TEMPLATE = dataclasses.replace(SPEC, model=None, t_end=1.0)
+FIELD = VectorField(1, lambda y: y)
+TIMES = np.linspace(0.0, 1.0, 16)
+
+
+def scan(k=0.05, sigma=0.1, window=8, record_points=16):
+    return volatility_masking_scan(k, [sigma], TEMPLATE, window=window,
+                                   record_points=record_points)
+
+
+ROWS = [
+    # closedform
+    Row("calibrate_k.R", lambda v: calibrate_k(v, 1.0), 2, (1.0, 0.5, inf)),
+    Row("calibrate_k.I", lambda v: calibrate_k(2.0, v), 1, POSITIVE),
+    Row("ScenarioParams.k", lambda v: ScenarioParams(k=v).growth_coefficient(), 1, POSITIVE),
+    Row("ScenarioParams.R", lambda v: ScenarioParams(R=v, I=1.0).growth_coefficient(), 2,
+        (1.0, inf)),
+    Row("ScenarioParams.I", lambda v: ScenarioParams(R=2.0, I=v).growth_coefficient(), 1,
+        POSITIVE),
+    Row("exp_phase_solution.t1",
+        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=1.0), v), 1, NONNEGATIVE),
+    Row("exp_phase_solution.c",
+        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=1.0, c=v), 1.0), 2, POSITIVE,
+        none_ok=True),
+    Row("exp_phase_solution.I",
+        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=v), 1.0), 1, POSITIVE),
+    Row("phase1_duration.R", lambda v: phase1_duration(v, 100.0), 2, (1.0, inf)),
+    Row("phase1_duration.I", lambda v: phase1_duration(2.0, v), 100, (0.5, -1.0, inf)),
+    Row("hyperbolic_solution.k", lambda v: hyperbolic_solution(v, 1.0, 0.0), 1, POSITIVE),
+    Row("hyperbolic_solution.I", lambda v: hyperbolic_solution(0.1, v, 0.0), 1, POSITIVE),
+    Row("hyperbolic_solution.t2", lambda v: hyperbolic_solution(0.1, 1.0, v), 1, NONNEGATIVE),
+    Row("hyperbolic_blowup_time.k", lambda v: hyperbolic_blowup_time(v, 1.0), 1, POSITIVE),
+    Row("hyperbolic_blowup_time.I", lambda v: hyperbolic_blowup_time(1.0, v), 1, POSITIVE),
+    Row("total_singularity_time.R", lambda v: total_singularity_time(v, 100.0), 2, (1.0, inf)),
+    Row("total_singularity_time.I", lambda v: total_singularity_time(2.0, v), 100, (0.5, inf)),
+    Row("powerlaw_solution.k", lambda v: powerlaw_solution(v, 1.0, 2.0, 0.0), 1, POSITIVE),
+    Row("powerlaw_solution.I", lambda v: powerlaw_solution(0.1, v, 2.0, 0.0), 1, POSITIVE),
+    Row("powerlaw_solution.n_exp", lambda v: powerlaw_solution(0.1, 1.0, v, 0.0), 2,
+        (1.0, 0.5, inf)),
+    Row("powerlaw_solution.t2", lambda v: powerlaw_solution(0.1, 1.0, 2.0, v), 1, NONNEGATIVE),
+    Row("powerlaw_blowup_time.k", lambda v: powerlaw_blowup_time(v, 1.0, 2.0), 1, POSITIVE),
+    Row("powerlaw_blowup_time.I", lambda v: powerlaw_blowup_time(0.1, v, 2.0), 1, POSITIVE),
+    Row("powerlaw_blowup_time.n_exp", lambda v: powerlaw_blowup_time(0.1, 1.0, v), 2, FINITE),
+    Row("loglaw_solution.c", lambda v: loglaw_solution(v, 1.0, 1.0), 1, FINITE),
+    Row("loglaw_solution.k", lambda v: loglaw_solution(1.0, v, 1.0), 1, FINITE),
+    Row("loglaw_solution.t", lambda v: loglaw_solution(1.0, 1.0, v), 1, FINITE),
+    Row("coupled_gdp_solution.k1", lambda v: coupled_gdp_solution(v, 0.0), 1, POSITIVE),
+    Row("coupled_gdp_solution.t", lambda v: coupled_gdp_solution(0.5, v), 1, NONNEGATIVE),
+    Row("BlowUpTime.at", BlowUpTime.at, 1, POSITIVE),
+    # ode
+    Row("VectorField.dimension", lambda v: VectorField(v, FIELD.rate), 1, (0, -1),
+        integer=True),
+    Row("IntegrationOptions.rtol", lambda v: IntegrationOptions(rtol=v), 1e-6, POSITIVE),
+    Row("IntegrationOptions.atol", lambda v: IntegrationOptions(atol=v), 1e-6, POSITIVE),
+    Row("IntegrationOptions.blowup_threshold",
+        lambda v: IntegrationOptions(blowup_threshold=v), 1e9, THRESHOLD),
+    Row("IntegrationOptions.blowup_tol", lambda v: IntegrationOptions(blowup_tol=v), 0.01,
+        POSITIVE, none_ok=True),
+    Row("integrate.t_end", lambda v: integrate(FIELD, [1.0], v), 1, POSITIVE),
+    Row("estimate_blowup_time.t_end", lambda v: estimate_blowup_time(FIELD, [1.0], v), 1,
+        POSITIVE),
+    Row("integrate_multiplicative.t_end",
+        lambda v: integrate_multiplicative([0.1], [1.0], v), 1, POSITIVE),
+    # sde
+    Row("em_path.A0", lambda v: em_path(MODEL, v, 0.01, 0.1, seed=0), 1, POSITIVE),
+    Row("em_path.dt", lambda v: em_path(MODEL, 1.0, v, 0.1, seed=0), 0.01, POSITIVE),
+    Row("em_path.t_end", lambda v: em_path(MODEL, 1.0, 0.01, v, seed=0), 1, POSITIVE),
+    Row("em_path.threshold", lambda v: em_path(MODEL, 1.0, 0.01, 0.1, seed=0, threshold=v),
+        1e9, THRESHOLD + (0.5,)),
+    Row("em_path.record_every",
+        lambda v: em_path(MODEL, 1.0, 0.01, 0.1, seed=0, record_every=v), 1, (0,),
+        integer=True),
+    Row("EnsembleSpec.A0", lambda v: run_ensemble(dataclasses.replace(SPEC, A0=v)), 1,
+        POSITIVE),
+    Row("EnsembleSpec.dt", lambda v: run_ensemble(dataclasses.replace(SPEC, dt=v)), 0.01,
+        POSITIVE),
+    Row("EnsembleSpec.t_end", lambda v: run_ensemble(dataclasses.replace(SPEC, t_end=v)), 1,
+        POSITIVE),
+    Row("EnsembleSpec.threshold",
+        lambda v: run_ensemble(dataclasses.replace(SPEC, threshold=v)), 1e9,
+        THRESHOLD + (1.0,)),
+    Row("simulate_batches.record_points", lambda v: simulate_batches([SPEC], v), 4, (0,),
+        integer=True, none_ok=True),
+    Row("gbm_model.k", lambda v: gbm_model(v, 1.0, 0.1), 1, POSITIVE),
+    Row("gbm_model.I", lambda v: gbm_model(0.1, v, 0.1), 1, POSITIVE),
+    Row("gbm_model.sigma", lambda v: gbm_model(0.1, 1.0, v), 0, NONNEGATIVE),
+    Row("gbm_time_average_exponent.k", lambda v: gbm_time_average_exponent(v, 1.0, 0.1), 1,
+        POSITIVE),
+    Row("gbm_time_average_exponent.I", lambda v: gbm_time_average_exponent(0.1, v, 0.1), 1,
+        POSITIVE),
+    Row("gbm_time_average_exponent.sigma",
+        lambda v: gbm_time_average_exponent(0.1, 1.0, v), 0, NONNEGATIVE),
+    Row("hyperbolic_sde_model.k", lambda v: hyperbolic_sde_model(v, 0.1), 1, POSITIVE),
+    Row("hyperbolic_sde_model.sigma", lambda v: hyperbolic_sde_model(0.1, v), 0, NONNEGATIVE),
+    Row("ergodic_drift.a_u", lambda v: ergodic_drift(lambda a: a, v), 1, FINITE),
+    # analysis
+    Row("classify_growth_law.A0", lambda v: classify_growth_law("A^2", A0=v), 1, POSITIVE),
+    Row("barometer.window", lambda v: barometer(TIMES, np.exp(TIMES), v), 8, (7, 0),
+        integer=True),
+    Row("barometer.z_threshold", lambda v: barometer(TIMES, np.exp(TIMES), 8, v), 3, FINITE),
+    Row("compose_phases.R", lambda v: compose_phases(v, 10.0, "0.1*A^2"), 2, (1.0, inf)),
+    Row("compose_phases.I", lambda v: compose_phases(2.0, v, "0.1*A^2"), 10, POSITIVE),
+    Row("compose_phases.c", lambda v: compose_phases(2.0, 10.0, "0.1*A^2", c=v), 1, POSITIVE),
+    Row("compose_phases.switch_level",
+        lambda v: compose_phases(2.0, 10.0, "0.1*A^2", switch_level=v), 10, (0.5, inf),
+        none_ok=True),
+    Row("compose_phases.horizon",
+        lambda v: compose_phases(2.0, 10.0, "0.1*A^2", horizon=v), 10, POSITIVE),
+    # ensemble
+    Row("volatility_masking_scan.k", lambda v: scan(k=v), 1, POSITIVE),
+    Row("volatility_masking_scan.sigmas", lambda v: scan(sigma=v), 0, NONNEGATIVE),
+    Row("volatility_masking_scan.window", lambda v: scan(window=v), 8, (4, 17), integer=True),
+    Row("volatility_masking_scan.record_points", lambda v: scan(record_points=v), 16, (4, 0),
+        integer=True),
+]
+
+
+def malformed(row: Row):
+    kinds = [st.text(), st.booleans(), st.complex_numbers(), st.just(math.nan),
+             st.sampled_from(row.out_of_range)]
+    if not row.none_ok:
+        kinds.append(st.none())
+    if row.integer:
+        kinds.append(st.floats())
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+@given(data=st.data())
+def test_a_malformed_scalar_raises_domain_error(row, data):
+    value = data.draw(malformed(row), label=row.name)
+    with pytest.raises(DomainError) as info:
+        row.call(value)
+    assert type(info.value) is DomainError
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_numpy_scalars_of_a_valid_value_pass(row):
+    kinds = [np.int64] if row.integer else [np.float64]
+    if not row.integer and float(row.valid).is_integer():
+        kinds.append(np.int64)
+    for kind in kinds:
+        row.call(kind(row.valid))
+
+
+def test_the_message_names_the_argument_its_requirement_and_the_value():
+    with pytest.raises(DomainError, match=r"^k must be a finite real number > 0, got '2'$"):
+        check_real("k", "2", above=0.0)
+    with pytest.raises(DomainError,
+                       match=r"^threshold must be a finite real number >= 1 or inf, got nan$"):
+        check_real("threshold", math.nan, at_least=1.0, allow_inf=True)
+    with pytest.raises(DomainError, match=r"^window must be an integer >= 8, got 7\.5$"):
+        check_integer("window", 7.5, at_least=8)
+
+
+def test_values_pass_unchanged():
+    assert check_real("t", 3) == 3 and type(check_real("t", 3)) is int
+    assert check_real("threshold", inf, above=0.0, allow_inf=True) == inf
+    assert check_integer("n", np.int64(5), at_least=1) == 5
+
+
+def test_an_int_too_large_for_a_double_is_not_finite():
+    with pytest.raises(DomainError):
+        check_real("k", 10 ** 400, above=0.0)
