@@ -41,7 +41,8 @@ from scipy.integrate import quad
 
 from . import dsl
 from .closedform import calibrate_k
-from .errors import DomainError, InsufficientDataError, check_integer, check_real
+from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
+                     check_integer, check_real)
 from .ode import BlowUpEvent, VectorField, estimate_blowup_time, integrate
 
 __all__ = [
@@ -184,15 +185,19 @@ def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
     raise DomainError(f"cannot interpret {law!r} as a growth law")
 
 
-def _safe_rate(fn: Callable) -> Callable[[float], float]:
-    """Scalar evaluation that maps overflow to inf instead of raising."""
+def _safe_rate(fn: Callable, label: str) -> Callable[[float], float]:
+    """Scalar evaluation that maps overflow to inf; any other failure, a
+    result that is not a number included, is a FieldEvaluationError."""
 
     def call(level: float) -> float:
         try:
-            value = float(fn(level))
+            return float(fn(level))
         except (OverflowError, DomainError):
             return math.inf
-        return value
+        except Exception as exc:
+            raise FieldEvaluationError(
+                f"growth law {label!r} failed at level {level!r}: {exc!r}"
+            ) from exc
 
     return call
 
@@ -362,9 +367,8 @@ def _validate_rate_shape(rate, A0: float) -> None:
     top = min(1e12 * max(A0, 1.0), 1e300)
     grid = np.exp(np.linspace(math.log(A0), math.log(top), 49))
     previous = None
-    for level in grid:
-        level = float(level)
-        value = float(rate(level))
+    for level in grid.tolist():
+        value = rate(level)
         if math.isinf(value):
             break
         if not value > 0.0:
@@ -393,7 +397,7 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
     """
     check_real("A0", A0, above=0.0)
     fn, label = _as_rate(law, parameters)
-    rate = _safe_rate(fn)
+    rate = _safe_rate(fn, label)
     _validate_rate_shape(rate, A0)
 
     quadrature = _quadrature_method(rate, A0)
@@ -429,24 +433,21 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     ``1e-12 * max(1, |b0|, |b1|)`` in standardized units;
     the floor suppresses machine-epsilon curvature that exact
     exponential data otherwise turns into an arbitrarily significant
-    fit.
+    fit.  Only the trailing window is read, so only its samples must be
+    finite, increasing in time and positive.
     """
-    t = np.asarray(times, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise DomainError("times and values must be 1-d and equally long")
     check_integer("window", window, at_least=8)
     check_real("z_threshold", z_threshold)
-    if len(t) < window:
-        raise InsufficientDataError(
-            f"need at least {window} samples, got {len(t)}"
-        )
-    tw = t[-window:]
-    vw = v[-window:]
-    if np.any(~np.isfinite(tw)) or np.any(np.diff(tw) <= 0.0):
-        raise DomainError("window times must be finite and strictly increasing")
-    if np.any(~np.isfinite(vw)) or np.any(vw <= 0.0):
-        raise DomainError("window values must be positive and finite")
+    try:
+        tw, vw = times[-window:], values[-window:]
+    except (TypeError, IndexError, KeyError):  # not a sequence; check_array names it
+        tw, vw = times, values
+    tw = check_array("window times", tw, min_len=0, increasing=True)
+    vw = check_array("window values", vw, min_len=0, positive=True)
+    if len(times) != len(values):
+        raise DomainError("times and values must be equally long")
+    if len(tw) < window:
+        raise InsufficientDataError(f"need at least {window} samples, got {len(tw)}")
 
     y = np.log(vw)
     center = tw.mean()

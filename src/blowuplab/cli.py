@@ -656,10 +656,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except BlowupLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (BlowupLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -25,8 +25,12 @@ parsed as unary negation.
 
 :func:`evaluate`, :func:`as_function` and :func:`to_field` compile an
 expression once to nested closures, with the parameters bound as floats
-at compile time.  Python numbers get strict arithmetic (``ln`` of a
-nonpositive value, division by zero and the like raise
+at compile time.  A parameter must be a real number, a Python or numpy
+int or float, where ``inf``, ``-inf`` and ``nan`` are allowed; a str,
+``None``, a bool, a complex number or a sequence raises
+:class:`~blowuplab.errors.DomainError` naming the parameter.  Python
+numbers get strict arithmetic (``ln`` of a nonpositive value, division
+by zero and the like raise
 :class:`~blowuplab.errors.DomainError`); numpy values, such as the
 components of a state vector, get IEEE semantics, producing
 ``nan``/``inf`` for the integrators to handle.
@@ -46,7 +50,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import BindingError, DomainError, DslSyntaxError
+from .errors import BindingError, DomainError, DslSyntaxError, as_real
 
 __all__ = [
     "Num",
@@ -200,19 +204,14 @@ class _Parser:
             return self.advance()
         return None
 
-    def expect_op(self, op: str, context: str) -> _Token:
-        token = self.current
-        if token.kind != "OP" or token.text != op:
-            raise DslSyntaxError(
-                f"expected {op!r} {context}, found {token.text or 'end of input'!r}",
-                token.line, token.column,
-            )
-        return self.advance()
+    def expect_op(self, op: str, context: str) -> None:
+        if self.match_op(op) is None:
+            raise self.fail(f"expected {op!r} {context}")
 
     def fail(self, message: str) -> DslSyntaxError:
         token = self.current
-        found = token.text if token.kind != "END" else "end of input"
-        return DslSyntaxError(f"{message}, found {found!r}", token.line, token.column)
+        return DslSyntaxError(f"{message}, found {token.text or 'end of input'!r}",
+                              token.line, token.column)
 
     # grammar rules
 
@@ -376,7 +375,11 @@ def _compile(expr: Expr, slots: Mapping[str, int], params: Mapping, ieee: bool):
             return operator.itemgetter(slots[expr.ident])
         if expr.ident not in params:
             raise BindingError(f"unbound name {expr.ident!r}")
-        return float(params[expr.ident])
+        value = as_real(params[expr.ident])
+        if value is None:
+            raise DomainError(f"parameter {expr.ident!r} must be a real number, "
+                              f"got {params[expr.ident]!r}")
+        return value
     key = expr.op if isinstance(expr, BinOp) else expr.func if isinstance(expr, Call) else "neg"
     strict = _strict(expr, _OPS[key][0])
     parts = [_compile(child, slots, params, ieee) for child in _children(expr)]

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import barometer
-from .errors import DomainError, check_integer, check_real
+from .errors import DomainError, check_array, check_integer
 from .sde import EnsembleSpec, EnsembleStats, hyperbolic_sde_model, simulate_batches
 
 __all__ = [
@@ -75,11 +75,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     """
     check_integer("window", window, at_least=8)
     check_integer("record_points", record_points, at_least=window)
-    levels = [float(check_real("sigma", s)) for s in sigmas]
-    if not levels:
-        raise DomainError("sigmas must not be empty")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise DomainError("sigmas must increase strictly")
+    levels = check_array("sigmas", sigmas, increasing=True).tolist()
     # with record_points >= window the grid is short only at stride 1
     n_samples = template.steps() + 1
     if n_samples < window:

@@ -37,7 +37,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FieldEvaluationError, StiffnessError, check_integer, check_real
+from .errors import (DomainError, FieldEvaluationError, StiffnessError, check_array, check_integer,
+                     check_real)
 
 __all__ = [
     "VectorField",
@@ -154,11 +155,9 @@ class Trajectory:
     blowup: BlowUpEvent | None = None
 
     def __post_init__(self) -> None:
-        if self.times.ndim != 1 or self.states.ndim != 2 \
-                or len(self.times) != len(self.states):
+        check_array("times", self.times, min_len=0, increasing=True)
+        if self.states.ndim != 2 or len(self.times) != len(self.states):
             raise DomainError("times and states shapes disagree")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0.0):
-            raise DomainError("times must increase strictly")
         if not np.all(np.isfinite(self.states)):
             raise DomainError("states must be finite everywhere")
         if self.blowup is not None and len(self.times) > 0 \
@@ -334,21 +333,16 @@ class _Core:
                 h = min(self.h, target - self.t)
                 hit_target = h >= target - self.t
                 attempt = _try_step(self.rate, self.y, self.f, h)
-                if attempt is None:
-                    self.h = max(h * _MIN_FACTOR, 0.0)
-                    rejects += 1
-                    if rejects > 200:
-                        return self._stall()
-                    continue
-                y_new, f_new, err = attempt
-                norm = _error_norm(err, self.y, y_new, self.opts.rtol, self.opts.atol)
+                # a stage that went non-finite fails like an infinite error
+                norm = math.inf if attempt is None else \
+                    _error_norm(attempt[2], self.y, attempt[0], self.opts.rtol, self.opts.atol)
                 if norm > 1.0:
-                    factor = max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
-                    self.h = h * factor
+                    self.h = h * max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
                     rejects += 1
                     if rejects > 200:
                         return self._stall()
                     continue
+                y_new, f_new, _ = attempt
                 rejects = 0
                 if max(y_new) >= threshold:
                     self._bisect_crossing(h, threshold)
@@ -452,15 +446,10 @@ class _Core:
 
 
 def _as_state(state0, dimension: int) -> np.ndarray:
-    y0 = np.atleast_1d(np.asarray(state0, dtype=float))
+    # a bare number is the state of a one-dimensional field
+    y0 = check_array("state0", state0 if np.iterable(state0) else [state0], positive=True)
     if y0.shape != (dimension,):
-        raise DomainError(
-            f"initial state has shape {y0.shape}, field dimension is {dimension}"
-        )
-    if not np.all(np.isfinite(y0)) or np.any(y0 <= 0.0):
-        raise DomainError(
-            f"initial levels must be positive and finite, got {y0!r}"
-        )
+        raise DomainError(f"initial state has shape {y0.shape}, field dimension is {dimension}")
     return y0
 
 
@@ -470,8 +459,8 @@ def integrate(field: VectorField, state0, t_end: float,
     """Integrate a growth system until ``t_end`` or a threshold crossing.
 
     Without ``t_eval`` every accepted step is recorded; with it only
-    the requested times are (they must be sorted, unique, and inside
-    ``[0, t_end]``).  If a state component reaches the blow-up
+    the requested times are (they must be finite, sorted, unique, and
+    inside ``[0, t_end]``).  If a state component reaches the blow-up
     threshold the trajectory ends early and carries a
     ``threshold-crossing`` :class:`BlowUpEvent` bracketing the moment
     of crossing.  That moment is a lower bound for the true asymptote;
@@ -487,38 +476,21 @@ def integrate(field: VectorField, state0, t_end: float,
     opts = opts or IntegrationOptions()
     check_real("t_end", t_end, above=0.0)
     y0 = _as_state(state0, field.dimension)
-    eval_arr = None
-    if t_eval is not None:
-        eval_arr = np.asarray(t_eval, dtype=float)
-        if eval_arr.ndim != 1 or len(eval_arr) == 0:
-            raise DomainError("t_eval must be a non-empty 1-d sequence")
-        if np.any(np.diff(eval_arr) <= 0.0):
-            raise DomainError("t_eval must increase strictly")
-        if eval_arr[0] < 0.0 or eval_arr[-1] > t_end:
-            raise DomainError("t_eval must lie within [0, t_end]")
+    eval_arr = None if t_eval is None else check_array("t_eval", t_eval, increasing=True)
+    if eval_arr is not None and (eval_arr[0] < 0.0 or eval_arr[-1] > t_end):
+        raise DomainError("t_eval must lie within [0, t_end]")
 
     core = _Core(field.rate, y0, opts, horizon=t_end)
     status = core.run(t_end, opts.blowup_threshold, record=True, t_eval=eval_arr)
 
-    blowup = None
+    blowup = core.pole if status == "pole" else None
     if status == "crossed":
-        t_low = core.t
         t_high = core.t + core.cross_rem
-        blowup = BlowUpEvent(
-            t_low=t_low, t_high=t_high, estimate=0.5 * (t_low + t_high),
-            method="threshold-crossing",
-        )
-    elif status == "pole":
-        blowup = core.pole
-    samples = core.samples
-    if blowup is not None:
-        samples = [(t, y) for t, y in samples if t < blowup.t_low]
-    if samples:
-        times = np.array([t for t, _ in samples])
-        states = np.array([y for _, y in samples])
-    else:
-        times = np.empty(0)
-        states = np.empty((0, field.dimension))
+        blowup = BlowUpEvent(t_low=core.t, t_high=t_high, estimate=0.5 * (core.t + t_high),
+                             method="threshold-crossing")
+    samples = [(t, y) for t, y in core.samples if blowup is None or t < blowup.t_low]
+    times = np.array([t for t, _ in samples], dtype=float)
+    states = np.array([y for _, y in samples], dtype=float).reshape(len(samples), field.dimension)
     return Trajectory(times=times, states=states, blowup=blowup)
 
 
@@ -652,11 +624,7 @@ def integrate_multiplicative(coeffs: Sequence[float], state0, t_end: float,
     ``k * E`` would grow exponentially forever, falling outside this
     family, where every member reaches a finite-time blow-up.
     """
-    k = np.asarray(coeffs, dtype=float)
-    if k.ndim != 1 or len(k) < 1:
-        raise DomainError("coeffs must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(k)) or np.any(k <= 0.0):
-        raise DomainError(f"growth coefficients must be positive, got {k!r}")
+    k = check_array("coeffs", coeffs, positive=True)
     names = tuple(f"E{i + 1}" for i in range(len(k)))
     if len(k) == 1:
         rate = lambda y: k * y * y

@@ -32,14 +32,15 @@ not.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_integer,
-                     check_real)
+from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
+                     check_integer, check_real)
 from .ode import DEFAULT_BLOWUP_THRESHOLD
 
 __all__ = [
@@ -272,31 +273,28 @@ def _record_lattice(n_steps: int, stride: int) -> np.ndarray:
     return steps
 
 
-def _model_failure(model: StochasticModel, t: float,
+def _model_failure(model: StochasticModel, t: float | None,
                    exc: Exception) -> FieldEvaluationError:
+    where = "on the probe grid" if t is None else f"at t={t!r}"
     return FieldEvaluationError(
-        f"drift or diffusion of model {model.label!r} raised at t={t!r}: {exc!r}"
+        f"drift or diffusion of model {model.label!r} raised {where}: {exc!r}"
     )
 
 
-def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
+def _coefficient(model: StochasticModel, fn: Callable, a: np.ndarray, t: float | None):
+    """The drift or diffusion ``fn`` of ``model`` at levels ``a``: one number, or one per level."""
     try:
-        drift, diffusion = model.drift(a), model.diffusion(a)
-        returned_none = drift is None or diffusion is None  # asarray reads None as nan
-        drift, diffusion = np.asarray(drift, dtype=float), np.asarray(diffusion, dtype=float)
+        out = fn(a)
+        arr = np.asarray(out, dtype=float)  # reads None as nan
+        if out is None or arr.ndim and arr.shape != a.shape:
+            raise ValueError(f"returned {reprlib.repr(out)} for levels of shape {a.shape}")
     except Exception as exc:
         raise _model_failure(model, t, exc) from exc
-    if returned_none:
-        raise FieldEvaluationError(
-            f"drift or diffusion of model {model.label!r} returned None at t={t!r}"
-        )
-    # each result is one number, or one per level
-    if drift.shape != a.shape and drift.ndim or diffusion.shape != a.shape and diffusion.ndim:
-        raise FieldEvaluationError(
-            f"drift and diffusion of model {model.label!r} returned shapes {drift.shape} "
-            f"and {diffusion.shape} for levels of shape {a.shape} at t={t!r}"
-        )
-    return drift, diffusion
+    return arr
+
+
+def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
+    return _coefficient(model, model.drift, a, t), _coefficient(model, model.diffusion, a, t)
 
 
 def simulate_batches(specs: Sequence[EnsembleSpec],
@@ -325,9 +323,10 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     one contiguous slice: each model is called once per step on its own
     live levels, and a lane that ends is dropped from the state arrays.
     """
-    specs = list(specs)
-    if not specs:
-        raise DomainError("specs must not be empty")
+    given, specs = specs, list(specs) if np.iterable(specs) else []
+    if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
+        raise DomainError("specs must be a non-empty sequence of EnsembleSpec, "
+                          f"got {reprlib.repr(given)}")
     for spec in specs:
         spec.validate()
     head = specs[0]
@@ -559,6 +558,8 @@ def pathwise_growth_slope(path: PathResult) -> float:
     Uses the recorded samples up to but excluding the explosion
     crossing; requires at least 10 of them.
     """
+    if not isinstance(path, PathResult):
+        raise DomainError(f"path must be a PathResult, got {path!r}")
     times = path.times
     values = path.values
     if path.exploded and len(times) and times[-1] == path.event_time:
@@ -651,21 +652,15 @@ def ergodicity_check(model: StochasticModel,
     A diffusion that vanishes somewhere on the grid admits no
     transform at all; that comes back as a report with
     ``transform_exists=False`` and ``reason`` set rather than an
-    exception, because "no transformation" is a legitimate finding.
+    exception, because "no transformation" is a legitimate finding.  A
+    drift or diffusion that raises, or returns neither one number nor
+    one per level, is a ``FieldEvaluationError`` naming the model.
     """
-    if levels is None:
-        grid = np.arange(1.0, 101.0)
-    else:
-        grid = np.asarray(levels, dtype=float)
-    if grid.ndim != 1 or len(grid) < 3:
-        raise DomainError("levels must be a 1-d grid with at least 3 points")
-    if np.any(~np.isfinite(grid)) or np.any(grid <= 0.0):
-        raise DomainError("levels must be positive and finite")
-    if np.any(np.diff(grid) <= 0.0):
-        raise DomainError("levels must increase strictly")
+    grid = np.arange(1.0, 101.0) if levels is None else \
+        check_array("levels", levels, min_len=3, positive=True, increasing=True)
 
     nan_grid = np.full(len(grid), math.nan)
-    diffusion = np.asarray(model.diffusion(grid), dtype=float)
+    diffusion = _coefficient(model, model.diffusion, grid, None)
     if np.any(~np.isfinite(diffusion)) or np.any(diffusion < 0.0):
         raise DomainError(
             "diffusion must be nonnegative and finite on the probe grid"
@@ -680,17 +675,22 @@ def ergodicity_check(model: StochasticModel,
             tolerance=_CONSTANCY_TOLERANCE,
             reason="diffusion vanishes on the grid; the transform divides by it",
         )
-    drift = np.asarray(model.drift(grid), dtype=float)
+    drift = _coefficient(model, model.drift, grid, None)
     if np.any(~np.isfinite(drift)):
         raise DomainError("drift must be finite on the probe grid")
 
-    derivative = _central_derivative(model.diffusion, grid)
+    derivative = _central_derivative(lambda x: _coefficient(model, model.diffusion, x, None), grid)
     drift_u = drift / diffusion - 0.5 * derivative
+
+    def inverse_diffusion(x: float) -> float:  # about 2 000 quadrature calls per check
+        try:
+            return 1.0 / float(model.diffusion(x))
+        except Exception as exc:
+            raise _model_failure(model, None, exc) from exc
 
     u = np.zeros(len(grid))
     for i in range(1, len(grid)):
-        segment, _ = quad(lambda x: 1.0 / float(model.diffusion(x)),
-                          grid[i - 1], grid[i], limit=200)
+        segment, _ = quad(inverse_diffusion, grid[i - 1], grid[i], limit=200)
         u[i] = u[i - 1] + segment
 
     mean = float(np.mean(drift_u))

@@ -1,4 +1,4 @@
-"""Every public entry point rejects a malformed scalar with DomainError.
+"""Every public entry point rejects a malformed argument with DomainError.
 
 Each row of ``ROWS`` is one scalar parameter of a public function: a
 call that takes the parameter's value, a valid value, and numbers out
@@ -6,9 +6,17 @@ of its range.  Swapping the valid value for a str, ``None``, a bool, a
 complex number, nan or an out-of-range number must raise exactly
 :class:`DomainError`; it is itself a ``ValueError``, so a leaked raw
 ``ValueError`` must not pass.  numpy scalars of a valid value pass.
+
+Each row of ``ARRAY_ROWS`` is one array or sequence argument, or one DSL
+parameter binding: swapping its valid value for a str, ``None``, a bool,
+a complex number, a bool list, a nested or ragged list, or a list
+holding nan, an infinity, ``None``, a str or a complex number must raise
+exactly :class:`DomainError` too.  A name in ``blowuplab.__all__`` that
+takes an argument is in one of the tables or in ``EXEMPT``.
 """
 
 import dataclasses
+import inspect
 import math
 from typing import Callable, NamedTuple
 
@@ -16,13 +24,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import blowuplab
 from blowuplab import (
     BlowUpTime,
     DomainError,
     EnsembleSpec,
+    FieldEvaluationError,
     IntegrationOptions,
     ScenarioParams,
+    StochasticModel,
     VectorField,
+    as_function,
     barometer,
     calibrate_k,
     classify_growth_law,
@@ -30,7 +42,9 @@ from blowuplab import (
     coupled_gdp_solution,
     em_path,
     ergodic_drift,
+    ergodicity_check,
     estimate_blowup_time,
+    evaluate,
     exp_phase_solution,
     gbm_model,
     gbm_time_average_exponent,
@@ -40,15 +54,18 @@ from blowuplab import (
     integrate,
     integrate_multiplicative,
     loglaw_solution,
+    parse,
+    pathwise_growth_slope,
     phase1_duration,
     powerlaw_blowup_time,
     powerlaw_solution,
     run_ensemble,
     simulate_batches,
+    to_field,
     total_singularity_time,
     volatility_masking_scan,
 )
-from blowuplab.errors import check_integer, check_real
+from blowuplab.errors import check_array, check_integer, check_real
 
 inf = math.inf
 
@@ -186,6 +203,107 @@ ROWS = [
 ]
 
 
+class ArrayRow(NamedTuple):
+    name: str
+    call: Callable
+    valid: object  # a list, or one number or object the malformed lists stand in for
+    none_ok: bool = False  # None selects a default
+
+
+SERIES = TIMES.tolist()
+WHOLE = len(SERIES)  # a barometer window over every sample, so each entry is read
+
+ARRAY_ROWS = [
+    # ode
+    ArrayRow("integrate.state0", lambda v: integrate(FIELD, v, 1.0), [1.0]),
+    ArrayRow("integrate.t_eval", lambda v: integrate(FIELD, [1.0], 1.0, t_eval=v), [0.25, 0.5],
+             none_ok=True),
+    ArrayRow("estimate_blowup_time.state0", lambda v: estimate_blowup_time(FIELD, v, 1.0), [1.0]),
+    ArrayRow("integrate_multiplicative.coeffs",
+             lambda v: integrate_multiplicative(v, [1.0, 1.0], 1.0), [0.1, 0.2]),
+    ArrayRow("integrate_multiplicative.state0",
+             lambda v: integrate_multiplicative([0.1, 0.2], v, 1.0), [1.0, 1.0]),
+    # sde
+    ArrayRow("simulate_batches.specs", simulate_batches, [SPEC]),
+    ArrayRow("run_ensemble.spec", run_ensemble, SPEC),
+    ArrayRow("ergodicity_check.levels", lambda v: ergodicity_check(MODEL, v), [1.0, 2.0, 4.0],
+             none_ok=True),
+    ArrayRow("pathwise_growth_slope.path", pathwise_growth_slope,
+             em_path(MODEL, 1.0, 0.01, 0.2, seed=0)),
+    # analysis
+    ArrayRow("barometer.times", lambda v: barometer(v, np.exp(TIMES), WHOLE), SERIES),
+    ArrayRow("barometer.values", lambda v: barometer(TIMES, v, WHOLE),
+             np.exp(TIMES).tolist()),
+    ArrayRow("classify_growth_law.parameters",
+             lambda v: classify_growth_law("k*A^2", parameters={"k": v}), 1.0),
+    ArrayRow("compose_phases.parameters",
+             lambda v: compose_phases(2.0, 10.0, "k*A^2", parameters={"k": v}), 0.1),
+    # ensemble
+    ArrayRow("volatility_masking_scan.sigmas",
+             lambda v: volatility_masking_scan(0.05, v, TEMPLATE, window=8, record_points=16),
+             [0.05, 0.1]),
+    # dsl
+    ArrayRow("evaluate.bindings", lambda v: evaluate(parse("k*2"), {"k": v}), 2.0),
+    ArrayRow("as_function.parameters",
+             lambda v: as_function(parse("k*A"), parameters={"k": v})(1.0), 2.0),
+    ArrayRow("to_field.parameters", lambda v: to_field(parse("dA = k*A"), {"k": v}), 2.0),
+]
+
+# names of blowuplab.__all__ that take an argument and are in neither table
+EXEMPT = {
+    # results the library builds and hands back
+    "Trajectory", "BlowUpEvent", "PathResult", "EnsembleStats", "ErgodicityReport",
+    "MaskingPoint", "ConvergenceVerdict", "BarometerReport", "PhasePlan", "SystemSpec",
+    # holds the drift and diffusion; one that fails is a FieldEvaluationError when called
+    "StochasticModel",
+    # source text and trees, whose failures are DslSyntaxError
+    "parse", "pretty_print",
+}
+
+
+def malformed_sequence(row: ArrayRow):
+    base = row.valid if isinstance(row.valid, list) else [row.valid]
+    entries = st.one_of(st.sampled_from([math.nan, inf, -inf, None]), st.text(),
+                        st.complex_numbers())
+    spliced = st.tuples(st.integers(0, len(base) - 1), entries).map(
+        lambda pair: base[:pair[0]] + [pair[1]] + base[pair[0] + 1:])
+    kinds = [st.text(), st.booleans(), st.complex_numbers(),
+             st.lists(st.booleans(), min_size=len(base), max_size=len(base)),
+             st.sampled_from([[base], [base, base[:1] + base]]), spliced]
+    if not row.none_ok:
+        kinds.append(st.none())
+    return st.one_of(kinds)
+
+
+@pytest.mark.parametrize("row", ARRAY_ROWS, ids=[row.name for row in ARRAY_ROWS])
+@given(data=st.data())
+def test_a_malformed_array_raises_domain_error(row, data):
+    value = data.draw(malformed_sequence(row), label=row.name)
+    with pytest.raises(DomainError) as info:
+        row.call(value)
+    assert type(info.value) is DomainError
+
+
+@pytest.mark.parametrize("row", ARRAY_ROWS, ids=[row.name for row in ARRAY_ROWS])
+def test_a_valid_array_passes(row):
+    row.call(row.valid)
+    if isinstance(row.valid, list) and isinstance(row.valid[0], float):
+        row.call(np.asarray(row.valid))
+
+
+def test_every_entry_point_is_in_a_table_or_exempt():
+    covered = {row.name.split(".")[0] for row in ROWS + ARRAY_ROWS}
+    unchecked = []
+    for name in blowuplab.__all__:
+        obj = getattr(blowuplab, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        if inspect.signature(obj).parameters and name not in covered | EXEMPT:
+            unchecked.append(name)
+    assert not unchecked, f"add rows for {unchecked} or exempt them"
+    assert not EXEMPT & covered
+
+
 def malformed(row: Row):
     kinds = [st.text(), st.booleans(), st.complex_numbers(), st.just(math.nan),
              st.sampled_from(row.out_of_range)]
@@ -233,3 +351,92 @@ def test_values_pass_unchanged():
 def test_an_int_too_large_for_a_double_is_not_finite():
     with pytest.raises(DomainError):
         check_real("k", 10 ** 400, above=0.0)
+
+
+class TestArrayRegressions:
+    def test_nan_in_t_eval_is_rejected_not_dropped(self):
+        with pytest.raises(DomainError, match=r"^t_eval must be .*, got \[0\.5, nan, 0\.9\]$"):
+            integrate(FIELD, [1.0], 1.0, t_eval=[0.5, math.nan, 0.9])
+
+    def test_none_in_t_eval_is_rejected_not_an_empty_trajectory(self):
+        with pytest.raises(DomainError):
+            integrate(FIELD, [1.0], 1.0, t_eval=[None])
+
+    def test_a_scalar_state_still_serves_a_one_dimensional_field(self):
+        for state0 in (1.0, 1, np.float64(1.0), np.array(1.0)):
+            assert integrate(FIELD, state0, 1.0).states[-1, 0] == pytest.approx(math.e)
+
+    def test_a_bool_array_is_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(FIELD, np.array([True]), 1.0)
+
+    def test_barometer_reads_only_its_trailing_window(self):
+        times = np.concatenate([[math.nan, -1.0], TIMES])
+        values = np.concatenate([[-1.0, math.inf], np.exp(TIMES)])
+        assert barometer(times, values, 16).n_samples == 16
+        with pytest.raises(DomainError):
+            barometer(times, values, 17)
+
+    def test_inf_and_nan_stay_legal_bindings(self):
+        for value in (inf, -inf, math.nan):
+            assert repr(evaluate(parse("k"), {"k": value})) == repr(value)
+            assert repr(as_function(parse("k + 0*A"), parameters={"k": value})(1.0)) == repr(value)
+            to_field(parse("dA = k*A"), {"k": value})
+
+    def test_the_message_names_the_argument_its_requirement_and_the_value(self):
+        with pytest.raises(DomainError, match=r"^levels must be a strictly increasing 1-d "
+                           r"sequence of at least 3 finite real numbers > 0, got \[1, 2\]$"):
+            check_array("levels", [1, 2], min_len=3, positive=True, increasing=True)
+        with pytest.raises(DomainError, match=r"^parameter 'k' must be a real number, got 'x'$"):
+            evaluate(parse("k*2"), {"k": "x"})
+
+    def test_a_float64_array_comes_back_as_itself(self):
+        assert check_array("times", TIMES) is TIMES
+        assert check_array("levels", [1, 2]).dtype == np.float64
+
+
+def _raises(level):
+    raise RuntimeError("no rate here")
+
+
+class TestModelFailures:
+    GOOD = hyperbolic_sde_model(0.05, 0.05)
+
+    @pytest.mark.parametrize("drift, diffusion", [
+        (GOOD.drift, lambda a: _raises(a)),
+        (lambda a: _raises(a), GOOD.diffusion),
+        (GOOD.drift, lambda a: np.ones(3)),
+        (lambda a: "x", GOOD.diffusion),
+        (lambda a: None, GOOD.diffusion),
+        # right on the grid, wrong at the scalar levels of the quadrature
+        (GOOD.drift, lambda a: GOOD.diffusion(a) if np.ndim(a) else [a, a]),
+    ])
+    def test_ergodicity_check_reports_a_failing_model(self, drift, diffusion):
+        model = StochasticModel(drift=drift, diffusion=diffusion, label="faulty")
+        with pytest.raises(FieldEvaluationError, match="'faulty'"):
+            ergodicity_check(model)
+
+    def test_ergodicity_check_keeps_its_domain_errors(self):
+        for drift, diffusion in [(self.GOOD.drift, lambda a: -a), (lambda a: a / 0.0, lambda a: a)]:
+            with pytest.raises(DomainError), np.errstate(divide="ignore"):
+                ergodicity_check(StochasticModel(drift=drift, diffusion=diffusion))
+
+    @pytest.mark.parametrize("law", [lambda a: _raises(a), lambda a: "x", lambda a: None,
+                                     lambda a: [a, a]])
+    def test_classify_growth_law_reports_a_failing_callable(self, law):
+        with pytest.raises(FieldEvaluationError, match="failed at level"):
+            classify_growth_law(law)
+
+    def test_classify_growth_law_still_reads_overflow_as_inf(self):
+        # a float power past the double range raises OverflowError
+        assert classify_growth_law(lambda a: a ** 2.0).verdict == "finite-time"
+
+    @pytest.mark.parametrize("specs", [None, 5, [None], [], "abc"])
+    def test_simulate_batches_rejects_malformed_specs(self, specs):
+        with pytest.raises(DomainError) as info:
+            simulate_batches(specs)
+        assert type(info.value) is DomainError
+
+    def test_run_ensemble_rejects_a_missing_spec(self):
+        with pytest.raises(DomainError, match="EnsembleSpec"):
+            run_ensemble(None)
