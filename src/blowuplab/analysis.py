@@ -6,7 +6,9 @@ decides whether that integral converges using two independent routes
 and only commits to a verdict when both agree:
 
 1. a quadrature ladder: the integral is accumulated over the segments
-   ``[A0*10^(j-1), A0*10^j]``; geometrically shrinking increments mean
+   ``[A0*10^(j-1), A0*10^j]``, eight at a time in one call of
+   :func:`~blowuplab.ode.gauss_kronrod` (in ``x = ln A``, the law
+   evaluated node by node); geometrically shrinking increments mean
    convergence (with a geometric tail estimate), non-decreasing ones
    mean divergence, and the polynomial middle ground is decided by the
    decay order of the increments (summable only above order 1);
@@ -37,13 +39,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import dsl
 from .closedform import calibrate_k
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
-                     check_integer, check_real)
-from .ode import BlowUpEvent, VectorField, estimate_blowup_time, integrate
+                     check_instance, check_integer, check_real)
+from .ode import BlowUpEvent, VectorField, estimate_blowup_time, gauss_kronrod, integrate
 
 __all__ = [
     "FINITE_TIME",
@@ -169,7 +170,8 @@ def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
         else:
             law = parsed
     if isinstance(law, (dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
-        params = dict(parameters or {})
+        params = {} if parameters is None else \
+            dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
         free = sorted(dsl.free_names(law) - set(params))
         if len(free) > 1:
             raise DomainError(
@@ -206,8 +208,10 @@ def _safe_rate(fn: Callable, label: str) -> Callable[[float], float]:
 # method 1: quadrature ladder
 
 
-def _ladder_segment(rate, x0: float, x1: float, rtol: float) -> float:
-    # integrate dA/F(A) in x = ln A to tame the huge range
+def _ladder_integrand(rate):
+    """``dA/F(A)`` in ``x = ln A``, which tames the huge range, node by
+    node: a growth law maps one float to one float."""
+
     def integrand(x: float) -> float:
         level = math.exp(x)
         f = rate(level)
@@ -217,8 +221,7 @@ def _ladder_segment(rate, x0: float, x1: float, rtol: float) -> float:
             return 0.0
         return level / f
 
-    value, _ = quad(integrand, x0, x1, epsabs=0.0, epsrel=rtol, limit=200)
-    return value
+    return lambda nodes: np.fromiter(map(integrand, nodes.tolist()), float, len(nodes))
 
 
 def _fit_decay_order(increments: Sequence[float]) -> float:
@@ -236,21 +239,25 @@ def _fit_decay_order(increments: Sequence[float]) -> float:
 def _quadrature_method(rate, A0: float) -> MethodReading:
     log10 = math.log(10.0)
     x0 = math.log(A0)
+    integrand = _ladder_integrand(rate)
     increments: list[float] = []
     x_top_limit = math.log(1e306)
 
-    def add_rung() -> bool:
-        j = len(increments)
-        lo = x0 + j * log10
-        hi = lo + log10
-        if hi > x_top_limit:
+    def add_rungs(count: int) -> bool:
+        """Add up to ``count`` rungs; false when none fits in double range.
+
+        Rung j spans ``[x0 + j*log10, x0 + (j+1)*log10]``.
+        """
+        first = len(increments)
+        edges = [x0 + j * log10 for j in range(first, first + count + 1)]
+        while len(edges) > 1 and edges[-1] > x_top_limit:
+            edges.pop()
+        if len(edges) == 1:
             return False
-        increments.append(_ladder_segment(rate, lo, hi, _QUAD_RTOL))
+        increments.extend(gauss_kronrod(integrand, edges, _QUAD_RTOL).tolist())
         return True
 
-    for _ in range(_LADDER_DECADES):
-        if not add_rung():
-            break
+    add_rungs(_LADDER_DECADES)
     if len(increments) < 3 or not all(map(math.isfinite, increments)):
         return MethodReading(INCONCLUSIVE, None,
                              {"reason": "ladder not computable", "rungs": len(increments)})
@@ -287,21 +294,19 @@ def _quadrature_method(rate, A0: float) -> MethodReading:
                 "mode": "polynomial", "decay_order": alpha,
                 "rungs": len(increments), "tail": tail,
             })
-        if len(increments) >= _MAX_LADDER_DECADES:
-            # could not push the tail below target inside double range
-            if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
-                return MethodReading(FINITE_TIME, total + tail, {
-                    "mode": "polynomial-truncated", "decay_order": alpha,
-                    "rungs": len(increments), "tail": tail,
-                })
-            return MethodReading(INCONCLUSIVE, None, {
+        if len(increments) < _MAX_LADDER_DECADES and add_rungs(_EXTENSION_BLOCK):
+            state = tail_state()
+            continue
+        # could not push the tail below target inside double range
+        if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
+            return MethodReading(FINITE_TIME, total + tail, {
                 "mode": "polynomial-truncated", "decay_order": alpha,
-                "rungs": len(increments),
+                "rungs": len(increments), "tail": tail,
             })
-        for _ in range(_EXTENSION_BLOCK):
-            if not add_rung():
-                break
-        state = tail_state()
+        return MethodReading(INCONCLUSIVE, None, {
+            "mode": "polynomial-truncated", "decay_order": alpha,
+            "rungs": len(increments),
+        })
 
     if state == "non-decreasing":
         return MethodReading(INFINITE_TIME, None, {
@@ -309,8 +314,9 @@ def _quadrature_method(rate, A0: float) -> MethodReading:
             "last_ratio": increments[-1] / increments[-2],
         })
 
-    # geometric decay: the remaining tail is a convergent geometric series
-    ratio = increments[-1] / increments[-2]
+    # geometric decay: the remaining tail is a convergent geometric series,
+    # empty once the integrand vanished
+    ratio = increments[-1] / increments[-2] if increments[-1] > 0.0 else 0.0
     total = math.fsum(increments)
     tail = increments[-1] * ratio / (1.0 - ratio)
     return MethodReading(FINITE_TIME, total + tail, {

@@ -50,7 +50,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import BindingError, DomainError, DslSyntaxError, as_real
+from .errors import BindingError, DomainError, DslSyntaxError, as_real, check_instance
 
 __all__ = [
     "Num",
@@ -106,6 +106,14 @@ class Call:
 
 
 Expr = Union[Num, Name, Neg, BinOp, Call]
+_NODES = (Num, Name, Neg, BinOp, Call)
+
+
+def _bindings(name: str, value) -> dict:
+    """A mapping argument as a new dict; ``None`` is an empty one."""
+    if value is None:
+        return {}
+    return dict(check_instance(name, value, Mapping, "a mapping or None"))
 
 
 @dataclass(frozen=True)
@@ -160,6 +168,7 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    check_instance("source", source, str, "a str")
     tokens: list[_Token] = []
     line = 1
     line_start = 0
@@ -307,9 +316,12 @@ def parse_system(source: str) -> SystemSpec:
 
 def parse(source: str) -> Expr | SystemSpec:
     """Parse source as a system if it contains ``=``, else as an expression."""
-    if any(tok.kind == "OP" and tok.text == "=" for tok in _tokenize(source)):
-        return parse_system(source)
-    return parse_expression(source)
+    parser = _Parser(source)
+    if any(tok.kind == "OP" and tok.text == "=" for tok in parser.tokens):
+        return parser.system()
+    node = parser.expr()
+    parser.end()
+    return node
 
 
 # --------------------------------------------------------------------------
@@ -406,6 +418,8 @@ def evaluate(expr: Expr, bindings: Mapping[str, float | np.ndarray]):
     ``nan``/``inf`` propagate silently.  The Python numbers bind as
     parameters at compile time, so what reads only them stays strict.
     """
+    check_instance("expr", expr, _NODES, "a parsed expression")
+    check_instance("bindings", bindings, Mapping, "a mapping")
     variables = {name: value for name, value in bindings.items()
                  if isinstance(value, _NUMPY_TYPES)}
     slots = {name: index for index, name in enumerate(variables)}
@@ -492,6 +506,7 @@ def _render(expr: Expr) -> str:
 
 def pretty_print(node: Expr | SystemSpec) -> str:
     """Render a tree back to source text that reparses to an equal tree."""
+    check_instance("node", node, _NODES + (SystemSpec,), "a parsed expression or system")
     if isinstance(node, SystemSpec):
         return "; ".join(f"d{var} = {_render(rhs)}" for var, rhs in node.equations)
     return _render(node)
@@ -511,7 +526,9 @@ def as_function(expr: Expr, var: str = "A",
     (strict arithmetic) or a numpy array or scalar (IEEE semantics); see
     :func:`evaluate`.
     """
-    params = dict(parameters or {})
+    check_instance("expr", expr, _NODES, "a parsed expression")
+    check_instance("var", var, str, "a name")
+    params = _bindings("parameters", parameters)
     missing = sorted(free_names(expr) - set(params) - {var})
     if missing:
         raise BindingError(
@@ -544,7 +561,8 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     """
     from .ode import VectorField  # deferred: ode does not import dsl
 
-    params = {**spec.parameters, **(parameters or {})}
+    check_instance("spec", spec, SystemSpec, "a parsed system")
+    params = {**spec.parameters, **_bindings("parameters", parameters)}
     names = spec.state_names
     bound = set(params) | set(names)
     for var, rhs in spec.equations:

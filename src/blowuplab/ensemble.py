@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import barometer
-from .errors import DomainError, check_array, check_integer
+from .errors import DomainError, check_array, check_instance, check_integer
 from .sde import EnsembleSpec, EnsembleStats, hyperbolic_sde_model, simulate_batches
 
 __all__ = [
@@ -73,6 +73,7 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     fraction and counted in ``absorbed_fraction`` instead.  ``workers``
     has no effect; it is accepted for compatibility.
     """
+    check_instance("template", template, EnsembleSpec, "an EnsembleSpec")
     check_integer("window", window, at_least=8)
     check_integer("record_points", record_points, at_least=window)
     levels = check_array("sigmas", sigmas, increasing=True).tolist()

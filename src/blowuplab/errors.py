@@ -9,7 +9,10 @@ an infinity unless the argument may be ``+inf``, and a number outside
 the argument's bound.  numpy scalars pass like Python numbers.  An array
 argument is checked by :func:`check_array`, which rejects a value that
 is not a 1-d sequence of finite real numbers, is too short, or breaks
-the argument's sign or order rule.  The message always takes one form:
+the argument's sign or order rule.  Any other argument is checked by
+:func:`check_instance`, which rejects a value of the wrong type, such as
+``None`` or source text where a parsed tree is due.  The message always
+takes one form:
 ``"<name> must be <requirement>, got <repr of value>"``, for instance
 ``"k must be a finite real number > 0, got '2'"``.
 """
@@ -140,4 +143,13 @@ def check_array(name: str, value, *, min_len: int = 1, positive: bool = False,
         + ("non-empty " if min_len == 1 else "") + "1-d sequence of " \
         + (f"at least {min_len} " if min_len > 1 else "") + "finite real numbers" \
         + (" > 0" if positive else "")
+    raise DomainError(f"{name} must be {requirement}, got {reprlib.repr(value)}")
+
+
+def check_instance(name: str, value, kind, requirement: str):
+    """Return ``value`` unchanged if it is an instance of ``kind`` (a type
+    or a tuple of types); else raise :class:`DomainError` saying it must
+    be ``requirement``."""
+    if isinstance(value, kind):
+        return value
     raise DomainError(f"{name} must be {requirement}, got {reprlib.repr(value)}")

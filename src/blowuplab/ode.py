@@ -26,6 +26,10 @@ Step-size underflow without a threshold crossing raises
 :class:`~blowuplab.errors.StiffnessError`; a field that raises, returns
 the wrong shape, or returns a non-finite derivative at a valid state
 raises :class:`~blowuplab.errors.FieldEvaluationError`.
+
+:func:`gauss_kronrod` is the package's quadrature: QUADPACK's 21-point
+rule on many intervals at once, for the classifier's ladder and the
+ergodicity transform.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainError, FieldEvaluationError, StiffnessError, check_array, check_integer,
-                     check_real)
+from .errors import (DomainError, FieldEvaluationError, StiffnessError, check_array,
+                     check_instance, check_integer, check_real)
 
 __all__ = [
     "VectorField",
@@ -445,12 +449,18 @@ class _Core:
         self.cross_rem = rem
 
 
-def _as_state(state0, dimension: int) -> np.ndarray:
+def _run_arguments(field: VectorField, state0,
+                   opts: IntegrationOptions | None) -> tuple[np.ndarray, IntegrationOptions]:
+    """The checked initial state and options of a run of ``field``."""
+    check_instance("field", field, VectorField, "a VectorField")
+    if opts is not None:
+        check_instance("opts", opts, IntegrationOptions, "an IntegrationOptions or None")
     # a bare number is the state of a one-dimensional field
     y0 = check_array("state0", state0 if np.iterable(state0) else [state0], positive=True)
-    if y0.shape != (dimension,):
-        raise DomainError(f"initial state has shape {y0.shape}, field dimension is {dimension}")
-    return y0
+    if y0.shape != (field.dimension,):
+        raise DomainError(f"initial state has shape {y0.shape}, "
+                          f"field dimension is {field.dimension}")
+    return y0, opts or IntegrationOptions()
 
 
 def integrate(field: VectorField, state0, t_end: float,
@@ -473,9 +483,8 @@ def integrate(field: VectorField, state0, t_end: float,
     resolved by tail extrapolation and reported as a
     ``reciprocal-extrapolation`` event instead of a stiffness error.
     """
-    opts = opts or IntegrationOptions()
+    y0, opts = _run_arguments(field, state0, opts)
     check_real("t_end", t_end, above=0.0)
-    y0 = _as_state(state0, field.dimension)
     eval_arr = None if t_eval is None else check_array("t_eval", t_eval, increasing=True)
     if eval_arr is not None and (eval_arr[0] < 0.0 or eval_arr[-1] > t_end):
         raise DomainError("t_eval must lie within [0, t_end]")
@@ -560,9 +569,8 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     only at infinity), and for blow-ups whose asymptote cannot be
     pinned to the requested tolerance within double precision.
     """
-    opts = opts or IntegrationOptions()
+    y0, opts = _run_arguments(field, state0, opts)
     check_real("t_end", t_end, above=0.0)
-    y0 = _as_state(state0, field.dimension)
     core = _Core(field.rate, y0, opts, horizon=t_end)
 
     threshold = opts.blowup_threshold
@@ -636,3 +644,117 @@ def integrate_multiplicative(coeffs: Sequence[float], state0, t_end: float,
         names=names,
     )
     return integrate(field, state0, t_end, opts)
+
+
+# --------------------------------------------------------------------------
+# quadrature
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
+# its nodes c +- h*x on an interval with centre c and half-width h, and
+# their Kronrod and Gauss weights; the centre, x = 0, comes first
+_GK_X = (0.0,
+         0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
+         0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
+         0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
+         0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
+         0.973906528517171720077964012084452, 0.995657163025808080735527280689003)
+_GK_W = (0.149445554002916905664936468389821,
+         0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+         0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+         0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+         0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+         0.032558162307964727478818972459390, 0.011694638867371874278064396062192)
+_G_W = (0.0, 0.295524224714752870173892994651338, 0.0, 0.269266719309996355091226921569469,
+        0.0, 0.219086362515982043995534934228163, 0.0, 0.149451349150580593145776339657697,
+        0.0, 0.066671344308688137593568809893332, 0.0)
+# Row i of a (21, m) node array holds node i of m intervals: the centre,
+# the ten c - h*x, then the ten c + h*x.  _GK_NODES places them as
+# fractions of each interval.  _GK_WEIGHTS gives the Kronrod sum and 200
+# times its excess over the Gauss sum, whose size bounds dqk21's error
+# estimate from above; _GK_ROUNDING gives the estimate's floor for float
+# rounding.
+_GK_NODES = np.array([0.5 - 0.5 * x for x in _GK_X]
+                     + [0.5 + 0.5 * x for x in _GK_X[1:]])[:, None]
+_GK_KRONROD = np.array(_GK_W + _GK_W[1:])
+_GK_WEIGHTS = np.array([_GK_KRONROD, 200.0 * (_GK_KRONROD - np.array(_G_W + _G_W[1:]))])
+_GK_ROUNDING = 50.0 * float(np.finfo(float).eps) * _GK_KRONROD
+# the most pieces one interval is cut into, QUADPACK's default limit
+_GK_LIMIT = 200
+
+
+def _kronrod21(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """The rule on each ``[lo[i], hi[i]]``: ``(integrals, excesses,
+    values)``, an excess being at least dqk21's error estimate."""
+    width = hi - lo
+    values = f((lo + width * _GK_NODES).ravel()).reshape(21, -1)
+    kronrod, excess = _GK_WEIGHTS @ values
+    half = 0.5 * width
+    return kronrod * half, np.abs(excess * half), values
+
+
+def _dqk21_error(value, excess, values, lo, hi):
+    """dqk21's error estimate of each piece, and its floor for float
+    rounding: an error at most twice the floor cannot shrink."""
+    half = 0.5 * (hi - lo)
+    resasc = (_GK_KRONROD @ np.abs(values - 0.5 * value / half)) * np.abs(half)
+    floor = (_GK_ROUNDING @ np.abs(values)) * np.abs(half)
+    return np.maximum(resasc * np.fmin(1.0, excess / resasc) ** 1.5, floor), floor
+
+
+def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], edges, rtol: float,
+                  atol: float = 0.0) -> np.ndarray:
+    """Integrals of ``f`` over the intervals ``[edges[i], edges[i + 1]]``.
+
+    ``f`` maps a 1-d float64 array of nodes to the float64 array of its
+    values.  Each interval gets QUADPACK's 21-point Gauss-Kronrod rule
+    and its error estimate.  An interval whose error exceeds
+    ``max(atol, rtol * |integral|)`` is bisected, and every round
+    bisects the pieces of all such intervals at once: a piece whose
+    error fits its length's share of the bound, or is down to float
+    rounding, is kept.  An interval stops at 200 pieces with the
+    estimate it has, and one whose integral is not finite (a node value
+    was not) stops at once, so the work is bounded for any ``f``.
+
+    The arguments are not checked: ``edges`` must be a 1-d sequence of
+    finite floats and the tolerances non-negative, as the package's
+    callers pass them.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    with np.errstate(all="ignore"):  # inf and nan node values pass on to their interval
+        value, excess, values = _kronrod21(f, lo, hi)
+        bound = np.maximum(atol, rtol * np.abs(value))
+        # the excess bounds the error, so this test rarely needs the error
+        # itself; a non-finite integral has a nan or inf excess and error
+        if not (excess > bound).any():
+            return value
+        error, floor = _dqk21_error(value, excess, values, lo, hi)
+        if not ((error > bound) & (error > 2.0 * floor)).any():
+            return value
+
+        n = len(lo)
+        width = hi - lo
+        owner = np.arange(n)  # the interval each piece belongs to
+        total = np.zeros(n)  # the sum of each interval's kept pieces, and their error
+        kept_error = np.zeros(n)
+        pieces = np.ones(n, dtype=int)
+        while True:
+            sums = total + np.bincount(owner, value, n)
+            bound = np.maximum(atol, rtol * np.abs(sums))
+            done = (kept_error + np.bincount(owner, error, n) <= bound) | ~np.isfinite(sums)
+            split = ~done[owner] & (error > bound[owner] * (hi - lo) / width[owner]) \
+                & (error > 2.0 * floor)
+            pieces += np.bincount(owner[split], minlength=n)
+            done |= pieces > _GK_LIMIT
+            split &= ~done[owner]
+            keep = ~split & ~done[owner]
+            total = np.where(done, sums, total + np.bincount(owner[keep], value[keep], n))
+            if not split.any():
+                return total
+            kept_error += np.bincount(owner[keep], error[keep], n)
+            lo, hi, owner = lo[split], hi[split], owner[split]
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+            owner = np.concatenate((owner, owner))
+            value, excess, values = _kronrod21(f, lo, hi)
+            error, floor = _dqk21_error(value, excess, values, lo, hi)

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
-                     check_integer, check_real)
-from .ode import DEFAULT_BLOWUP_THRESHOLD
+                     check_instance, check_integer, check_real)
+from .ode import DEFAULT_BLOWUP_THRESHOLD, gauss_kronrod
 
 __all__ = [
     "StochasticModel",
@@ -71,6 +70,8 @@ _MIN_SLOPE_SAMPLES = 10
 # relative spread of the transformed drift that still counts as constant
 _REL_DERIVATIVE_STEP = 1e-6
 _CONSTANCY_TOLERANCE = 1e-6
+# relative and absolute tolerance of each segment of u(A), QUADPACK's default
+_U_TOL = 1.49e-8
 
 
 @dataclass(frozen=True)
@@ -500,6 +501,7 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     :class:`~blowuplab.errors.FieldEvaluationError` naming the model's
     ``label`` and the time, as it does in the batch kernel.
     """
+    check_instance("model", model, StochasticModel, "a StochasticModel")
     n_steps = _validate_grid(A0, dt, t_end, threshold)
     stride = check_integer("record_every", record_every, at_least=1)
     master, index = _normalize_seed(seed)
@@ -556,12 +558,15 @@ def pathwise_growth_slope(path: PathResult) -> float:
     """Least-squares slope of ``ln(value)`` against time for one path.
 
     Uses the recorded samples up to but excluding the explosion
-    crossing; requires at least 10 of them.
+    crossing; requires at least 10 of them.  The times and values of
+    ``path`` must be equally long sequences of finite numbers, the
+    values positive, as :func:`em_path` builds them.
     """
-    if not isinstance(path, PathResult):
-        raise DomainError(f"path must be a PathResult, got {path!r}")
-    times = path.times
-    values = path.values
+    check_instance("path", path, PathResult, "a PathResult")
+    times = check_array("path times", path.times, min_len=0)
+    values = check_array("path values", path.values, min_len=0, positive=True)
+    if len(times) != len(values):
+        raise DomainError("path times and values must be equally long")
     if path.exploded and len(times) and times[-1] == path.event_time:
         times = times[:-1]
         values = values[:-1]
@@ -640,9 +645,12 @@ def ergodicity_check(model: StochasticModel,
                      levels: Sequence[float] | None = None) -> ErgodicityReport:
     """Probe whether the unit-diffusion transform has constant drift.
 
-    Maps the process through ``u`` with ``u'(A) = 1/b(A)``; by Ito's
-    formula the transformed drift is ``a(A)/b(A) - b'(A)/2`` with
-    ``b'`` taken by central differences at relative step ``1e-6``.
+    Maps the process through ``u`` with ``u'(A) = 1/b(A)``, integrated
+    over all the grid's segments in one call of
+    :func:`~blowuplab.ode.gauss_kronrod`, which evaluates the diffusion
+    on all its nodes at once; by Ito's formula the transformed drift is
+    ``a(A)/b(A) - b'(A)/2`` with ``b'`` taken by central differences at
+    relative step ``1e-6``.
     The transform is declared to exist when the transformed drift is
     constant over ``levels`` (default ``1, 2, ..., 100``): its largest
     relative deviation from the grid mean stays below ``1e-6``, the
@@ -654,8 +662,10 @@ def ergodicity_check(model: StochasticModel,
     ``transform_exists=False`` and ``reason`` set rather than an
     exception, because "no transformation" is a legitimate finding.  A
     drift or diffusion that raises, or returns neither one number nor
-    one per level, is a ``FieldEvaluationError`` naming the model.
+    one per level, and a diffusion that is zero at a quadrature node,
+    is a ``FieldEvaluationError`` naming the model.
     """
+    check_instance("model", model, StochasticModel, "a StochasticModel")
     grid = np.arange(1.0, 101.0) if levels is None else \
         check_array("levels", levels, min_len=3, positive=True, increasing=True)
 
@@ -682,16 +692,16 @@ def ergodicity_check(model: StochasticModel,
     derivative = _central_derivative(lambda x: _coefficient(model, model.diffusion, x, None), grid)
     drift_u = drift / diffusion - 0.5 * derivative
 
-    def inverse_diffusion(x: float) -> float:  # about 2 000 quadrature calls per check
-        try:
-            return 1.0 / float(model.diffusion(x))
-        except Exception as exc:
-            raise _model_failure(model, None, exc) from exc
+    def inverse_diffusion(nodes: np.ndarray) -> np.ndarray:
+        b = np.broadcast_to(_coefficient(model, model.diffusion, nodes, None), nodes.shape)
+        if not np.all(b):
+            raise FieldEvaluationError(
+                f"diffusion of model {model.label!r} vanishes at a quadrature node"
+            )
+        return 1.0 / b
 
-    u = np.zeros(len(grid))
-    for i in range(1, len(grid)):
-        segment, _ = quad(inverse_diffusion, grid[i - 1], grid[i], limit=200)
-        u[i] = u[i - 1] + segment
+    segments = gauss_kronrod(inverse_diffusion, grid, _U_TOL, _U_TOL)
+    u = np.concatenate(([0.0], np.cumsum(segments)))
 
     mean = float(np.mean(drift_u))
     deviation = float(np.max(np.abs(drift_u - mean)))
@@ -719,14 +729,16 @@ def ergodic_drift(diffusion, a_u: float):
     central differences.  An SDE with this drift and the given
     diffusion maps through the unit-diffusion transform to constant
     coefficients, so :func:`ergodicity_check` on it reports that the
-    transform exists.
+    transform exists.  The drift takes one level or a 1-d sequence of
+    levels, finite real numbers, and returns a float or an array.
     """
     if not callable(diffusion):
         raise DomainError("diffusion must be callable")
     a_u = float(check_real("a_u", a_u))
 
     def drift(level):
-        values = np.asarray(level, dtype=float)
+        values = check_array("level", level, min_len=0) if np.ndim(level) else \
+            np.float64(check_real("level", level))
         b = np.asarray(diffusion(values), dtype=float)
         if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
             raise DomainError("diffusion must be positive where the drift is evaluated")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from blowuplab import (
     FINITE_TIME,
+    INCONCLUSIVE,
     INFINITE_TIME,
     DomainError,
     InsufficientDataError,
@@ -112,6 +113,33 @@ class TestClassifierVerdicts:
         assert set(verdict.evidence) >= {"quadrature", "tail_exponent"}
         assert verdict.evidence["quadrature"].verdict == FINITE_TIME
         assert verdict.evidence["tail_exponent"].verdict == FINITE_TIME
+
+    def test_a_power_law_takes_227_evaluations(self):
+        # 49 shape checks, 10 exponent probes and 8 rungs of 21 nodes
+        levels = []
+        classify_growth_law(lambda a: levels.append(a) or a * a)
+        assert len(levels) == 227
+
+    def test_a_rate_vanishing_between_the_checked_levels_stops_the_ladder(self):
+        # positive at the 49 shape-check levels (1, 1.78, 3.16, ...), zero
+        # at a node of the first rung: its integrand is inf there
+        verdict = classify_growth_law(lambda a: 0.0 if 2.0 < a < 2.5 else a * a)
+        assert verdict.verdict == INCONCLUSIVE
+        assert verdict.evidence["quadrature"].details == {
+            "reason": "ladder not computable", "rungs": 8}
+
+    def test_the_ladder_stops_at_the_top_of_double_range(self):
+        # from 1e285 only 21 rungs fit below 1e306, too few to fit the
+        # slow decay of A^1.01's increments
+        ladder = classify_growth_law("A^1.01", A0=1e285).evidence["quadrature"]
+        assert ladder.details["mode"] == "polynomial-truncated"
+        assert ladder.details["rungs"] == 21
+
+    def test_an_overflowing_rate_leaves_an_empty_tail(self):
+        # exp(A) overflows to inf, so every rung past the first few is 0
+        ladder = classify_growth_law("exp(A)").evidence["quadrature"]
+        assert ladder.verdict == FINITE_TIME
+        assert ladder.details["ratio"] == 0.0 and ladder.details["tail"] == 0.0
 
     def test_rejects_rate_vanishing_at_start(self):
         with pytest.raises(DomainError, match="level 1.0"):

@@ -375,3 +375,23 @@ def test_no_private_names_of_sibling_modules(module):
             reached += [f"{node.module}.{alias.name}" for alias in node.names
                         if alias.name.startswith("_")]
     assert reached == []
+
+
+# With None in sys.modules["scipy"], importing scipy or any of its
+# submodules raises ImportError: the package runs on numpy alone.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import blowuplab
+from blowuplab import cli
+blowuplab.classify_growth_law("k*A^2", parameters={"k": 0.05})
+blowuplab.ergodicity_check(blowuplab.gbm_model(0.00462, 100.0, 0.001))
+assert cli.main(["reproduce", "headline", "--out", sys.argv[1]]) == 0
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+"""
+
+
+def test_the_package_and_the_cli_run_without_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

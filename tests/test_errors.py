@@ -11,8 +11,13 @@ Each row of ``ARRAY_ROWS`` is one array or sequence argument, or one DSL
 parameter binding: swapping its valid value for a str, ``None``, a bool,
 a complex number, a bool list, a nested or ragged list, or a list
 holding nan, an infinity, ``None``, a str or a complex number must raise
-exactly :class:`DomainError` too.  A name in ``blowuplab.__all__`` that
-takes an argument is in one of the tables or in ``EXEMPT``.
+exactly :class:`DomainError` too.
+
+Each row of ``OBJECT_ROWS`` is one argument of another type, such as a
+field, a model, a parsed tree, source text or a mapping: each of its
+malformed values, ``None`` or an object of a neighbouring type, must
+raise exactly :class:`DomainError`.  A name in ``blowuplab.__all__``
+that takes an argument is in one of the tables or in ``EXEMPT``.
 """
 
 import dataclasses
@@ -59,6 +64,7 @@ from blowuplab import (
     phase1_duration,
     powerlaw_blowup_time,
     powerlaw_solution,
+    pretty_print,
     run_ensemble,
     simulate_batches,
     to_field,
@@ -249,15 +255,58 @@ ARRAY_ROWS = [
     ArrayRow("to_field.parameters", lambda v: to_field(parse("dA = k*A"), {"k": v}), 2.0),
 ]
 
-# names of blowuplab.__all__ that take an argument and are in neither table
+class ObjectRow(NamedTuple):
+    name: str
+    call: Callable
+    valid: object
+    malformed: tuple
+
+
+EXPR = parse("k*A")
+SYSTEM = parse("dA = k*A")
+K = {"k": 2.0}
+
+OBJECT_ROWS = [
+    # ode
+    ObjectRow("integrate.field", lambda v: integrate(v, [1.0], 1.0), FIELD,
+              (None, "dA = A", SYSTEM)),
+    ObjectRow("integrate.opts", lambda v: integrate(FIELD, [1.0], 1.0, v), IntegrationOptions(),
+              ("x", 1.0, {})),
+    ObjectRow("estimate_blowup_time.field", lambda v: estimate_blowup_time(v, [1.0], 1.0), FIELD,
+              (None, "dA = A", SYSTEM)),
+    ObjectRow("estimate_blowup_time.opts", lambda v: estimate_blowup_time(FIELD, [1.0], 1.0, v),
+              IntegrationOptions(), ("x", 1.0, {})),
+    # sde
+    ObjectRow("em_path.model", lambda v: em_path(v, 1.0, 0.01, 0.1, seed=0), MODEL,
+              (None, "gbm", SPEC)),
+    ObjectRow("ergodicity_check.model", ergodicity_check, MODEL, (None, "gbm", SPEC)),
+    # analysis
+    ObjectRow("classify_growth_law.parameters",
+              lambda v: classify_growth_law("k*A^2", parameters=v), K, (1.0, "k")),
+    # ensemble
+    ObjectRow("volatility_masking_scan.template",
+              lambda v: volatility_masking_scan(0.05, [0.1], v, window=8, record_points=16),
+              TEMPLATE, (None, "x", MODEL)),
+    # dsl
+    ObjectRow("parse.source", parse, "dA = k*A", (None, 1.0, b"dA = A", ["dA = A"])),
+    ObjectRow("evaluate.expr", lambda v: evaluate(v, K), parse("k*2"), (None, "k*2", SYSTEM)),
+    ObjectRow("evaluate.bindings", lambda v: evaluate(parse("k*2"), v), K, (None, 1.0, "k")),
+    ObjectRow("as_function.expr", lambda v: as_function(v, parameters=K), EXPR,
+              (None, "k*A", SYSTEM)),
+    ObjectRow("as_function.var", lambda v: as_function(EXPR, var=v, parameters=K), "A", (None, 1)),
+    ObjectRow("as_function.parameters", lambda v: as_function(EXPR, parameters=v), K, (1.0, "k")),
+    ObjectRow("pretty_print.node", pretty_print, EXPR, (None, "k*A", 1.0)),
+    ObjectRow("to_field.spec", lambda v: to_field(v, K), SYSTEM, (None, "dA = k*A", EXPR)),
+    ObjectRow("to_field.parameters", lambda v: to_field(SYSTEM, v), K, (1.0, "k")),
+]
+
+# names of blowuplab.__all__ that take an argument and are in no table
 EXEMPT = {
     # results the library builds and hands back
     "Trajectory", "BlowUpEvent", "PathResult", "EnsembleStats", "ErgodicityReport",
     "MaskingPoint", "ConvergenceVerdict", "BarometerReport", "PhasePlan", "SystemSpec",
     # holds the drift and diffusion; one that fails is a FieldEvaluationError when called
     "StochasticModel",
-    # source text and trees, whose failures are DslSyntaxError
-    "parse", "pretty_print",
 }
 
 
@@ -292,7 +341,7 @@ def test_a_valid_array_passes(row):
 
 
 def test_every_entry_point_is_in_a_table_or_exempt():
-    covered = {row.name.split(".")[0] for row in ROWS + ARRAY_ROWS}
+    covered = {row.name.split(".")[0] for row in ROWS + ARRAY_ROWS + OBJECT_ROWS}
     unchecked = []
     for name in blowuplab.__all__:
         obj = getattr(blowuplab, name)
@@ -302,6 +351,15 @@ def test_every_entry_point_is_in_a_table_or_exempt():
             unchecked.append(name)
     assert not unchecked, f"add rows for {unchecked} or exempt them"
     assert not EXEMPT & covered
+
+
+@pytest.mark.parametrize("row", OBJECT_ROWS, ids=[row.name for row in OBJECT_ROWS])
+def test_a_malformed_object_raises_domain_error(row):
+    row.call(row.valid)
+    for value in row.malformed:
+        with pytest.raises(DomainError) as info:
+            row.call(value)
+        assert type(info.value) is DomainError, value
 
 
 def malformed(row: Row):
@@ -390,6 +448,24 @@ class TestArrayRegressions:
         with pytest.raises(DomainError, match=r"^parameter 'k' must be a real number, got 'x'$"):
             evaluate(parse("k*2"), {"k": "x"})
 
+    def test_the_drift_of_ergodic_drift_checks_its_level(self):
+        drift = ergodic_drift(lambda a: a, 0.1)
+        assert drift(2.0) == pytest.approx(0.1 * 2.0 + 0.5 * 2.0)
+        for level in ("abc", None, ["a"], [1.0, math.nan]):
+            with pytest.raises(DomainError) as info:
+                drift(level)
+            assert type(info.value) is DomainError
+
+    def test_pathwise_growth_slope_checks_a_caller_built_path(self):
+        good = em_path(MODEL, 1.0, 0.01, 0.2, seed=0)
+        for times, values in [(good.times.astype(str), good.values),
+                              (good.times, good.values.astype(str)),
+                              (good.times, -good.values),
+                              (good.times[:-1], good.values)]:
+            with pytest.raises(DomainError) as info:
+                pathwise_growth_slope(dataclasses.replace(good, times=times, values=values))
+            assert type(info.value) is DomainError
+
     def test_a_float64_array_comes_back_as_itself(self):
         assert check_array("times", TIMES) is TIMES
         assert check_array("levels", [1, 2]).dtype == np.float64
@@ -408,8 +484,9 @@ class TestModelFailures:
         (GOOD.drift, lambda a: np.ones(3)),
         (lambda a: "x", GOOD.diffusion),
         (lambda a: None, GOOD.diffusion),
-        # right on the grid, wrong at the scalar levels of the quadrature
-        (GOOD.drift, lambda a: GOOD.diffusion(a) if np.ndim(a) else [a, a]),
+        # right on the 100-level probe grid, wrong or zero at the quadrature's nodes
+        (GOOD.drift, lambda a: MODEL.diffusion(a) if np.size(a) <= 100 else a[:1]),
+        (GOOD.drift, lambda a: MODEL.diffusion(a) * (np.size(a) <= 100)),
     ])
     def test_ergodicity_check_reports_a_failing_model(self, drift, diffusion):
         model = StochasticModel(drift=drift, diffusion=diffusion, label="faulty")

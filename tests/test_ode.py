@@ -18,6 +18,7 @@ from blowuplab import (
     powerlaw_blowup_time,
     powerlaw_solution,
 )
+from blowuplab.ode import gauss_kronrod
 
 
 def scalar_field(fn):
@@ -303,3 +304,52 @@ class TestMultiplicative:
         for coeffs, state0, horizon in cases:
             trail = integrate_multiplicative(list(coeffs), list(state0), horizon)
             assert trail.blowup is not None
+
+
+class TestGaussKronrod:
+    """The quadrature behind the classifier's ladder and the ergodicity transform."""
+
+    # (integrand, closed-form integral over [a, a + length]) for a shape s
+    INTEGRANDS = {
+        "power": (lambda s: lambda x: x ** s,
+                  lambda s, a, length: a ** (s + 1) * math.expm1((s + 1) * math.log1p(length / a))
+                  / (s + 1)),
+        "exp": (lambda s: lambda x: np.exp(s * x),
+                lambda s, a, length: math.exp(s * a) * math.expm1(s * length) / s),
+        "inverse-square": (lambda s: lambda x: 1.0 / (x * x),
+                           lambda s, a, length: length / (a * (a + length))),
+    }
+
+    @given(kind=st.sampled_from(sorted(INTEGRANDS)),
+           shape=st.floats(-3.0, 3.0).filter(lambda s: abs(s) > 0.01 and abs(s + 1.0) > 0.01),
+           start=st.floats(0.1, 10.0),
+           lengths=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5))
+    def test_closed_forms_to_rtol(self, kind, shape, start, lengths):
+        integrand, exact = self.INTEGRANDS[kind]
+        edges = start + np.concatenate(([0.0], np.cumsum(lengths)))
+        result = gauss_kronrod(integrand(shape), edges, 1e-10)
+        assert result.shape == (len(lengths),)
+        for a, b, value in zip(edges[:-1], edges[1:], result):
+            assert value == pytest.approx(exact(shape, a, b - a), rel=1e-10)
+        reverse = gauss_kronrod(integrand(shape), edges[::-1], 1e-10)
+        np.testing.assert_allclose(reverse, -result[::-1], rtol=1e-10)
+
+    def test_an_integrand_that_never_converges_stops_at_200_pieces(self):
+        rng = np.random.default_rng(0)
+        nodes = []
+
+        def noise(x):
+            nodes.append(len(x))
+            return rng.random(len(x))
+
+        result = gauss_kronrod(noise, [0.0, 1.0, 2.0], 1e-10)
+        assert np.all(np.isfinite(result))
+        # per interval: one piece, then at most 199 bisections into two new pieces
+        assert 2 * 21 * 100 < sum(nodes) <= 2 * 21 * (1 + 2 * 199)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_node_value_gives_a_non_finite_segment(self, bad):
+        first, second = gauss_kronrod(lambda x: np.where(x > 1.0, bad, 1.0), [0.0, 1.0, 2.0],
+                                      1e-10)
+        assert first == pytest.approx(1.0, rel=1e-14)
+        assert not math.isfinite(second)
