@@ -44,7 +44,7 @@ from . import dsl
 from .closedform import calibrate_k
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
                      check_instance, check_integer, check_real)
-from .ode import BlowUpEvent, VectorField, estimate_blowup_time, gauss_kronrod, integrate
+from .ode import BlowUpEvent, VectorField, estimate_blowup_time, fit_line, gauss_kronrod, integrate
 
 __all__ = [
     "FINITE_TIME",
@@ -229,11 +229,9 @@ def _fit_decay_order(increments: Sequence[float]) -> float:
     count = len(increments)
     take = max(6, min(16, count // 2))
     idx = np.arange(count - take + 1, count + 1, dtype=float)
-    vals = np.array(increments[-take:])
-    lx = np.log(idx)
-    ly = np.log(vals)
-    lxc = lx - lx.mean()
-    return -float(lxc @ (ly - ly.mean())) / float(lxc @ lxc)
+    # distinct rung indices: the fit always exists
+    slope, _, _ = fit_line(np.log(idx), np.log(np.array(increments[-take:])))
+    return -slope
 
 
 def _quadrature_method(rate, A0: float) -> MethodReading:
@@ -343,10 +341,9 @@ def _exponent_method(rate, A0: float) -> MethodReading:
                              {"reason": "rate not evaluable on the probe grid"})
     levels = np.array([lvl for lvl, _ in points])
     p = np.array([pv for _, pv in points])
-    x = 1.0 / np.log(levels)
-    xc = x - x.mean()
-    slope = float(xc @ (p - p.mean())) / float(xc @ xc)
-    intercept = float(p.mean() - 1.0 - slope * x.mean())
+    # distinct probe levels: the fit always exists
+    slope, x_mean, p_mean = fit_line(1.0 / np.log(levels), p)
+    intercept = p_mean - 1.0 - slope * x_mean
     p_limit = 1.0 + intercept
 
     details = {

@@ -176,7 +176,7 @@ def cmd_solve(args) -> int:
 
 
 def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
-    spec = dsl.parse_system(_MODELS[args.model][3])
+    spec = dsl.parse(_MODELS[args.model][3])
     if args.model == "exponential":
         # the calibrated rate: k, or k from R, times I (default 1)
         scenario = closedform.ScenarioParams(k=args.k, I=args.I, R=args.R)

@@ -61,8 +61,6 @@ __all__ = [
     "Expr",
     "SystemSpec",
     "parse",
-    "parse_expression",
-    "parse_system",
     "evaluate",
     "pretty_print",
     "free_names",
@@ -299,19 +297,6 @@ class _Parser:
     def end(self) -> None:
         if self.current.kind != "END":
             raise self.fail("unparsed input after expression")
-
-
-def parse_expression(source: str) -> Expr:
-    """Parse a single expression (no ``d<var> =`` prefix)."""
-    parser = _Parser(source)
-    node = parser.expr()
-    parser.end()
-    return node
-
-
-def parse_system(source: str) -> SystemSpec:
-    """Parse one or more semicolon-separated equations."""
-    return _Parser(source).system()
 
 
 def parse(source: str) -> Expr | SystemSpec:

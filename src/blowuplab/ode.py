@@ -27,9 +27,12 @@ Step-size underflow without a threshold crossing raises
 the wrong shape, or returns a non-finite derivative at a valid state
 raises :class:`~blowuplab.errors.FieldEvaluationError`.
 
-:func:`gauss_kronrod` is the package's quadrature: QUADPACK's 21-point
-rule on many intervals at once, for the classifier's ladder and the
-ergodicity transform.
+The package's shared numerics live here too.  :func:`gauss_kronrod`
+is its quadrature: QUADPACK's 21-point rule on many intervals at once,
+for the classifier's ladder and the ergodicity transform.
+:func:`fit_line` is its least-squares line, for the tail extrapolation
+above, the classifier's decay order and tail exponent, and the
+pathwise growth slope.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class VectorField:
     """An autonomous first-order system ``dy/dt = rate(y)``.
 
     ``rate`` maps a state vector of length ``dimension`` to the vector
-    of derivatives.  ``names`` labels the components for output; it is
-    padded to ``x1, x2, ...`` when not given.
+    of derivatives.  ``names``, a tuple of str, labels the components
+    for output; it is padded to ``x1, x2, ...`` when not given.
     """
 
     dimension: int
@@ -106,6 +109,9 @@ class VectorField:
 
     def __post_init__(self) -> None:
         check_integer("dimension", self.dimension, at_least=1)
+        check_instance("names", self.names, tuple, "a tuple of str")
+        for name in self.names:
+            check_instance("names entry", name, str, "a str")
         if self.names and len(self.names) != self.dimension:
             raise DomainError(
                 f"got {len(self.names)} names for dimension {self.dimension}"
@@ -507,10 +513,13 @@ def _tail_asymptote(tail, y: list) -> float | None:
     """Extrapolate the blow-up time from the recent trajectory tail.
 
     Takes the largest component of ``y`` and the tail samples within
-    four (failing that, eight) decades below its peak; fits the local
-    rate exponent ``p`` as the least-squares slope of ln(rate) against
-    ln(level); then fits ``A**(1-p)`` linearly in t and returns its
-    root.  For an exact power-law blow-up the transform is exactly
+    one decade below its peak, failing that two, four, then eight; fits
+    the local rate exponent ``p`` as the least-squares slope of
+    ln(rate) against ln(level); then fits ``A**(1-p)`` linearly in t
+    and returns its root.  The narrowest window that holds five usable
+    samples keeps the fit in the asymptotic regime: in a coupled
+    system the offsets between components bend the exponent at low
+    levels.  For an exact power-law blow-up the transform is exactly
     linear and hits zero at the asymptote.  Returns ``None`` when no
     window holds five usable samples, when ``p`` is at fit-noise level
     above 1 (there the reciprocal transform degenerates; log-corrected
@@ -519,35 +528,27 @@ def _tail_asymptote(tail, y: list) -> float | None:
     """
     component = int(np.argmax(y))
     peak = float(y[component])
-    for span in (1e4, 1e8):
+    for span in (1e1, 1e2, 1e4, 1e8):
         lo = peak / span
         points = [(t, s[component], f[component]) for t, s, f in tail
                   if lo <= s[component] <= peak and f[component] > 0.0]
         if len(points) < 5:
             continue
-        log_v = np.log([v for _, v, _ in points])
-        log_r = np.log([r for _, _, r in points])
-        vc = log_v - log_v.mean()
-        denom = float(vc @ vc)
-        if denom > 0.0:
+        exponent = fit_line(np.log([v for _, v, _ in points]),
+                            np.log([r for _, _, r in points]))
+        if exponent is not None:
             break
     else:
         return None
-    p = float(vc @ (log_r - log_r.mean())) / denom
+    p = exponent[0]
     if p <= 1.001:
         return None
-    t = np.array([pt[0] for pt in points])
-    w = np.array([pt[1] for pt in points]) ** (1.0 - p)
-    t_ref = t.mean()
-    tc = t - t_ref
-    denom = float(tc @ tc)
-    if denom <= 0.0:
+    line = fit_line(np.array([pt[0] for pt in points]),
+                    np.array([pt[1] for pt in points]) ** (1.0 - p))
+    if line is None or line[0] >= 0.0:
         return None
-    slope = float(tc @ (w - w.mean())) / denom
-    if slope >= 0.0:
-        return None
-    intercept = float(w.mean())
-    return t_ref - intercept / slope
+    slope, t_mean, w_mean = line
+    return t_mean - w_mean / slope
 
 
 def estimate_blowup_time(field: VectorField, state0, t_end: float,
@@ -647,7 +648,7 @@ def integrate_multiplicative(coeffs: Sequence[float], state0, t_end: float,
 
 
 # --------------------------------------------------------------------------
-# quadrature
+# quadrature and line fit
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21, Piessens et al. 1983):
 # its nodes c +- h*x on an interval with centre c and half-width h, and
@@ -758,3 +759,20 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], edges, rtol: float,
             owner = np.concatenate((owner, owner))
             value, excess, values = _kronrod21(f, lo, hi)
             error, floor = _dqk21_error(value, excess, values, lo, hi)
+
+
+def fit_line(x, y) -> tuple[float, float, float] | None:
+    """Least-squares line through the points ``(x[i], y[i])``.
+
+    Returns ``(slope, mean of x, mean of y)``, the line passing through
+    the two means, or ``None`` when ``x`` has no spread.  ``x`` and
+    ``y`` are equally long 1-d float arrays, as the package's callers
+    pass them.
+    """
+    x_mean = x.mean()
+    xc = x - x_mean
+    denom = float(xc @ xc)
+    if not denom > 0.0:
+        return None
+    y_mean = y.mean()
+    return float(xc @ (y - y_mean)) / denom, float(x_mean), float(y_mean)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
                      check_instance, check_integer, check_real)
-from .ode import DEFAULT_BLOWUP_THRESHOLD, gauss_kronrod
+from .ode import DEFAULT_BLOWUP_THRESHOLD, fit_line, gauss_kronrod
 
 __all__ = [
     "StochasticModel",
@@ -576,13 +576,10 @@ def pathwise_growth_slope(path: PathResult) -> float:
             f"got {len(times)}"
         )
     shift = 0.5 * (float(times[0]) + float(times[-1]))
-    ts = times - shift
-    y = np.log(values)
-    tc = ts - ts.mean()
-    denom = float(tc @ tc)
-    if denom <= 0.0:
+    line = fit_line(times - shift, np.log(values))
+    if line is None:
         raise InsufficientDataError("time grid is degenerate")
-    return float(tc @ (y - y.mean())) / denom
+    return line[0]
 
 
 def gbm_model(k: float, I: float, sigma: float) -> StochasticModel:

@@ -268,6 +268,8 @@ K = {"k": 2.0}
 
 OBJECT_ROWS = [
     # ode
+    ObjectRow("VectorField.names", lambda v: VectorField(1, FIELD.rate, names=v), ("A",),
+              (1, "A", (1,))),
     ObjectRow("integrate.field", lambda v: integrate(v, [1.0], 1.0), FIELD,
               (None, "dA = A", SYSTEM)),
     ObjectRow("integrate.opts", lambda v: integrate(FIELD, [1.0], 1.0, v), IntegrationOptions(),
