@@ -32,6 +32,7 @@ not.
 from __future__ import annotations
 
 import math
+import mmap
 import reprlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,6 +66,9 @@ _DRAW_BUDGET = 1 << 21
 # larger batches run in several passes, so a block keeps at least
 # _DRAW_BUDGET // _PASS_STREAMS rows and few generators are alive at once
 _PASS_STREAMS = 4096
+# the draw buffer is private anonymous memory (on Windows, whatever
+# mmap.mmap(-1, ...) maps)
+_MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 _MIN_SLOPE_SAMPLES = 10
 # relative step of the central difference for b'(A), and the largest
 # relative spread of the transformed drift that still counts as constant
@@ -369,8 +373,13 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
         series[:, 0] = A0
         first_rec = min(record_stride, n_steps)
 
-    # one buffer holds the draws of every block in turn
-    buffer = np.empty(max(_DRAW_BUDGET, width * n_seeds))
+    # one buffer holds the draws of every block in turn.  It is mapped
+    # rather than taken from the heap, so its pages go back to the system
+    # when the call returns: a freed heap block this size stays with the
+    # allocator, and whether the next call reuses it or grows the heap
+    # depends on the small arrays placed around it, so peak memory moved
+    # by a whole buffer between identical runs.
+    buffer = np.frombuffer(mmap.mmap(-1, 8 * max(_DRAW_BUDGET, width * n_seeds), **_MAP_FLAGS))
     with np.errstate(all="ignore"):
         for first in range(0, max(sizes), width):
             # paths first..first+width-1 of each spec that has them
