@@ -225,7 +225,14 @@ def _try_step(rate: Callable, y: list, f0: list, h: float):
     and then ``+ a_ij*k_j`` for the nonzero ``a_ij`` in stage order,
     and checked to be finite before the rate function, the only code
     that sees an ndarray, gets it as a fresh ``float64`` array; the
-    derivatives come back as a list and are checked too.
+    derivatives come back as a list and are checked too.  A stage state
+    that is not finite is summed again as ``y + (h*c0)*k0 + (h*a_ij)*k_j
+    + ...``: with derivatives near the top of the float range an
+    unscaled sum such as ``-25360/2187*k`` overflows although the step
+    does not.  Finite sums keep the first order.  The error estimate is
+    not summed again: its weights add up to 0.16 in absolute value, so
+    its unscaled sum stays finite, and where ``h`` times it overflows a
+    sum with ``h`` folded in would too.
 
     Returns ``(y_new, f_new, err)`` as new lists, or ``None`` when any
     stage went non-finite (the caller treats that as a failed step and
@@ -242,7 +249,14 @@ def _try_step(rate: Callable, y: list, f0: list, h: float):
                 increment += a_ij * k_m[j]
             y_stage.append(y_m + h * increment)
         if not _all_finite(y_stage):
-            return None
+            y_stage = []
+            for y_m, k_m in zip(y, zip(*k)):
+                increment = (h * c0) * k_m[0]
+                for a_ij, j in terms:
+                    increment += (h * a_ij) * k_m[j]
+                y_stage.append(y_m + increment)
+            if not _all_finite(y_stage):
+                return None
         f_stage = _call_rate(rate, np.array(y_stage), dim).tolist()
         if not _all_finite(f_stage):
             return None

@@ -5,6 +5,7 @@ verbose run reads as a checklist.  Tolerances and runtime budgets are
 part of the contract and are asserted, not just reported.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -171,6 +172,14 @@ def test_criterion_06_stochastic_dispersion():
                             dt=0.01, t_end=200.0, n_paths=1000,
                             master_seed=42)
         stats = run_ensemble(spec, workers=4)
+    # the paths themselves, pinned: 27 exploded, 971 absorbed and 2
+    # survived.  The slopes are left out, because np.log may round
+    # differently on another CPU; the kernel oracle tests cover them.
+    digest = hashlib.sha256()
+    for values in (stats.outcomes.astype("U8"), stats.event_times, stats.final_levels):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == \
+        "38f63e77ab75dc3d7c079adfbee6f855f639e590c82c8eb79c780b9780e4427c"
     assert 0.0 < stats.exploded_fraction < 1.0
     iqr = stats.quantiles[75] - stats.quantiles[25]
     assert iqr >= 5.0

@@ -164,6 +164,12 @@ MODELS = {
 }
 
 
+# the batch kernel steps a pass on arrays while it has more than
+# sde._FEW_LANES live lanes and on Python floats after that: 0 keeps every
+# step on arrays and 10**6 puts every step on floats
+FEW_LANES = [0, sde._FEW_LANES, 10 ** 6]
+
+
 class TestBatchMatchesMaskedLockstep:
     @settings(max_examples=40)
     @given(model=st.one_of(*MODELS.values()),
@@ -171,13 +177,15 @@ class TestBatchMatchesMaskedLockstep:
            master_seed=st.integers(0, 2 ** 32 - 1),
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
            block=st.sampled_from([7, 64, 4096]),
+           few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
-    def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block,
+    def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block, few,
                      record_points):
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                             n_paths=n_paths, master_seed=master_seed,
                             threshold=threshold)
-        with mock.patch.object(sde, "_BLOCK_STEPS", block):
+        with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_FEW_LANES", few):
             expected = oracle_batch(spec, record_points)
             got = simulate_batches([spec], record_points)[0]
         assert_batches_identical(expected, got)
@@ -191,19 +199,42 @@ class TestBatchMatchesMaskedLockstep:
            block=st.sampled_from([7, 4096]),
            budget=st.sampled_from([5, 1 << 21]),
            width=st.sampled_from([3, 4096]),
+           few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
-    def test_bitwise_multi_spec(self, members, steps, threshold, block, budget, width,
+    def test_bitwise_multi_spec(self, members, steps, threshold, block, budget, width, few,
                                 record_points):
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                               n_paths=n_paths, master_seed=seed, threshold=threshold)
                  for model, n_paths, seed in members]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
                 mock.patch.object(sde, "_DRAW_BUDGET", budget), \
-                mock.patch.object(sde, "_PASS_STREAMS", width):
+                mock.patch.object(sde, "_PASS_STREAMS", width), \
+                mock.patch.object(sde, "_FEW_LANES", few):
             expected = [oracle_batch(spec, record_points) for spec in specs]
             got = simulate_batches(specs, record_points=record_points)
         for want, have in zip(expected, got, strict=True):
             assert_batches_identical(want, have)
+
+    def test_a_pass_leaves_the_array_step_within_a_block(self):
+        # 40 lanes of three specs on one master seed, so they share streams,
+        # and one model returns one number: lanes end on arrays until at
+        # most sde._FEW_LANES are left, then on floats, all in one block
+        constant = StochasticModel(drift=lambda a: -1.0, diffusion=lambda a: 0.5,
+                                   label="constant")
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=3.0, n_paths=n_paths,
+                              master_seed=5)
+                 for model, n_paths in ((absorbing_model(2.0), 14),
+                                        (absorbing_model(1.0), 13), (constant, 13))]
+        got = simulate_batches(specs, 60)
+        for spec, batch in zip(specs, got):
+            assert_batches_identical(oracle_batch(spec, 60), batch)
+        ends = [np.where(batch.survived, np.inf, batch.event_times) for batch in got]
+        switch = np.sort(np.concatenate(ends))[40 - sde._FEW_LANES - 1]
+        assert 0.0 < switch < 3.0 and sde._BLOCK_STEPS >= 300
+        # every spec still has live lanes after the switch, one survives
+        assert all((end > switch).any() for end in ends)
+        assert got[2].absorbed[ends[2] > switch].all()
+        assert sum(batch.survived.sum() for batch in got) == 1
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_model_reaches_its_ending(self, name):

@@ -139,19 +139,22 @@ class TestSimulateBatch:
            block=st.sampled_from([3, 64, 4096]),
            budget=st.sampled_from([1, 4, 17, 1 << 21]),
            width=st.sampled_from([1, 2, 5, 4096]),
+           few=st.sampled_from([0, sde._FEW_LANES, 10 ** 6]),
            record_points=st.one_of(st.none(), st.integers(1, 150)))
     def test_rows_do_not_depend_on_the_batch_around_them(
-            self, members, steps, threshold, block, budget, width, record_points):
+            self, members, steps, threshold, block, budget, width, few, record_points):
         # common master seeds make lanes share streams, which each block
         # draws once; small blocks and budgets split the draws differently,
-        # and a small pass width steps the path indices in several passes
+        # a small pass width steps the path indices in several passes, and
+        # the lane count at which a pass leaves the array step varies
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                               n_paths=n_paths, master_seed=seed, threshold=threshold)
                  for model, n_paths, seed in members]
         alone = [simulate_batches([spec], record_points)[0] for spec in specs]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
                 mock.patch.object(sde, "_DRAW_BUDGET", budget), \
-                mock.patch.object(sde, "_PASS_STREAMS", width):
+                mock.patch.object(sde, "_PASS_STREAMS", width), \
+                mock.patch.object(sde, "_FEW_LANES", few):
             together = simulate_batches(specs, record_points=record_points)
         assert len(together) == len(specs)
         for reference, batch in zip(alone, together):

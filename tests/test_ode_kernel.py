@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from blowuplab import (
     FieldEvaluationError,
     IntegrationOptions,
-    StiffnessError,
     VectorField,
     dsl,
     estimate_blowup_time,
@@ -208,14 +207,23 @@ class TestStageSafety:
 
     def test_overflowing_stage_states_never_reach_the_rate(self):
         # once the derivative 2*y passes 1.55e307, a stage increment
-        # such as -25360/2187 * k overflows whatever the step size, so
-        # every trial step fails and the integrator stalls; the
-        # infinite stage states stay inside the kernel
+        # such as -25360/2187 * k overflows before h scales it down; the
+        # kernel sums such a stage again with h folded in, so the path
+        # reaches a threshold just below the top of the float range
         rate, seen = self.recording(lambda y: 2.0 * y)
-        with pytest.raises(StiffnessError):
+        event = integrate(VectorField(1, rate), [1e300], 30.0,
+                          IntegrationOptions(blowup_threshold=5e307)).blowup
+        # y = 1e300 * exp(2t) reaches 5e307 at t = 8.8638
+        assert event.t_low < 8.8638 < event.t_high
+        assert event.t_high - event.t_low < 0.01
+        assert max(float(y[0]) for y in seen) > 1.55e307
+        assert all(np.all(np.isfinite(y)) for y in seen)
+        # 2*y itself overflows at 8.99e307, below a threshold of 1e308
+        seen.clear()
+        with pytest.raises(FieldEvaluationError, match="left the representable range"):
             integrate(VectorField(1, rate), [1e300], 30.0,
                       IntegrationOptions(blowup_threshold=1e308))
-        assert max(float(y[0]) for y in seen) > 8e306
+        assert max(float(y[0]) for y in seen) > 8e307
         assert all(np.all(np.isfinite(y)) for y in seen)
 
     def test_log_overshoot_is_a_field_error_showing_the_array(self):
