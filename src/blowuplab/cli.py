@@ -58,6 +58,15 @@ def _jsonable(value):
     return value
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") \
+            from None
+
+
 def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True)
 
@@ -196,10 +205,7 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
 
 
 def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
-    source = args.dsl
-    if args.dsl_file is not None:
-        with open(args.dsl_file) as fh:
-            source = fh.read()
+    source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
     parsed = dsl.parse(source)
     if not isinstance(parsed, dsl.SystemSpec):
         parsed = dsl.SystemSpec(equations=(("A", parsed),))
@@ -323,10 +329,7 @@ def cmd_classify(args) -> int:
     sources = [args.dsl is not None, args.dsl_file is not None]
     if sum(sources) != 1:
         parser.error("exactly one of --dsl, --dsl-file is required")
-    source = args.dsl
-    if args.dsl_file is not None:
-        with open(args.dsl_file) as fh:
-            source = fh.read()
+    source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
     params = _parse_bindings(args.param, parser, "--param")
     verdict = analysis.classify_growth_law(source, A0=args.A0, parameters=params)
     payload = {
@@ -379,39 +382,38 @@ def cmd_compose(args) -> int:
 
 
 def _read_series(path: str, time_col: str, value_col: str | None):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise DomainError(f"{path!r} is empty")
-        columns = [c.strip() for c in header.split(",")]
-        if time_col not in columns:
-            raise DomainError(f"column {time_col!r} not found in {path!r}")
-        t_idx = columns.index(time_col)
-        if value_col is None:
-            candidates = [i for i in range(len(columns)) if i != t_idx]
-            if not candidates:
-                raise DomainError(f"{path!r} has no value column")
-            v_idx = candidates[0]
-            value_col = columns[v_idx]
-        elif value_col in columns:
-            v_idx = columns.index(value_col)
-        else:
-            raise DomainError(f"column {value_col!r} not found in {path!r}")
-        times = []
-        values = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                times.append(float(cells[t_idx]))
-                values.append(float(cells[v_idx]))
-            except (ValueError, IndexError):
-                raise DomainError(
-                    f"{path!r} line {line_no}: cannot read columns "
-                    f"{time_col!r}/{value_col!r}"
-                ) from None
+    header, *rows = _read_text(path).split("\n")
+    if not header.strip():
+        raise DomainError(f"{path!r} is empty")
+    columns = [c.strip() for c in header.split(",")]
+    if time_col not in columns:
+        raise DomainError(f"column {time_col!r} not found in {path!r}")
+    t_idx = columns.index(time_col)
+    if value_col is None:
+        candidates = [i for i in range(len(columns)) if i != t_idx]
+        if not candidates:
+            raise DomainError(f"{path!r} has no value column")
+        v_idx = candidates[0]
+        value_col = columns[v_idx]
+    elif value_col in columns:
+        v_idx = columns.index(value_col)
+    else:
+        raise DomainError(f"column {value_col!r} not found in {path!r}")
+    times = []
+    values = []
+    for line_no, line in enumerate(rows, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            times.append(float(cells[t_idx]))
+            values.append(float(cells[v_idx]))
+        except (ValueError, IndexError):
+            raise DomainError(
+                f"{path!r} line {line_no}: cannot read columns "
+                f"{time_col!r}/{value_col!r}"
+            ) from None
     if not times:
         raise InsufficientDataError(f"{path!r} contains no data rows")
     return np.array(times), np.array(values), value_col
@@ -585,13 +587,19 @@ def build_parser() -> argparse.ArgumentParser:
                           help="blow-up bracket tolerance (default: adaptive)")
     simulate.set_defaults(handler=cmd_simulate)
 
-    ens = subs.add_parser("ensemble", help="Monte Carlo ensemble statistics")
+    ens = subs.add_parser(
+        "ensemble", help="Euler-Maruyama ensemble statistics; outcomes depend on --dt",
+        description="Euler-Maruyama ensemble statistics.  'Exploded' and 'absorbed' "
+                    "are outcomes of the Euler-Maruyama scheme and depend on --dt: the "
+                    "continuous hyperbolic-sde model neither explodes nor reaches zero.")
     ens.add_argument("--model", required=True, choices=tuple(_SDE_MODELS))
     ens.add_argument("--k", type=float, help="growth coefficient")
     ens.add_argument("--I", type=float, help="driver capability ratio (gbm)")
     ens.add_argument("--sigma", type=float, help="volatility coefficient")
     ens.add_argument("--A0", type=float, default=1.0)
-    ens.add_argument("--dt", type=float, default=0.01)
+    ens.add_argument("--dt", type=float, default=0.01,
+                     help="Euler-Maruyama step (default: 0.01); the exploded and "
+                          "absorbed fractions depend on it")
     ens.add_argument("--periods", "--t-max", dest="t_max", type=float,
                      default=200.0, help="simulated horizon (default: 200)")
     ens.add_argument("--paths", type=int, default=1000)

@@ -39,7 +39,6 @@ import math
 import mmap
 import reprlib
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -356,16 +355,19 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     one contiguous slice: each model is called once per step on its own
     live levels, and a lane that ends is dropped from the state arrays.
 
-    Once a pass holds at most ``_FEW_LANES`` live lanes, at its start or
-    when lanes end, it takes the few-lane step, since most of an array
-    step on a few lanes is numpy's fixed cost per call: the models still
-    run on a ``float64`` array of the live levels, while the update, the
-    termination test and the bookkeeping run on Python floats in the
-    same order, which rounds exactly as numpy does.  The slope terms of
-    these steps are added when a lane ends or the block does, for all
-    the steps since at once but summed in step order.  On a 2-vCPU
+    A block is one loop over its steps.  Each step has one of two update
+    bodies, chosen by the live-lane count: numpy arrays while the pass
+    has more than ``_FEW_LANES`` live lanes, Python floats once it has
+    at most that many, at the start of a block or when lanes end, since
+    most of an array step on a few lanes is numpy's fixed cost per
+    call.  On floats the models still run on a ``float64`` array of the
+    live levels, while the update and the termination test run in the
+    same order as on arrays, which rounds exactly as numpy does, and
+    the slope terms are added when a lane ends or the block does, for
+    all the steps since at once but summed in step order.  Lanes end,
+    and levels are recorded, in code the two bodies share.  On a 2-vCPU
     Intel Xeon virtual machine a step on two lanes takes about 6
-    microseconds this way, against 10 to 17 on arrays.
+    microseconds on floats, against 10 to 17 on arrays.
     """
     given, specs = specs, list(specs) if np.iterable(specs) else []
     if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
@@ -449,26 +451,57 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                 cols = np.searchsorted(live_streams, stream[lanes])
                 if np.array_equal(cols, np.arange(lanes.size)):
                     cols = None  # every lane reads its own column, in order
-                start = step  # the step of the block's first row
-                # on arrays while the pass has more than _FEW_LANES live lanes
-                for z in draws if lanes.size > _FEW_LANES else ():
-                    y = np.log(a)
-                    y_run += y
-                    ty_run += y * (step * dt - t_shift)
-                    if len(slices) == 1:
-                        # no assembly: about 10% of ensemble-lockstep's time
-                        # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
-                        drift, diffusion = _evaluate(slices[0][0], a, step * dt)
-                    else:
-                        drift = np.empty(lanes.size)
-                        diffusion = np.empty(lanes.size)
+                # the update runs on arrays, or on Python floats once at most
+                # _FEW_LANES lanes are live.  On floats each step's levels fill
+                # a row of `seen`, whose slope terms are added when lanes end or
+                # the block does, and lane_draws holds the live lanes' columns
+                few = lanes.size <= _FEW_LANES
+                if few:
+                    a = a.tolist()
+                    lane_draws = draws if cols is None else draws[:, cols]
+                    seen = np.empty((block, lanes.size))
+                n_seen = 0
+                for row, z in enumerate(draws):
+                    if few:
+                        levels = seen[n_seen]
+                        levels[:] = a
+                        n_seen += 1
+                        drift, diffusion = [], []
                         for model, lo, hi in slices:
-                            drift[lo:hi], diffusion[lo:hi] = _evaluate(model, a[lo:hi],
-                                                                       step * dt)
-                    a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
+                            d, b = _evaluate(model, levels[lo:hi], step * dt)
+                            # a model that returns one number broadcasts it
+                            drift += d.tolist() if d.ndim else [d.tolist()] * (hi - lo)
+                            diffusion += b.tolist() if b.ndim else [b.tolist()] * (hi - lo)
+                        a_next = [x + d * dt + b * sqdt * w for x, d, b, w
+                                  in zip(a, drift, diffusion, lane_draws[row].tolist())]
+                        ok = [0.0 < x < threshold for x in a_next]
+                        ending = not all(ok)
+                    else:
+                        y = np.log(a)
+                        y_run += y
+                        ty_run += y * (step * dt - t_shift)
+                        if len(slices) == 1:
+                            # no assembly: about 10% of ensemble-lockstep's time
+                            # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
+                            drift, diffusion = _evaluate(slices[0][0], a, step * dt)
+                        else:
+                            drift = np.empty(lanes.size)
+                            diffusion = np.empty(lanes.size)
+                            for model, lo, hi in slices:
+                                drift[lo:hi], diffusion[lo:hi] = _evaluate(model, a[lo:hi],
+                                                                           step * dt)
+                        a_next = (a + drift * dt
+                                  + diffusion * sqdt * (z if cols is None else z[cols]))
+                        ok = (a_next > 0.0) & (a_next < threshold)
+                        ending = np.count_nonzero(ok) < lanes.size
                     step += 1
-                    ok = (a_next > 0.0) & (a_next < threshold)
-                    if np.count_nonzero(ok) < lanes.size:
+                    if ending:
+                        if n_seen:
+                            y_run, ty_run = _add_slope_terms(y_run, ty_run, seen[:n_seen],
+                                                             step - n_seen, dt, t_shift)
+                            n_seen = 0
+                        ok = np.asarray(ok)  # lists on floats
+                        a_next = np.asarray(a_next)
                         ended = ~ok
                         gone = lanes[ended]
                         level = a_next[ended]
@@ -486,78 +519,23 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         ty_run = ty_run[ok]
                         cols = np.flatnonzero(ok) if cols is None else cols[ok]
                         slices = _compact_slices(slices, ok)
-                        if lanes.size <= _FEW_LANES:
-                            a = a_next
+                        if not lanes.size:
                             break
+                        if lanes.size <= _FEW_LANES:  # switch to, or stay on, floats
+                            few = True
+                            a_next = a_next.tolist()
+                            lane_draws = draws[:, cols]
+                            seen = np.empty((block - row - 1, lanes.size))
                     a = a_next
                     if step == next_rec:
                         series[lanes, rec_pos] = a
                         rec_pos += 1
                         next_rec = min(next_rec + record_stride, n_steps)
-                if lanes.size > _FEW_LANES:
-                    continue  # the whole block ran on arrays
-                if not lanes.size:
-                    break
-                if step == next_rec:  # the step that left the array step, if one did
-                    series[lanes, rec_pos] = a
-                    rec_pos += 1
-                    next_rec = min(next_rec + record_stride, n_steps)
-                # the same step on Python floats for at most _FEW_LANES lanes,
-                # but for the models and ln.  Each step's levels fill a row of
-                # `seen`, and the slope sums take in those rows when a lane
-                # ends or the block does; lane_draws holds the live lanes'
-                # columns of the block's draws
-                a, lanes = a.tolist(), lanes.tolist()
-                lane_draws = draws if cols is None else draws[:, cols]
-                seen = np.empty((block - (step - start), len(a)))
-                n_seen = 0
-                for row in range(step - start, block):
-                    levels = seen[n_seen]
-                    levels[:] = a
-                    n_seen += 1
-                    drift, diffusion = [], []
-                    for model, lo, hi in slices:
-                        d, b = _evaluate(model, levels[lo:hi], step * dt)
-                        # a model that returns one number broadcasts it
-                        drift += d.tolist() if d.ndim else [d.tolist()] * (hi - lo)
-                        diffusion += b.tolist() if b.ndim else [b.tolist()] * (hi - lo)
-                    a_next = [x + d * dt + b * sqdt * z
-                              for x, d, b, z in zip(a, drift, diffusion, lane_draws[row].tolist())]
-                    step += 1
-                    ok = [0.0 < x < threshold for x in a_next]
-                    if not all(ok):
-                        y_run, ty_run = _add_slope_terms(y_run, ty_run, seen[:n_seen],
-                                                         step - n_seen, dt, t_shift)
-                        n_seen = 0
-                        for i, (lane, level, kept) in enumerate(zip(lanes, a_next, ok)):
-                            if kept:
-                                continue
-                            sunk = -math.inf < level <= 0.0  # nan and -inf explode
-                            outcomes[lane] = "absorbed" if sunk else "exploded"
-                            event_times[lane] = step * dt
-                            if math.isfinite(level) and not sunk:
-                                final_levels[lane] = level
-                            last[lane] = step - 1
-                            sy[lane] = y_run[i]
-                            sty[lane] = ty_run[i]
-                        lanes = list(compress(lanes, ok))
-                        a_next = list(compress(a_next, ok))
-                        y_run, ty_run = y_run[ok], ty_run[ok]
-                        if not lanes:
-                            break
-                        seen = np.empty((block - row - 1, len(lanes)))
-                        lane_draws = lane_draws[:, ok]
-                        slices = _compact_slices(slices, ok)
-                    a = a_next
-                    if step == next_rec:
-                        series[lanes, rec_pos] = a
-                        rec_pos += 1
-                        next_rec = min(next_rec + record_stride, n_steps)
-                else:
+                if n_seen:
                     y_run, ty_run = _add_slope_terms(y_run, ty_run, seen[:n_seen],
                                                      step - n_seen, dt, t_shift)
-                a = np.array(a)
-                lanes = np.array(lanes, dtype=np.intp)
+                if few:
+                    a = np.array(a)
             if lanes.size:
                 y = np.log(a)
                 y_run += y
@@ -625,7 +603,9 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     values = np.empty(len(rec_steps))
     values[0] = a = float(A0)
     n_rec = 1
-    next_rec = min(stride, n_steps)
+    # the step whose new level is recorded next; the level is stored in
+    # the try below, so a result that is not one number is caught there
+    rec_from = min(stride, n_steps) - 1
     step = 0
     end = None  # the level that ended the path
     with np.errstate(all="ignore"):
@@ -641,17 +621,17 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
                 try:
                     a_next = a + da * dt + db * sqdt * z
                     if not 0.0 < a_next < threshold:
-                        end = a_next
+                        end = float(a_next)
                         break
+                    if step == rec_from:
+                        values[n_rec] = a_next
+                        n_rec += 1
+                        rec_from = min(rec_from + stride, n_steps - 1)
                 except (TypeError, ValueError) as exc:
                     # a result that is not one number
                     raise _model_failure(model, step * dt, exc) from exc
                 step += 1
                 a = a_next
-                if step == next_rec:
-                    values[n_rec] = a
-                    n_rec += 1
-                    next_rec = min(next_rec + stride, n_steps)
 
     times = rec_steps[:n_rec] * dt
     if n_rec < len(values):

@@ -81,6 +81,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: number 1e999 is out of range")
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--dsl-file"),
+        ("simulate", "--init", "A=1", "--t-max", "1", "--dsl-file"),
+        ("barometer", "--csv"),
+    ])
+    def test_file_that_is_not_utf8_exits_3(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("t,A\n0,1\n1,2\n# \xe9\n".encode("latin-1"))
+        assert cli.main([*argv, str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: {str(path)!r} is not UTF-8 text: invalid continuation byte at byte 14\n"
+
     def test_classify_rejects_rate_vanishing_at_start(self, tmp_path):
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
         assert proc.returncode == 3

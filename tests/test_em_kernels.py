@@ -171,12 +171,14 @@ FEW_LANES = [0, sde._FEW_LANES, 10 ** 6]
 
 
 class TestBatchMatchesMaskedLockstep:
+    # more paths than sde._FEW_LANES let a pass switch from arrays to
+    # floats, and one-row blocks put a switch on a block's last row
     @settings(max_examples=40)
     @given(model=st.one_of(*MODELS.values()),
-           n_paths=st.integers(1, 12), steps=st.integers(1, 300),
+           n_paths=st.integers(1, 40), steps=st.integers(1, 300),
            master_seed=st.integers(0, 2 ** 32 - 1),
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
-           block=st.sampled_from([7, 64, 4096]),
+           block=st.sampled_from([1, 7, 64, 4096]),
            few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
     def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block, few,
@@ -359,6 +361,10 @@ class TestModelFailures:
         "array diffusion": (lambda a: 0.1 * a, lambda a: np.ones(4)),
         "none drift": (lambda a: None, lambda a: 0.1 * a),
     }
+    # a one-element array broadcasts to one number per level in the
+    # batch, but em_path needs one number
+    NOT_ONE_NUMBER = {**WRONG_SHAPES,
+                      "one-element drift": (lambda a: np.array([1.0]) * a, lambda a: 0.0 * a)}
 
     @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
     def test_batch_rejects_results_of_the_wrong_shape(self, case):
@@ -369,12 +375,14 @@ class TestModelFailures:
         with pytest.raises(FieldEvaluationError, match=r"'shapeless' .*t=0\.0"):
             run_ensemble(spec)
 
-    @pytest.mark.parametrize("case", sorted(WRONG_SHAPES))
+    @pytest.mark.parametrize("case", sorted(NOT_ONE_NUMBER))
     def test_em_path_rejects_results_that_are_not_one_number(self, case):
-        drift, diffusion = self.WRONG_SHAPES[case]
+        drift, diffusion = self.NOT_ONE_NUMBER[case]
         model = StochasticModel(drift=drift, diffusion=diffusion, label="shapeless")
-        with pytest.raises(FieldEvaluationError, match=r"'shapeless' .*t=0\.0"):
-            em_path(model, 1.0, 0.01, 1.0, seed=0)
+        # at 1.001 the first step ends the path before a level is recorded
+        for threshold in (1e9, 1.001):
+            with pytest.raises(FieldEvaluationError, match=r"'shapeless' .*t=0\.0"):
+                em_path(model, 1.0, 0.01, 1.0, seed=0, threshold=threshold)
 
     def test_em_path_reports_the_failing_step(self):
         # the drift pushes the level down until math.log leaves its
