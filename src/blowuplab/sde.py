@@ -76,6 +76,9 @@ _PASS_STREAMS = 4096
 # mmap.mmap(-1, ...) maps)
 _MAP_FLAGS = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 _MIN_SLOPE_SAMPLES = 10
+# the types of an em_path level, tested by type: numpy before 2.4 turns a
+# one-element array into a number with only a DeprecationWarning
+_ONE_NUMBER = (float, np.floating)
 # relative step of the central difference for b'(A), and the largest
 # relative spread of the transformed drift that still counts as constant
 _REL_DERIVATIVE_STEP = 1e-6
@@ -603,8 +606,8 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     values = np.empty(len(rec_steps))
     values[0] = a = float(A0)
     n_rec = 1
-    # the step whose new level is recorded next; the level is stored in
-    # the try below, so a result that is not one number is caught there
+    # the step whose new level is recorded next; the level is tested and
+    # stored in the try below, so a result that is not one number is caught
     rec_from = min(stride, n_steps) - 1
     step = 0
     end = None  # the level that ended the path
@@ -621,12 +624,18 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
                 try:
                     a_next = a + da * dt + db * sqdt * z
                     if not 0.0 < a_next < threshold:
+                        if not isinstance(a_next, _ONE_NUMBER):
+                            raise TypeError(f"level is not one number: {a_next!r}")
                         end = float(a_next)
                         break
                     if step == rec_from:
+                        if not isinstance(a_next, _ONE_NUMBER):
+                            raise TypeError(f"level is not one number: {a_next!r}")
                         values[n_rec] = a_next
                         n_rec += 1
-                        rec_from = min(rec_from + stride, n_steps - 1)
+                        rec_from += stride
+                        if rec_from >= n_steps:  # the horizon is recorded too
+                            rec_from = n_steps - 1
                 except (TypeError, ValueError) as exc:
                     # a result that is not one number
                     raise _model_failure(model, step * dt, exc) from exc
