@@ -9,7 +9,6 @@ numbers here come from the closed-form module; nothing is integrated.
 import math
 
 from blowuplab import (
-    ScenarioParams,
     calibrate_k,
     exp_phase_solution,
     hyperbolic_blowup_time,
@@ -37,11 +36,10 @@ def main() -> None:
     print(f"total time to the singularity: t_s = t1 + t2 = {t_s:.4f}")
     print()
 
-    params = ScenarioParams(c=1.0, R=R, I=I)
-    print("phase 1 checkpoints (A = c * R**t):")
+    print("phase 1 checkpoints (A = R**t):")
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         t = frac * t1
-        print(f"  t = {t:7.3f}   A = {exp_phase_solution(params, t):10.3f}")
+        print(f"  t = {t:7.3f}   A = {exp_phase_solution(k, I, t):10.3f}")
     print()
 
     print("phase 2 checkpoints (A = I / (1 - k*I*t), clock restarted):")

@@ -46,9 +46,8 @@ def main() -> None:
     print()
 
     print("the same works for systems written in the little equation language:")
-    spec = parse("dY = k1*Y*A; dA = k2*Y*A").bind(
-        parameters={"k1": 0.05, "k2": 0.1})
-    event = estimate_blowup_time(to_field(spec), [0.5, 1.0], 30.0)
+    field = to_field(parse("dY = k1*Y*A; dA = k2*Y*A"), {"k1": 0.05, "k2": 0.1})
+    event = estimate_blowup_time(field, [0.5, 1.0], 30.0)
     print("  dY = k1*Y*A; dA = k2*Y*A with k1=0.05, k2=0.1, Y0=0.5, A0=1")
     show(event, 20.0)
     print()

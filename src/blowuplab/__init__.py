@@ -11,7 +11,6 @@ reproducible stochastic engine with its ensemble batches
 
 from .closedform import (
     BlowUpTime,
-    ScenarioParams,
     calibrate_k,
     coupled_gdp_solution,
     exp_phase_solution,
@@ -76,10 +75,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # closed forms
-    "ScenarioParams", "BlowUpTime", "calibrate_k", "exp_phase_solution",
-    "phase1_duration", "hyperbolic_solution", "hyperbolic_blowup_time",
-    "total_singularity_time", "powerlaw_solution", "powerlaw_blowup_time",
-    "loglaw_solution", "coupled_gdp_solution",
+    "BlowUpTime", "calibrate_k", "exp_phase_solution", "phase1_duration",
+    "hyperbolic_solution", "hyperbolic_blowup_time", "total_singularity_time",
+    "powerlaw_solution", "powerlaw_blowup_time", "loglaw_solution",
+    "coupled_gdp_solution",
     # ode
     "VectorField", "Trajectory", "BlowUpEvent", "IntegrationOptions",
     "integrate", "estimate_blowup_time", "integrate_multiplicative",

@@ -172,14 +172,7 @@ def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
     if isinstance(law, (dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
         params = {} if parameters is None else \
             dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
-        free = sorted(dsl.free_names(law) - set(params))
-        if len(free) > 1:
-            raise DomainError(
-                f"rate expression has several free names {free}; bind all "
-                "but the level variable via parameters"
-            )
-        var = free[0] if free else "A"
-        fn = dsl.as_function(law, var=var, parameters=params)
+        fn = dsl.as_function(law, var=dsl.level_variable(law, params), parameters=params)
         return fn, dsl.pretty_print(law)
     if callable(law):
         label = getattr(law, "__name__", None) or "callable"

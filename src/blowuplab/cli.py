@@ -28,7 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, closedform, dsl, ensemble, ode, sde
-from .errors import BlowupLabError, DomainError, InsufficientDataError
+from .errors import BlowupLabError, DomainError, InsufficientDataError, check_real
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -132,8 +132,7 @@ def _blowup_payload(event: ode.BlowUpEvent | None):
 #           DSL source of the rate simulate integrates)
 _MODELS = {
     "exponential": ((), lambda a, t: closedform.exp_phase_solution(
-        closedform.ScenarioParams(k=a.k, I=a.I, R=a.R, c=a.c), t), lambda a: None,
-        "dA = r*A"),
+        _growth_rate(a), a.I, t, 1.0 if a.c is None else a.c), lambda a: None, "dA = r*A"),
     "hyperbolic": (("k", "I"), lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
                    lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star,
                    "dA = k*A*A"),
@@ -147,6 +146,16 @@ _MODELS = {
 }
 # simulate's initial levels of the models' states when --A0/--Y0 are unset
 _DEFAULT_LEVELS = {"A": "1", "Y": "k1/k2"}
+
+
+def _growth_rate(args) -> float:
+    """The exponential model's ``k``: ``--k``, else calibrated from ``--R``
+    and ``--I``."""
+    if args.k is not None:
+        return check_real("k", args.k, above=0.0)
+    if args.R is not None:
+        return closedform.calibrate_k(args.R, args.I)
+    raise DomainError("no growth rate available: set k or R")
 
 
 def _need(args, *flags: str) -> None:
@@ -188,8 +197,7 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
     spec = dsl.parse(_MODELS[args.model][3])
     if args.model == "exponential":
         # the calibrated rate: k, or k from R, times I (default 1)
-        scenario = closedform.ScenarioParams(k=args.k, I=args.I, R=args.R)
-        r = scenario.growth_coefficient() * (1.0 if args.I is None else args.I)
+        r = _growth_rate(args) * (1.0 if args.I is None else args.I)
         params, label = {"r": r}, f"exponential(k*I={r!r})"
     else:
         # the flags needed are the source's parameters
@@ -206,15 +214,13 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
 
 def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
     source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
-    parsed = dsl.parse(source)
-    if not isinstance(parsed, dsl.SystemSpec):
-        parsed = dsl.SystemSpec(equations=(("A", parsed),))
+    spec = dsl.parse(source)
     params = _parse_bindings(args.param, parser, "--param")
-    init = _parse_bindings(args.init, parser, "--init")
-    spec = parsed.bind(parameters=params, initial=init)
-    field = dsl.to_field(spec)
+    levels = _parse_bindings(args.init, parser, "--init")
+    if not isinstance(spec, dsl.SystemSpec):
+        spec = dsl.SystemSpec(equations=((dsl.level_variable(spec, params), spec),))
+    field = dsl.to_field(spec, params)
     names = spec.state_names
-    levels = dict(spec.initial)
     if args.A0 is not None:
         if len(names) != 1:
             parser.error("--A0 works only for single-variable systems; use --init")
@@ -289,7 +295,7 @@ def cmd_ensemble(args) -> int:
         model=model, A0=args.A0, dt=args.dt, t_end=args.t_max,
         n_paths=args.paths, master_seed=args.seed,
     )
-    stats = ensemble.run_ensemble(spec, workers=args.workers)
+    stats = ensemble.run_ensemble(spec)
 
     def cell(value) -> str:
         return "" if math.isnan(value) else _fmt(value)
@@ -478,10 +484,9 @@ def _reproduce_phase(args, name: str, grid, levels, **extra) -> int:
 
 def _reproduce_fig1(args) -> int:
     numbers = _headline_numbers()
-    params = closedform.ScenarioParams(R=numbers["inputs"]["R"],
-                                       I=numbers["inputs"]["I"], c=1.0)
+    k, I = numbers["k"], numbers["inputs"]["I"]
     grid = np.linspace(0.0, numbers["t1"], 257)
-    levels = np.array([closedform.exp_phase_solution(params, float(t)) for t in grid])
+    levels = np.array([closedform.exp_phase_solution(k, I, float(t)) for t in grid])
     return _reproduce_phase(args, "fig1_exponential_phase", grid, levels)
 
 
@@ -603,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--periods", "--t-max", dest="t_max", type=float,
                      default=200.0, help="simulated horizon (default: 200)")
     ens.add_argument("--paths", type=int, default=1000)
-    ens.add_argument("--workers", type=int, default=1,
-                     help="accepted for compatibility; has no effect")
     ens.set_defaults(handler=cmd_ensemble)
 
     classify = subs.add_parser("classify",

@@ -21,9 +21,10 @@ the moment ``A = 1``; phase-2 time ``t2`` runs from the moment ``A = I``.
 Total elapsed time is the sum of the two segment readings, as in
 :func:`total_singularity_time`.
 
-Every function validates its inputs and raises
-:class:`~blowuplab.errors.DomainError` on violations rather than
-returning junk.  Evaluation within a relative guard band of ``1e-12``
+Every function takes its parameters as plain numbers, validates them
+and raises :class:`~blowuplab.errors.DomainError` on violations rather
+than returning junk.  A phase-1 rate given as an annual growth factor
+``R`` becomes ``k`` through :func:`calibrate_k`.  Evaluation within a relative guard band of ``1e-12``
 around a blow-up time is rejected: so close to the pole the closed form
 has no float accuracy left.
 """
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from .errors import DomainError, LevelOverflowError, check_real
 
 __all__ = [
-    "ScenarioParams",
     "BlowUpTime",
     "calibrate_k",
     "exp_phase_solution",
@@ -55,33 +55,6 @@ BLOWUP_GUARD = 1e-12
 
 # Largest x with exp(exp(x)) still representable in a double.
 _MAX_DOUBLE_EXP_ARG = math.log(math.log(1.7976931348623157e308))
-
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    """Parameter bundle for the growth scenarios.
-
-    Unused fields stay ``None``; each operation validates only the
-    fields it reads.  The rate ``k`` is per year, ``R`` is the annual
-    growth factor, and ``I`` and ``c`` are dimensionless levels.
-    """
-
-    k: float | None = None
-    I: float | None = None
-    R: float | None = None
-    c: float | None = None
-
-    def growth_coefficient(self) -> float:
-        """Per-capability growth coefficient ``k``.
-
-        Uses the explicit ``k`` when set, otherwise derives it from the
-        annual growth factor via :func:`calibrate_k`.
-        """
-        if self.k is not None:
-            return check_real("k", self.k, above=0.0)
-        if self.R is not None:
-            return calibrate_k(self.R, self.I)
-        raise DomainError("no growth rate available: set k or R")
 
 
 @dataclass(frozen=True)
@@ -132,17 +105,16 @@ def calibrate_k(R: float, I: float) -> float:
     return math.log(R) / I
 
 
-def exp_phase_solution(params: ScenarioParams, t1: float) -> float:
+def exp_phase_solution(k: float, I: float, t1: float, c: float = 1.0) -> float:
     """Level after ``t1`` years of externally driven exponential growth.
 
-    Evaluates ``c * exp(k*I*t1)`` with ``c`` defaulting to 1.  With
-    ``k`` calibrated from the annual growth factor this equals
-    ``c * R**t1``.
+    Evaluates ``c * exp(k*I*t1)``.  With ``k = calibrate_k(R, I)`` this
+    equals ``c * R**t1``.
     """
     check_real("phase-1 time", t1, at_least=0.0)
-    c = check_real("c", 1.0 if params.c is None else params.c, above=0.0)
-    k = params.growth_coefficient()
-    I = check_real("I", params.I, above=0.0)
+    c = check_real("c", c, above=0.0)
+    k = check_real("k", k, above=0.0)
+    I = check_real("I", I, above=0.0)
     exponent = k * I * t1
     if exponent > 709.0:
         raise LevelOverflowError(

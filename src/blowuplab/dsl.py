@@ -37,7 +37,10 @@ components of a state vector, get IEEE semantics, producing
 
 :func:`parse` returns a :class:`SystemSpec` for equation input and a
 bare expression node otherwise; :func:`pretty_print` renders any node
-back to source that reparses to an equal tree.
+back to source that reparses to an equal tree.  Parameters are always
+call arguments, ``to_field(parse(source), {"k": 0.05})``; a parsed
+system holds only its equations.  A bare expression's variable is the
+one name its parameters leave unbound (:func:`level_variable`).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
@@ -64,6 +67,7 @@ __all__ = [
     "evaluate",
     "pretty_print",
     "free_names",
+    "level_variable",
     "as_function",
     "to_field",
 ]
@@ -116,30 +120,18 @@ def _bindings(name: str, value) -> dict:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A parsed equation system plus optional bindings.
+    """A parsed equation system.
 
     ``equations`` maps each state variable to its rate expression, in
-    source order.  ``parameters`` provides values for free names;
-    ``initial`` provides starting levels.  Both may be filled later via
-    :meth:`bind`.
+    source order.  Parameter values bind when :func:`to_field` compiles
+    the system; starting levels go to the integrator.
     """
 
     equations: tuple[tuple[str, Expr], ...]
-    parameters: Mapping[str, float] = field(default_factory=dict)
-    initial: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def state_names(self) -> tuple[str, ...]:
         return tuple(var for var, _ in self.equations)
-
-    def bind(self, parameters: Mapping[str, float] | None = None,
-             initial: Mapping[str, float] | None = None) -> "SystemSpec":
-        """Copy with bindings merged over the existing ones."""
-        params = dict(self.parameters)
-        params.update(parameters or {})
-        init = dict(self.initial)
-        init.update(initial or {})
-        return replace(self, parameters=params, initial=init)
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +420,22 @@ def free_names(expr: Expr) -> frozenset[str]:
     return frozenset().union(*map(free_names, _children(expr)))
 
 
+def level_variable(expr: Expr, parameters: Mapping[str, float]) -> str:
+    """The variable of a bare rate expression such as ``k*x^2``.
+
+    It is the one name that ``parameters`` leaves unbound, or ``A`` when
+    there is none.  Several unbound names raise
+    :class:`~blowuplab.errors.DomainError`.
+    """
+    free = sorted(free_names(expr) - set(parameters))
+    if len(free) > 1:
+        raise DomainError(
+            f"rate expression has several free names {free}; bind all "
+            "but the level variable via parameters"
+        )
+    return free[0] if free else "A"
+
+
 # --------------------------------------------------------------------------
 # pretty printer
 
@@ -537,9 +545,9 @@ def as_function(expr: Expr, var: str = "A",
 def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     """Compile a system to an ODE vector field.
 
-    Every free name must resolve to a state variable or a parameter
-    (``parameters`` merged over ``spec.parameters``); unbound names
-    raise :class:`~blowuplab.errors.BindingError` naming the equation.
+    Every free name must resolve to a state variable or one of
+    ``parameters``; unbound names raise
+    :class:`~blowuplab.errors.BindingError` naming the equation.
     The parameters bind now, as in :func:`as_function`.  Returns a
     :class:`~blowuplab.ode.VectorField` whose state order follows the
     equation order.
@@ -547,7 +555,7 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     from .ode import VectorField  # deferred: ode does not import dsl
 
     check_instance("spec", spec, SystemSpec, "a parsed system")
-    params = {**spec.parameters, **_bindings("parameters", parameters)}
+    params = _bindings("parameters", parameters)
     names = spec.state_names
     bound = set(params) | set(names)
     for var, rhs in spec.equations:

@@ -18,7 +18,6 @@ import pytest
 from blowuplab import (
     EnsembleSpec,
     IntegrationOptions,
-    ScenarioParams,
     VectorField,
     barometer,
     calibrate_k,
@@ -97,11 +96,10 @@ def test_criterion_02_deterministic_blowup_times():
 def test_criterion_03_closed_form_oracle_agreement():
     R, I = 1.5872, 100.0
     k = calibrate_k(R, I)
-    params = ScenarioParams(c=1.0, R=R, I=I)
     k1 = 0.05
     cases = [
         ("exponential", lambda a: k * I * a, 1.0,
-         phase1_duration(R, I), lambda t: exp_phase_solution(params, t)),
+         phase1_duration(R, I), lambda t: exp_phase_solution(k, I, t)),
         ("hyperbolic", lambda a: 0.01 * a * a, 1.0,
          100.0, lambda t: hyperbolic_solution(0.01, 1.0, t)),
         ("powerlaw n=1.5", lambda a: 0.5 * a ** 1.5, 1.0,

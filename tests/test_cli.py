@@ -144,6 +144,24 @@ def test_simulate_model_names_its_missing_flags(model, flags, missing, tmp_path,
     assert capsys.readouterr().err.endswith(f"error: missing required flags: {missing}\n")
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_exponential_rate_is_k_or_k_from_r(command, tmp_path, capsys):
+    def run(*flags):
+        code = cli.main([command, "--model", "exponential", *flags, "--t-max", "5",
+                         "--out", str(tmp_path)])
+        return code, capsys.readouterr()
+
+    code, out = run("--I", "100")
+    assert (code, out.err) == (3, "error: no growth rate available: set k or R\n")
+    code, out = run("--k", "-1", "--I", "100")
+    assert (code, out.err) == (3, "error: k must be a finite real number > 0, got -1.0\n")
+    # --k wins over --R
+    assert run("--k", "0.003", "--I", "100")[1].out == \
+        run("--k", "0.003", "--R", "1.5872", "--I", "100")[1].out
+    k_from_r = run("--R", "1.5872", "--I", "100")[1].out
+    assert k_from_r != run("--k", "0.003", "--I", "100")[1].out
+
+
 def test_simulate_exponential_needs_a_rate(tmp_path, capsys):
     assert cli.main(["simulate", "--model", "exponential", "--t-max", "5",
                      "--out", str(tmp_path)]) == 3
@@ -232,6 +250,17 @@ class TestSimulate:
         assert data["final_time"] == 5.0
         assert data["blowup"] is None
 
+    @pytest.mark.parametrize("level", [["--A0", "1"], ["--init", "x=1"]],
+                             ids=["A0", "init"])
+    def test_bare_expression_in_another_variable(self, level, tmp_path, capsys):
+        # the variable is the one name --param leaves unbound, as in classify
+        assert cli.main(["simulate", "--dsl", "k*x^2", "--param", "k=0.01", *level,
+                         "--t-max", "10", "--out", str(tmp_path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["model"] == "dx = k * x^2"
+        assert data["final_state"] == [pytest.approx(1.0 / 0.9)]
+        assert (tmp_path / data["table"]).read_text().splitlines()[0] == "t,x"
+
     def test_missing_initial_level_is_a_usage_error(self, tmp_path):
         proc = run_cli("simulate", "--dsl", "dA = A^2", "--t-max", "1",
                        "--out", str(tmp_path))
@@ -263,19 +292,6 @@ class TestSeededReruns:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
-
-    def test_ensemble_workers_do_not_change_the_output(self, tmp_path):
-        base = ["ensemble", "--model", "hyperbolic-sde", "--k", "0.05",
-                "--sigma", "0.05", "--paths", "600", "--t-max", "20",
-                "--seed", "7"]
-        serial = run_cli(*base, "--workers", "1",
-                         "--out", str(tmp_path / "serial"))
-        threaded = run_cli(*base, "--workers", "8",
-                           "--out", str(tmp_path / "threaded"))
-        assert serial.returncode == threaded.returncode == 0
-        assert serial.stdout == threaded.stdout
-        assert (tmp_path / "serial" / "ensemble_paths.csv").read_bytes() == \
-            (tmp_path / "threaded" / "ensemble_paths.csv").read_bytes()
 
 
 class TestEnsembleCommand:

@@ -5,7 +5,6 @@ import pytest
 from blowuplab import (
     DomainError,
     LevelOverflowError,
-    ScenarioParams,
     calibrate_k,
     coupled_gdp_solution,
     exp_phase_solution,
@@ -41,22 +40,26 @@ class TestCalibrateK:
 
 
 class TestExpPhase:
+    K_DEFAULT = calibrate_k(R_DEFAULT, I_DEFAULT)
+
     def test_start_level(self):
-        params = ScenarioParams(c=1.0, R=R_DEFAULT, I=I_DEFAULT)
-        assert exp_phase_solution(params, 0.0) == pytest.approx(1.0)
+        assert exp_phase_solution(self.K_DEFAULT, I_DEFAULT, 0.0) == pytest.approx(1.0)
 
     def test_reaches_driver_level(self):
-        params = ScenarioParams(c=1.0, R=R_DEFAULT, I=I_DEFAULT)
-        assert exp_phase_solution(params, 9.97) == pytest.approx(100.0, abs=0.2)
+        assert exp_phase_solution(self.K_DEFAULT, I_DEFAULT, 9.97) == \
+            pytest.approx(100.0, abs=0.2)
 
     def test_power_of_growth_factor(self):
-        params = ScenarioParams(c=1.0, R=2.0, I=10.0)
-        assert exp_phase_solution(params, 3.0) == pytest.approx(8.0, rel=1e-12)
+        assert exp_phase_solution(calibrate_k(2.0, 10.0), 10.0, 3.0) == \
+            pytest.approx(8.0, rel=1e-12)
+
+    def test_level_constant_scales_the_level(self):
+        k = calibrate_k(2.0, 10.0)
+        assert exp_phase_solution(k, 10.0, 3.0, 2.5) == 2.5 * exp_phase_solution(k, 10.0, 3.0)
 
     def test_negative_time_rejected(self):
-        params = ScenarioParams(c=1.0, R=2.0, I=10.0)
         with pytest.raises(DomainError):
-            exp_phase_solution(params, -0.1)
+            exp_phase_solution(calibrate_k(2.0, 10.0), 10.0, -0.1)
 
 
 class TestPhase1Duration:
@@ -77,7 +80,7 @@ class TestPhase1Duration:
     @pytest.mark.parametrize("R,I", [(R_DEFAULT, 10.0), (2.0, 1000.0), (1.1, 7.0)])
     def test_consistency_with_exp_phase(self, R, I):
         t1 = phase1_duration(R, I)
-        level = exp_phase_solution(ScenarioParams(c=1.0, R=R, I=I), t1)
+        level = exp_phase_solution(calibrate_k(R, I), I, t1)
         assert level == pytest.approx(I, rel=1e-9)
 
 

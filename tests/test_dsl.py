@@ -6,6 +6,7 @@ operand is a numpy array.  The compiled closures behind ``evaluate``,
 ``as_function`` and ``to_field`` must agree with it.
 """
 
+import dataclasses
 import math
 import operator
 
@@ -17,7 +18,7 @@ from blowuplab import (
     BindingError,
     DomainError,
     DslSyntaxError,
-    ScenarioParams,
+    calibrate_k,
     cli,
     hyperbolic_solution,
     integrate,
@@ -31,6 +32,7 @@ from blowuplab.dsl import (
     as_function,
     evaluate,
     free_names,
+    level_variable,
     parse,
     pretty_print,
     to_field,
@@ -214,9 +216,7 @@ class TestNativeEquivalence:
         self.check("k*ln(A)*A", lambda A: 0.02 * math.log(A) * A, k=0.02)
 
     def test_coupled_system(self):
-        spec = parse("dY = k1*Y*A; dA = k2*Y*A").bind(
-            parameters={"k1": 0.05, "k2": 0.1})
-        field = to_field(spec)
+        field = to_field(parse("dY = k1*Y*A; dA = k2*Y*A"), {"k1": 0.05, "k2": 0.1})
         assert field.dimension == 2
         for Y, A in [(0.5, 1.0), (2.0, 3.0), (1e3, 1e4)]:
             rate = field.rate(np.array([Y, A]))
@@ -241,13 +241,21 @@ class TestToField:
         with pytest.raises(BindingError, match="k"):
             to_field(parse("dA = k*A^2"))
 
-    def test_bind_layering(self):
-        spec = parse("dA = k*A").bind(parameters={"k": 1.0})
-        rebound = spec.bind(parameters={"k": 2.0}, initial={"A": 5.0})
-        assert rebound.parameters["k"] == 2.0
-        assert rebound.initial["A"] == 5.0
-        field = to_field(rebound)
-        assert field.rate(np.array([5.0]))[0] == pytest.approx(10.0)
+    def test_level_variable_is_the_one_unbound_name(self):
+        assert level_variable(parse("k*x^2"), {"k": 1.0}) == "x"
+        assert level_variable(parse("k*A^2"), {"k": 1.0}) == "A"
+        assert level_variable(parse("2*k"), {"k": 1.0}) == "A"
+        with pytest.raises(DomainError, match=r"several free names \['A', 'k'\]"):
+            level_variable(parse("k*A^2"), {})
+
+    def test_parameters_bind_per_call(self):
+        # a parsed system holds only its equations; each to_field call
+        # binds its own parameters
+        spec = parse("dA = k*A")
+        assert [f.name for f in dataclasses.fields(spec)] == ["equations"]
+        assert to_field(spec, {"k": 1.0}).rate(np.array([5.0]))[0] == 5.0
+        assert to_field(spec, {"k": 2.0}).rate(np.array([5.0]))[0] == 10.0
+        assert spec == parse("dA = k*A")
 
 
 _TREE_WALK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -357,7 +365,7 @@ def _exponential(k):
 
 BUILT_IN_FIELDS = {
     "exponential": (["--R", "1.5872", "--I", "100"],
-                    _exponential(ScenarioParams(R=1.5872, I=100.0).growth_coefficient() * 100.0),
+                    _exponential(calibrate_k(1.5872, 100.0) * 100.0),
                     [1.0], "exponential(k*I=0.46197145754847124)"),
     "exponential-k": (["--k", "0.00462", "--A0", "3"],
                       _exponential(0.00462 * 1.0), [3.0], "exponential(k*I=0.00462)"),

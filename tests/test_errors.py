@@ -36,7 +36,6 @@ from blowuplab import (
     EnsembleSpec,
     FieldEvaluationError,
     IntegrationOptions,
-    ScenarioParams,
     StochasticModel,
     VectorField,
     as_function,
@@ -106,18 +105,10 @@ ROWS = [
     # closedform
     Row("calibrate_k.R", lambda v: calibrate_k(v, 1.0), 2, (1.0, 0.5, inf)),
     Row("calibrate_k.I", lambda v: calibrate_k(2.0, v), 1, POSITIVE),
-    Row("ScenarioParams.k", lambda v: ScenarioParams(k=v).growth_coefficient(), 1, POSITIVE),
-    Row("ScenarioParams.R", lambda v: ScenarioParams(R=v, I=1.0).growth_coefficient(), 2,
-        (1.0, inf)),
-    Row("ScenarioParams.I", lambda v: ScenarioParams(R=2.0, I=v).growth_coefficient(), 1,
-        POSITIVE),
-    Row("exp_phase_solution.t1",
-        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=1.0), v), 1, NONNEGATIVE),
-    Row("exp_phase_solution.c",
-        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=1.0, c=v), 1.0), 2, POSITIVE,
-        none_ok=True),
-    Row("exp_phase_solution.I",
-        lambda v: exp_phase_solution(ScenarioParams(k=0.1, I=v), 1.0), 1, POSITIVE),
+    Row("exp_phase_solution.k", lambda v: exp_phase_solution(v, 1.0, 1.0), 1, POSITIVE),
+    Row("exp_phase_solution.I", lambda v: exp_phase_solution(0.1, v, 1.0), 1, POSITIVE),
+    Row("exp_phase_solution.t1", lambda v: exp_phase_solution(0.1, 1.0, v), 1, NONNEGATIVE),
+    Row("exp_phase_solution.c", lambda v: exp_phase_solution(0.1, 1.0, 1.0, v), 2, POSITIVE),
     Row("phase1_duration.R", lambda v: phase1_duration(v, 100.0), 2, (1.0, inf)),
     Row("phase1_duration.I", lambda v: phase1_duration(2.0, v), 100, (0.5, -1.0, inf)),
     Row("hyperbolic_solution.k", lambda v: hyperbolic_solution(v, 1.0, 0.0), 1, POSITIVE),

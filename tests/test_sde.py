@@ -203,6 +203,16 @@ class TestPathwiseSlope:
         path = exact_path(times, np.full(50, 3.0))
         assert pathwise_growth_slope(path) == pytest.approx(0.0, abs=1e-12)
 
+    def test_exploded_path_drops_its_crossing_sample(self):
+        path = em_path(hyperbolic_sde_model(0.5, 0.1), 1.0, 0.01, 10.0, seed=0,
+                       threshold=50.0)
+        assert path.exploded and len(path.times) == 191
+        assert path.times[-1] == path.event_time == pytest.approx(1.9)
+        assert pathwise_growth_slope(path) == pytest.approx(1.280799981006795, rel=1e-12)
+        # the same samples on a path that did not explode keep the crossing
+        whole = exact_path(path.times, path.values)
+        assert pathwise_growth_slope(whole) == pytest.approx(1.3118234007988414, rel=1e-12)
+
     def test_insufficient_data(self):
         times = np.linspace(0.0, 1.0, 5)
         with pytest.raises(InsufficientDataError):
@@ -251,6 +261,21 @@ class TestErgodicityCheck:
         assert not report.transform_exists
         assert report.reason is not None
         assert math.isinf(report.constancy_score)
+
+    def test_constant_coefficients_score_zero(self):
+        report = ergodicity_check(StochasticModel(drift=lambda A: 0.3,
+                                                  diffusion=lambda A: 0.2))
+        assert report.constancy_score == 0.0
+        assert report.transform_exists
+
+    def test_drift_with_zero_mean_scores_inf(self):
+        # on the default grid 1, 2, ..., 100 the drift A - 50.5 averages
+        # to exactly 0, so no relative deviation exists
+        report = ergodicity_check(StochasticModel(drift=lambda A: A - 50.5,
+                                                  diffusion=lambda A: 1.0))
+        assert float(np.mean(report.drift_of_u)) == 0.0
+        assert report.constancy_score == math.inf
+        assert not report.transform_exists
 
     def test_grid_validation(self):
         model = gbm_model(0.05, 1.0, 0.1)
