@@ -35,7 +35,7 @@ phase to a self-referential second phase at the exact switching level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -137,9 +137,9 @@ class PhasePlan:
     """A two-phase scenario stitched at the switching level.
 
     ``times``/``levels`` hold the combined trajectory with the switch
-    sample shared exactly; ``total_blowup_time`` is on the combined
-    clock and ``None`` when phase 2 never blows up (or its asymptote
-    cannot be pinned down).
+    sample shared exactly; phase 2's ``blowup`` and its estimate
+    ``total_blowup_time`` are on the combined clock and ``None`` when
+    phase 2 never blows up (or its asymptote cannot be pinned down).
     """
 
     switch_time: float
@@ -148,8 +148,11 @@ class PhasePlan:
     phase2_label: str
     times: np.ndarray
     levels: np.ndarray
-    total_blowup_time: float | None
     blowup: BlowUpEvent | None
+
+    @property
+    def total_blowup_time(self) -> float | None:
+        return None if self.blowup is None else self.blowup.estimate
 
 
 # --------------------------------------------------------------------------
@@ -157,22 +160,24 @@ class PhasePlan:
 
 
 def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
-    """Coerce a growth law to ``(scalar_callable, label)``."""
+    """Coerce a growth law to ``(scalar_callable, label)``; an equation
+    ``dx = ...`` is a law in its own variable ``x``."""
+    var = None
     if isinstance(law, str):
-        parsed = dsl.parse(law)
-        if isinstance(parsed, dsl.SystemSpec):
-            if len(parsed.equations) != 1:
+        law = dsl.parse(law)
+        if isinstance(law, dsl.SystemSpec):
+            if len(law.equations) != 1:
                 raise DomainError(
                     "growth-law classification works on a single equation; "
-                    f"got {len(parsed.equations)}"
+                    f"got {len(law.equations)}"
                 )
-            law = parsed.equations[0][1]
-        else:
-            law = parsed
+            [(var, law)] = law.equations
     if isinstance(law, (dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
         params = {} if parameters is None else \
             dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
-        fn = dsl.as_function(law, var=dsl.level_variable(law, params), parameters=params)
+        if var is None:
+            var = dsl.level_variable(law, params)
+        fn = dsl.as_function(law, var=var, parameters=params)
         return fn, dsl.pretty_print(law)
     if callable(law):
         label = getattr(law, "__name__", None) or "callable"
@@ -468,7 +473,7 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     return BarometerReport(
         window=(float(tw[0]), float(tw[-1])),
         n_samples=window,
-        quadratic_coeff=b2 / spread ** 2,
+        quadratic_coeff=float(b2 / spread ** 2),
         z_score=float(z),
         flagged=flagged,
     )
@@ -518,16 +523,9 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
     times = np.concatenate([t1, times2])
     levels = np.concatenate([levels1, levels2])
 
-    shifted = None
-    total = None
     if event is not None:
-        shifted = BlowUpEvent(
-            t_low=event.t_low + t_switch,
-            t_high=event.t_high + t_switch,
-            estimate=event.estimate + t_switch,
-            method=event.method,
-        )
-        total = shifted.estimate
+        event = replace(event, t_low=event.t_low + t_switch, t_high=event.t_high + t_switch,
+                        estimate=event.estimate + t_switch)
     return PhasePlan(
         switch_time=t_switch,
         switch_level=switch,
@@ -535,6 +533,5 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
         phase2_label=label2,
         times=times,
         levels=levels,
-        total_blowup_time=total,
-        blowup=shifted,
+        blowup=event,
     )

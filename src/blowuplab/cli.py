@@ -118,10 +118,7 @@ def _parse_bindings(pairs: list[str] | None, parser, flag: str) -> dict[str, flo
 
 
 def _blowup_payload(event: ode.BlowUpEvent | None):
-    if event is None:
-        return None
-    return {"t_low": event.t_low, "t_high": event.t_high,
-            "estimate": event.estimate, "method": event.method}
+    return None if event is None else asdict(event)
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +221,12 @@ def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
     if args.A0 is not None:
         if len(names) != 1:
             parser.error("--A0 works only for single-variable systems; use --init")
+        if levels:
+            parser.error("--A0 and --init both set the initial level; use one")
         levels[names[0]] = args.A0
+    unknown = sorted(set(levels) - set(names))
+    if unknown:
+        parser.error(f"--init names no state variable: {', '.join(unknown)}")
     missing = [n for n in names if n not in levels]
     if missing:
         parser.error("missing initial levels for: " + ", ".join(missing)

@@ -174,10 +174,6 @@ class Trajectory:
                 and self.times[-1] >= self.blowup.t_low:
             raise DomainError("recorded samples must precede the blow-up bracket")
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(frozen=True)
 class IntegrationOptions:
@@ -298,7 +294,8 @@ class _Core:
     accepted samples for exponent fitting, and can be resumed with a
     higher threshold after a crossing.  ``y`` and ``f`` are lists of
     Python floats that are replaced, never mutated, so the tail and the
-    recorded samples hold them without copies.
+    recorded samples hold them without copies.  A run hands back its
+    blow-up event; the core keeps no result of its own.
     """
 
     def __init__(self, rate, y0: np.ndarray, opts: IntegrationOptions,
@@ -316,10 +313,7 @@ class _Core:
         self.y = y0.tolist()
         self.f = f0.tolist()
         self.h = _initial_step(y0, f0, horizon, opts.atol)
-        self.horizon = horizon
         self.h_min = _H_MIN_REL * horizon
-        self.crossing_xtol: float | None = None
-        self.pole: BlowUpEvent | None = None
         self.tail: deque = deque(maxlen=_TAIL_CAPACITY)
         self.tail.append((self.t, self.y, self.f))
         self.samples: list[tuple[float, list]] = []
@@ -328,12 +322,16 @@ class _Core:
         self.samples.append((self.t, self.y))
 
     def run(self, t_end: float, threshold: float, *, record: bool,
-            t_eval: np.ndarray | None = None) -> str:
-        """Advance until ``t_end`` or a threshold crossing.
+            t_eval: np.ndarray | None = None,
+            xtol: float | None = None) -> BlowUpEvent | None:
+        """Advance until ``t_end`` or a blow-up.
 
-        Returns ``"end"``, ``"crossed"`` or ``"pole"``.  After a
-        crossing the core sits at the last sub-threshold point and
-        ``self.cross_rem`` holds the bracket width to the crossing.
+        Returns ``None`` at ``t_end``.  At a threshold crossing it
+        returns the ``threshold-crossing`` event, whose bracket is at
+        most ``xtol`` wide (default: ``opts.blowup_tol``, else ``1e-3``
+        of the time the crossing step ends), and the core sits at the
+        last sub-threshold point, ``t_low``.  A stall that the tail
+        resolves returns the ``reciprocal-extrapolation`` event.
         """
         eval_idx = 0
         if t_eval is not None:
@@ -369,8 +367,7 @@ class _Core:
                 y_new, f_new, _ = attempt
                 rejects = 0
                 if max(y_new) >= threshold:
-                    self._bisect_crossing(h, threshold)
-                    return "crossed"
+                    return self._bisect_crossing(h, threshold, xtol)
                 self.t = target if hit_target else self.t + h
                 self.y = y_new
                 self.f = f_new
@@ -384,17 +381,17 @@ class _Core:
                 grow = _MAX_FACTOR if norm == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * norm ** -0.2)
                 self.h = max(h * max(1.0, grow), self.h) if hit_target else h * grow
-        return "end"
+        return None
 
-    def _stall(self) -> str:
+    def _stall(self) -> BlowUpEvent:
         """Handle step-size underflow (or a reject storm).
 
         Near a blow-up the time between the last representable state
         and the asymptote can shrink below the smallest usable step, so
         the threshold is never formally crossed.  When the tail shows
-        that structure the stall is resolved as a blow-up; otherwise it
-        is a genuine failure and raises.  Runs inside :meth:`run`'s
-        ``np.errstate``.
+        that structure the stall is resolved as a blow-up and its event
+        returned; otherwise it is a genuine failure and raises.  Runs
+        inside :meth:`run`'s ``np.errstate``.
         """
         probe = [y_m + self.h_min * f_m for y_m, f_m in zip(self.y, self.f)]
         f_probe = _call_rate(self.rate, np.array(probe), self.dim)
@@ -406,8 +403,7 @@ class _Core:
             )
         event = self._pole_event()
         if event is not None:
-            self.pole = event
-            return "pole"
+            return event
         raise StiffnessError(
             f"step size underflowed at t={self.t!r} without a threshold "
             "crossing; the system is too stiff for this integrator"
@@ -436,14 +432,14 @@ class _Core:
             method="reciprocal-extrapolation",
         )
 
-    def _bisect_crossing(self, h: float, threshold: float) -> None:
+    def _bisect_crossing(self, h: float, threshold: float,
+                         xtol: float | None) -> BlowUpEvent:
         """Shrink the crossing bracket by bisecting the final step.
 
         Advances ``(t, y, f)`` along sub-threshold midpoints, so the
-        core ends at the last known point below the threshold with the
-        crossing inside ``(t, t + cross_rem]``.
+        core ends at the last known point below the threshold, and
+        returns the event bracketing the crossing by ``(t, t + rem]``.
         """
-        xtol = self.crossing_xtol
         if xtol is None:
             xtol = self.opts.blowup_tol
         if xtol is None:
@@ -466,7 +462,9 @@ class _Core:
             self.f = f_mid
             self.tail.append((self.t, self.y, self.f))
             rem -= half
-        self.cross_rem = rem
+        t_high = self.t + rem
+        return BlowUpEvent(t_low=self.t, t_high=t_high, estimate=0.5 * (self.t + t_high),
+                           method="threshold-crossing")
 
 
 def _run_arguments(field: VectorField, state0,
@@ -510,13 +508,7 @@ def integrate(field: VectorField, state0, t_end: float,
         raise DomainError("t_eval must lie within [0, t_end]")
 
     core = _Core(field.rate, y0, opts, horizon=t_end)
-    status = core.run(t_end, opts.blowup_threshold, record=True, t_eval=eval_arr)
-
-    blowup = core.pole if status == "pole" else None
-    if status == "crossed":
-        t_high = core.t + core.cross_rem
-        blowup = BlowUpEvent(t_low=core.t, t_high=t_high, estimate=0.5 * (core.t + t_high),
-                             method="threshold-crossing")
+    blowup = core.run(t_end, opts.blowup_threshold, record=True, t_eval=eval_arr)
     samples = [(t, y) for t, y in core.samples if blowup is None or t < blowup.t_low]
     times = np.array([t for t, _ in samples], dtype=float)
     states = np.array([y for _, y in samples], dtype=float).reshape(len(samples), field.dimension)
@@ -578,35 +570,37 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     Returns ``None`` when no crossing happens before ``t_end``, and
     also when the estimates never converge: the threshold passes
     ``1e250``, the modeled remaining time plateaus across threshold
-    decades, or the refinement runs past ``t_end``.  That is
-    the honest answer for super-exponential growth without a finite
-    singularity (``dA = ln(A)*A`` crosses any threshold but blows up
-    only at infinity), and for blow-ups whose asymptote cannot be
-    pinned to the requested tolerance within double precision.
+    decades, the refinement runs past ``t_end``, or the field fails (a
+    stiffness stall or a field evaluation error) while the threshold is
+    being raised past the first one.  That is the honest answer for
+    super-exponential growth without a finite singularity (``dA =
+    ln(A)*A`` crosses any threshold but blows up only at infinity), and
+    for blow-ups whose asymptote cannot be pinned to the requested
+    tolerance within double precision.
     """
     y0, opts = _run_arguments(field, state0, opts)
     check_real("t_end", t_end, above=0.0)
     core = _Core(field.rate, y0, opts, horizon=t_end)
 
     threshold = opts.blowup_threshold
+    xtol = None
     refining = False
     plateau = 0
     prev_delta = None
     while True:
         try:
-            status = core.run(t_end, threshold, record=False)
+            event = core.run(t_end, threshold, record=False, xtol=xtol)
         except (StiffnessError, FieldEvaluationError):
             if refining:
                 # the field stopped being integrable beyond the user's
                 # threshold; no convergent estimate is available
                 return None
             raise
-        if status == "end":
-            return None
-        if status == "pole":
-            # the asymptote sits closer than one representable step;
-            # that is as converged as double precision allows
-            return core.pole
+        if event is None or event.method != "threshold-crossing":
+            # no blow-up before t_end; or a pole: the asymptote sits
+            # closer than one representable step, which is as converged
+            # as double precision allows
+            return event
         t_hat = _tail_asymptote(core.tail, core.y)
         if t_hat is not None and t_hat > core.t:
             delta = t_hat - core.t
@@ -614,7 +608,7 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
                 else 1e-3 * t_hat
             # later crossings must be located finer than the
             # convergence test below requires
-            core.crossing_xtol = tol / 16.0
+            xtol = tol / 16.0
             if delta <= tol / 4.0:
                 return BlowUpEvent(
                     t_low=float(core.t),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from blowuplab import (
     FINITE_TIME,
     INCONCLUSIVE,
     INFINITE_TIME,
+    BindingError,
     DomainError,
     InsufficientDataError,
     IntegrationOptions,
+    PhasePlan,
     VectorField,
     barometer,
     calibrate_k,
@@ -157,6 +160,17 @@ class TestClassifierVerdicts:
         with pytest.raises(DomainError, match="free names"):
             classify_growth_law("k*A^2")
 
+    def test_an_equation_is_a_law_in_its_own_variable(self):
+        in_y = classify_growth_law("dY = k*Y^2", parameters={"k": 0.01})
+        bare = classify_growth_law("k*A^2", parameters={"k": 0.01})
+        assert in_y.verdict == FINITE_TIME
+        assert in_y.singularity_time_estimate == bare.singularity_time_estimate
+        # x is not the equation's variable A, so it is unbound
+        with pytest.raises(BindingError, match=r"unbound names \['x'\]"):
+            classify_growth_law("dA = x^2")
+        with pytest.raises(BindingError, match=r"unbound names \['k'\]"):
+            classify_growth_law("dA = k*A^2")
+
     def test_rejects_bad_start(self):
         with pytest.raises(DomainError):
             classify_growth_law("A^2", A0=0.0)
@@ -194,6 +208,13 @@ class TestBarometer:
     def test_decaying_series_is_not_flagged(self):
         times = np.linspace(0.0, 10.0, 100)
         assert not barometer(times, np.exp(-0.3 * times), 32).flagged
+
+    def test_report_fields_are_python_numbers(self):
+        times = np.linspace(0.0, 95.0, 500)
+        report = barometer(times, 1.0 / (1.0 - 0.01 * times), 64)
+        assert type(report.quadratic_coeff) is float
+        assert type(report.z_score) is float
+        assert type(report.flagged) is bool
 
     def test_window_metadata(self):
         times = np.linspace(0.0, 9.9, 100)
@@ -265,6 +286,18 @@ class TestComposePhases:
         assert np.all(np.diff(plan.times) > 0.0)
         assert plan.blowup is not None
         assert plan.blowup.t_low <= plan.total_blowup_time <= plan.blowup.t_high
+
+    def test_the_total_is_the_blowup_estimate(self):
+        plan = self.headline_plan()
+        assert plan.total_blowup_time == plan.blowup.estimate
+        # a plan holds no second copy that could disagree with its event
+        assert "total_blowup_time" not in {f.name for f in dataclasses.fields(PhasePlan)}
+
+    def test_an_equation_is_a_law_in_its_own_variable(self):
+        plan = compose_phases(E, 2.0, "dY = Y^2")
+        assert plan.total_blowup_time == pytest.approx(math.log(2.0) + 0.5, rel=1e-8)
+        with pytest.raises(BindingError, match=r"unbound names \['x'\]"):
+            compose_phases(E, 2.0, "dA = x^2")
 
     def test_log_law_phase2_never_blows_up(self):
         plan = self.headline_plan("k*ln(A)*A")

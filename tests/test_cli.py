@@ -21,7 +21,9 @@ HEADLINE = {
 
 
 def run_cli(*argv, cwd=None):
-    return subprocess.run([sys.executable, "-m", "blowuplab", *argv],
+    # the warnings pytest turns into errors are errors in the CLI's process too
+    return subprocess.run([sys.executable, "-W", "error::DeprecationWarning",
+                           "-W", "error::RuntimeWarning", "-m", "blowuplab", *argv],
                           capture_output=True, text=True, cwd=cwd)
 
 
@@ -92,6 +94,15 @@ class TestExitCodes:
         assert cli.main([*argv, str(path), "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err == \
             f"error: {str(path)!r} is not UTF-8 text: invalid continuation byte at byte 14\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--dsl", "dA = x^2"),
+        ("compose", "--R", "2", "--I", "10", "--dsl", "dA = x^2"),
+    ], ids=["classify", "compose"])
+    def test_an_equation_in_another_variable_exits_3(self, argv, tmp_path, capsys):
+        # dA = x^2 is a law in A; x is an unbound name, as in simulate
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: unbound names ['x']")
 
     def test_classify_rejects_rate_vanishing_at_start(self, tmp_path):
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
@@ -261,6 +272,20 @@ class TestSimulate:
         assert data["final_state"] == [pytest.approx(1.0 / 0.9)]
         assert (tmp_path / data["table"]).read_text().splitlines()[0] == "t,x"
 
+    def test_init_names_only_state_variables(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--dsl", "dA = A", "--init", "A=1,Y=2", "--t-max", "1",
+                      "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--init names no state variable: Y" in capsys.readouterr().err
+
+    def test_a0_and_init_together_are_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--dsl", "dA = A", "--init", "A=5", "--A0", "1",
+                      "--t-max", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--A0 and --init" in capsys.readouterr().err
+
     def test_missing_initial_level_is_a_usage_error(self, tmp_path):
         proc = run_cli("simulate", "--dsl", "dA = A^2", "--t-max", "1",
                        "--out", str(tmp_path))
@@ -321,6 +346,13 @@ class TestClassifyCommand:
                         "--out", str(tmp_path))
         assert data["verdict"] == "infinite-time"
         assert data["singularity_time_estimate"] is None
+
+    def test_an_equation_classifies_in_its_own_variable(self, tmp_path, capsys):
+        assert cli.main(["classify", "--dsl", "dY = k*Y^2", "--param", "k=0.01",
+                         "--out", str(tmp_path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["verdict"] == "finite-time"
+        assert data["singularity_time_estimate"] == pytest.approx(100.0, rel=1e-6)
 
 
 class TestComposeCommand:

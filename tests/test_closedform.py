@@ -61,6 +61,11 @@ class TestExpPhase:
         with pytest.raises(DomainError):
             exp_phase_solution(calibrate_k(2.0, 10.0), 10.0, -0.1)
 
+    def test_overflow_is_a_level_overflow(self):
+        # e**800 is past the double range
+        with pytest.raises(LevelOverflowError, match="exceeds double range"):
+            exp_phase_solution(1, 1, 800)
+
 
 class TestPhase1Duration:
     def test_default_scenario(self):

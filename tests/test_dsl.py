@@ -94,6 +94,16 @@ class TestParsing:
         with pytest.raises(DslSyntaxError, match="end of input"):
             parse("dA = k*A +")
 
+    @pytest.mark.parametrize("source,message", [
+        ("A $ 2", r"unexpected character '\$' \(line 1, column 3\)"),
+        ("(A + 2", r"expected '\)' .*found 'end of input' \(line 1, column 7\)"),
+        ("x = A", r"form 'd<var> = <expr>', found 'x' \(line 1, column 1\)"),
+        ("A 2", r"unparsed input after expression, found '2' \(line 1, column 3\)"),
+    ])
+    def test_malformed_source_rejected_at_its_position(self, source, message):
+        with pytest.raises(DslSyntaxError, match=message):
+            parse(source)
+
     def test_duplicate_state_variable_rejected(self):
         with pytest.raises(DslSyntaxError, match="more than once"):
             parse("dA = A; dA = 2*A")
@@ -171,6 +181,8 @@ class TestEvaluate:
     def test_unbound_name(self):
         with pytest.raises(BindingError):
             evaluate(parse("k*A"), {"A": 1.0})
+        with pytest.raises(BindingError, match=r"unbound names \['k'\]"):
+            as_function(parse("k*A"), "A")
 
     def test_array_broadcast(self):
         values = evaluate(parse("k*A^2"), {"k": 2.0, "A": np.array([1.0, 2.0, 3.0])})

@@ -14,9 +14,11 @@ holding nan, an infinity, ``None``, a str or a complex number must raise
 exactly :class:`DomainError` too.
 
 Each row of ``OBJECT_ROWS`` is one argument of another type, such as a
-field, a model, a parsed tree, source text or a mapping: each of its
-malformed values, ``None`` or an object of a neighbouring type, must
-raise exactly :class:`DomainError`.  A name in ``blowuplab.__all__``
+field, a model, a parsed tree, source text or a mapping, or one whose
+valid values depend on the others, such as a state that must match the
+field's dimension: each of its malformed values, ``None``, an object of
+a neighbouring type or a value that breaks that dependence, must raise
+exactly :class:`DomainError`.  A name in ``blowuplab.__all__``
 that takes an argument is in one of the tables or in ``EXEMPT``.
 """
 
@@ -35,6 +37,7 @@ from blowuplab import (
     DomainError,
     EnsembleSpec,
     FieldEvaluationError,
+    InsufficientDataError,
     IntegrationOptions,
     StochasticModel,
     VectorField,
@@ -149,7 +152,9 @@ ROWS = [
     # sde
     Row("em_path.A0", lambda v: em_path(MODEL, v, 0.01, 0.1, seed=0), 1, POSITIVE),
     Row("em_path.dt", lambda v: em_path(MODEL, 1.0, v, 0.1, seed=0), 0.01, POSITIVE),
-    Row("em_path.t_end", lambda v: em_path(MODEL, 1.0, 0.01, v, seed=0), 1, POSITIVE),
+    # a horizon shorter than one step
+    Row("em_path.t_end", lambda v: em_path(MODEL, 1.0, 0.01, v, seed=0), 1,
+        POSITIVE + (0.005,)),
     Row("em_path.threshold", lambda v: em_path(MODEL, 1.0, 0.01, 0.1, seed=0, threshold=v),
         1e9, THRESHOLD + (0.5,)),
     Row("em_path.record_every",
@@ -258,13 +263,19 @@ SYSTEM = parse("dA = k*A")
 K = {"k": 2.0}
 
 OBJECT_ROWS = [
+    # closedform
+    ObjectRow("BlowUpTime.t_star", lambda v: BlowUpTime(finite=False, t_star=v), None, (1.0,)),
     # ode
     ObjectRow("VectorField.names", lambda v: VectorField(1, FIELD.rate, names=v), ("A",),
-              (1, "A", (1,))),
+              (1, "A", (1,), ("A", "B"))),
     ObjectRow("integrate.field", lambda v: integrate(v, [1.0], 1.0), FIELD,
               (None, "dA = A", SYSTEM)),
     ObjectRow("integrate.opts", lambda v: integrate(FIELD, [1.0], 1.0, v), IntegrationOptions(),
               ("x", 1.0, {})),
+    # a t_eval outside [0, t_end]; a state of the wrong shape
+    ObjectRow("integrate.t_eval", lambda v: integrate(FIELD, [1.0], 1.0, t_eval=v), [0.5],
+              ([-0.5, 0.5], [0.5, 2.0])),
+    ObjectRow("integrate.state0", lambda v: integrate(FIELD, v, 1.0), [1.0], ([1.0, 2.0],)),
     ObjectRow("estimate_blowup_time.field", lambda v: estimate_blowup_time(v, [1.0], 1.0), FIELD,
               (None, "dA = A", SYSTEM)),
     ObjectRow("estimate_blowup_time.opts", lambda v: estimate_blowup_time(FIELD, [1.0], 1.0, v),
@@ -274,6 +285,7 @@ OBJECT_ROWS = [
               (None, "gbm", SPEC)),
     ObjectRow("ergodicity_check.model", ergodicity_check, MODEL, (None, "gbm", SPEC)),
     # analysis
+    ObjectRow("classify_growth_law.law", classify_growth_law, "A^2", ("dA = A; dY = Y", 3.0)),
     ObjectRow("classify_growth_law.parameters",
               lambda v: classify_growth_law("k*A^2", parameters=v), K, (1.0, "k")),
     # ensemble
@@ -448,6 +460,10 @@ class TestArrayRegressions:
             with pytest.raises(DomainError) as info:
                 drift(level)
             assert type(info.value) is DomainError
+        for diffusion in (lambda a: -a, lambda a: 0.0 * a):
+            with pytest.raises(DomainError, match="diffusion must be positive") as info:
+                ergodic_drift(diffusion, 0.1)(2.0)
+            assert type(info.value) is DomainError
 
     def test_pathwise_growth_slope_checks_a_caller_built_path(self):
         good = em_path(MODEL, 1.0, 0.01, 0.2, seed=0)
@@ -458,6 +474,10 @@ class TestArrayRegressions:
             with pytest.raises(DomainError) as info:
                 pathwise_growth_slope(dataclasses.replace(good, times=times, values=values))
             assert type(info.value) is DomainError
+        # twelve samples at one time leave the fitted line no spread
+        with pytest.raises(InsufficientDataError, match="degenerate"):
+            pathwise_growth_slope(dataclasses.replace(good, times=np.full(12, 0.1),
+                                                      values=good.values[:12]))
 
     def test_a_float64_array_comes_back_as_itself(self):
         assert check_array("times", TIMES) is TIMES

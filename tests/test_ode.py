@@ -9,6 +9,7 @@ from blowuplab import (
     DomainError,
     FieldEvaluationError,
     IntegrationOptions,
+    StiffnessError,
     VectorField,
     coupled_gdp_solution,
     estimate_blowup_time,
@@ -122,6 +123,9 @@ class TestIntegrate:
         assert np.all(np.isfinite(trail.states))
         assert trail.blowup is not None
         assert trail.times[-1] < trail.blowup.t_low
+        # the crossing's bracket is the bisected final step, its midpoint the estimate
+        assert trail.blowup.method == "threshold-crossing"
+        assert trail.blowup.estimate == 0.5 * (trail.blowup.t_low + trail.blowup.t_high)
 
     def test_monotone_field_gives_monotone_samples(self):
         trail = integrate(scalar_field(lambda A: 0.01 * A ** 1.5), [1.0], 50.0)
@@ -176,6 +180,14 @@ class TestIntegrate:
         with pytest.raises(FieldEvaluationError):
             estimate_blowup_time(field, [1.0], 5.0)
 
+    def test_a_stiff_field_raises(self):
+        # the step floor stops the run at t = 0, and the tail shows no pole
+        field = scalar_field(lambda A: -1e15 * (A - 1.0))
+        with pytest.raises(StiffnessError, match="underflowed at t=0.0"):
+            integrate(field, [2.0], 1.0)
+        with pytest.raises(StiffnessError, match="underflowed at t=0.0"):
+            estimate_blowup_time(field, [2.0], 1.0)
+
     def test_option_validation(self):
         with pytest.raises(DomainError):
             integrate(scalar_field(lambda A: A), [1.0], 1.0,
@@ -217,6 +229,21 @@ class TestEstimateBlowupTime:
         event = estimate_blowup_time(scalar_field(lambda A: 0.01 * A * A),
                                      [1.0], 50.0)
         assert event is None
+
+    def test_a_field_failing_above_the_first_threshold_gives_none(self):
+        def law(y):
+            return np.array([0.5 * y[0] * math.log(y[0]) ** 2])
+
+        def failing(y):
+            if y[0] > 1e20:
+                raise ValueError("no rate above 1e20")
+            return law(y)
+
+        opts = IntegrationOptions(blowup_tol=0.01)
+        whole = estimate_blowup_time(VectorField(1, law), [math.e], 10.0, opts)
+        assert whole.estimate == pytest.approx(1.9975396277135449, rel=1e-12)
+        # the first threshold, 1e9, is crossed; raising it meets the failure
+        assert estimate_blowup_time(VectorField(1, failing), [math.e], 10.0, opts) is None
 
     def test_cubic_pole_resolution(self):
         # the crossing time of any finite threshold sits within one
