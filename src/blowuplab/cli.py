@@ -240,6 +240,15 @@ def cmd_simulate(args) -> int:
     sources = [args.model is not None, args.dsl is not None, args.dsl_file is not None]
     if sum(sources) != 1:
         parser.error("exactly one of --model, --dsl, --dsl-file is required")
+    # each source reads only its own flags; --A0 serves both
+    if args.model is not None:
+        source, foreign = "--model", ("param", "init")
+    else:
+        source = "--dsl" if args.dsl is not None else "--dsl-file"
+        foreign = ("k", "I", "R", "n", "k1", "k2", "Y0")
+    unread = [f"--{name}" for name in foreign if getattr(args, name) is not None]
+    if unread:
+        parser.error(f"{source} does not read {', '.join(unread)}")
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
     if args.model is not None:

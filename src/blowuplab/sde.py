@@ -108,13 +108,14 @@ class StochasticModel:
 class PathResult:
     """One simulated path.
 
-    ``times``/``values`` hold the recorded samples, all finite and
-    positive.  ``outcome`` is ``"exploded"``, ``"absorbed"`` or
-    ``"survived"`` and ``event_time`` the time of the ending step
-    (``None`` for a survivor), as in :class:`EnsembleStats`.  An
-    exploded path ends with the crossing sample when it is finite; an
-    absorbed path ends with the last positive sample.  ``seed`` is the
-    ``(master_seed, path_index)`` pair that reproduces the path exactly.
+    ``times``/``values`` hold the samples, all finite and positive:
+    :func:`em_path` keeps the level of every step.  ``outcome`` is
+    ``"exploded"``, ``"absorbed"`` or ``"survived"`` and ``event_time``
+    the time of the ending step (``None`` for a survivor), as in
+    :class:`EnsembleStats`.  An exploded path ends with the crossing
+    sample when it is finite; an absorbed path ends with the last
+    positive sample.  ``seed`` is the ``(master_seed, path_index)``
+    pair that reproduces the path exactly.
     """
 
     times: np.ndarray
@@ -250,7 +251,7 @@ class ErgodicityReport:
     ``drift_of_u`` the transformed drift.  ``constancy_score`` is the
     largest deviation of the transformed drift from its grid mean,
     relative to that mean; the transform exists when the score stays
-    below ``tolerance``.  ``reason`` is set when no transform could be
+    below ``1e-6``.  ``reason`` is set when no transform could be
     constructed at all (for instance a vanishing diffusion).
     """
 
@@ -259,7 +260,6 @@ class ErgodicityReport:
     u_of_A: np.ndarray
     drift_of_u: np.ndarray
     constancy_score: float
-    tolerance: float
     reason: str | None = None
 
 
@@ -309,6 +309,19 @@ def _coefficient(model: StochasticModel, fn: Callable, a: np.ndarray, t: float |
 
 def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
     return _coefficient(model, model.drift, a, t), _coefficient(model, model.diffusion, a, t)
+
+
+def _live_coefficients(slices: list, levels: np.ndarray, t: float):
+    """Drift and diffusion at the live ``levels``, each ``(model, lo, hi)`` slice by its model."""
+    if len(slices) == 1:
+        # no assembly: about 10% of ensemble-lockstep's time
+        # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
+        return _evaluate(slices[0][0], levels, t)
+    drift = np.empty(levels.size)
+    diffusion = np.empty(levels.size)
+    for model, lo, hi in slices:
+        drift[lo:hi], diffusion[lo:hi] = _evaluate(model, levels[lo:hi], t)
+    return drift, diffusion
 
 
 def _compact_slices(slices: list, ok) -> list:
@@ -363,12 +376,14 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     has more than ``_FEW_LANES`` live lanes, Python floats once it has
     at most that many, at the start of a block or when lanes end, since
     most of an array step on a few lanes is numpy's fixed cost per
-    call.  On floats the models still run on a ``float64`` array of the
-    live levels, while the update and the termination test run in the
-    same order as on arrays, which rounds exactly as numpy does, and
-    the slope terms are added when a lane ends or the block does, for
-    all the steps since at once but summed in step order.  Lanes end,
-    and levels are recorded, in code the two bodies share.  On a 2-vCPU
+    call.  Both bodies take the drift and diffusion from one helper,
+    which calls each model on its slice of a ``float64`` array of the
+    live levels.  On floats the results become lists, the update and
+    the termination test run in the same order as on arrays, which
+    rounds exactly as numpy does, and the slope terms are added when a
+    lane ends or the block does, for all the steps since at once but
+    summed in step order.  Lanes end, and levels are recorded, in code
+    the two bodies share.  On a 2-vCPU
     Intel Xeon virtual machine a step on two lanes takes about 6
     microseconds on floats, against 10 to 17 on arrays.
     """
@@ -469,12 +484,10 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         levels = seen[n_seen]
                         levels[:] = a
                         n_seen += 1
-                        drift, diffusion = [], []
-                        for model, lo, hi in slices:
-                            d, b = _evaluate(model, levels[lo:hi], step * dt)
-                            # a model that returns one number broadcasts it
-                            drift += d.tolist() if d.ndim else [d.tolist()] * (hi - lo)
-                            diffusion += b.tolist() if b.ndim else [b.tolist()] * (hi - lo)
+                        d, b = _live_coefficients(slices, levels, step * dt)
+                        # a model that returns one number broadcasts it
+                        drift = d.tolist() if d.ndim else [d.tolist()] * lanes.size
+                        diffusion = b.tolist() if b.ndim else [b.tolist()] * lanes.size
                         a_next = [x + d * dt + b * sqdt * w for x, d, b, w
                                   in zip(a, drift, diffusion, lane_draws[row].tolist())]
                         ok = [0.0 < x < threshold for x in a_next]
@@ -483,16 +496,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         y = np.log(a)
                         y_run += y
                         ty_run += y * (step * dt - t_shift)
-                        if len(slices) == 1:
-                            # no assembly: about 10% of ensemble-lockstep's time
-                            # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
-                            drift, diffusion = _evaluate(slices[0][0], a, step * dt)
-                        else:
-                            drift = np.empty(lanes.size)
-                            diffusion = np.empty(lanes.size)
-                            for model, lo, hi in slices:
-                                drift[lo:hi], diffusion[lo:hi] = _evaluate(model, a[lo:hi],
-                                                                           step * dt)
+                        drift, diffusion = _live_coefficients(slices, a, step * dt)
                         a_next = (a + drift * dt
                                   + diffusion * sqdt * (z if cols is None else z[cols]))
                         ok = (a_next > 0.0) & (a_next < threshold)
@@ -578,37 +582,29 @@ def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
 
 
 def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
-            *, record_every: int = 1,
-            threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> PathResult:
+            *, threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> PathResult:
     """Simulate one Euler-Maruyama path, reproducibly.
 
     ``seed`` is either a master seed (path index 0) or a
     ``(master_seed, path_index)`` pair.  The effective horizon is
-    ``round(t_end/dt)`` steps.  ``record_every`` thins the stored
-    samples; termination samples are always kept (the threshold
-    crossing if it is finite, the last positive level before
-    absorption).  The path is stepped on Python floats; a step whose
-    float evaluation overflows or divides by zero is redone on
-    ``np.float64``, so it ends the path as in the batch kernel instead
-    of raising.  A drift or diffusion that still raises, or whose
-    result is not one number, surfaces as
+    ``round(t_end/dt)`` steps.  The path keeps the level of every step,
+    and its termination sample (the threshold crossing if it is finite;
+    an absorbed path ends with the last positive level).  The path is
+    stepped on Python floats; a step whose float evaluation overflows
+    or divides by zero is redone on ``np.float64``, so it ends the path
+    as in the batch kernel instead of raising.  A drift or diffusion
+    that still raises, or whose result is not one number, surfaces as
     :class:`~blowuplab.errors.FieldEvaluationError` naming the model's
     ``label`` and the time, as it does in the batch kernel.
     """
     check_instance("model", model, StochasticModel, "a StochasticModel")
     n_steps = _validate_grid(A0, dt, t_end, threshold)
-    stride = check_integer("record_every", record_every, at_least=1)
     master, index = _normalize_seed(seed)
     rng = _derive_rng(master, index)
     drift, diffusion = model.drift, model.diffusion
     sqdt = math.sqrt(dt)
-    rec_steps = _record_lattice(n_steps, stride)
-    values = np.empty(len(rec_steps))
+    values = np.empty(n_steps + 1)
     values[0] = a = float(A0)
-    n_rec = 1
-    # the step whose new level is recorded next; the level is tested and
-    # stored in the try below, so a result that is not one number is caught
-    rec_from = min(stride, n_steps) - 1
     step = 0
     end = None  # the level that ended the path
     with np.errstate(all="ignore"):
@@ -623,30 +619,21 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
                     raise _model_failure(model, step * dt, exc) from exc
                 try:
                     a_next = a + da * dt + db * sqdt * z
+                    if not isinstance(a_next, _ONE_NUMBER):
+                        raise TypeError(f"level is not one number: {a_next!r}")
                     if not 0.0 < a_next < threshold:
-                        if not isinstance(a_next, _ONE_NUMBER):
-                            raise TypeError(f"level is not one number: {a_next!r}")
                         end = float(a_next)
                         break
-                    if step == rec_from:
-                        if not isinstance(a_next, _ONE_NUMBER):
-                            raise TypeError(f"level is not one number: {a_next!r}")
-                        values[n_rec] = a_next
-                        n_rec += 1
-                        rec_from += stride
-                        if rec_from >= n_steps:  # the horizon is recorded too
-                            rec_from = n_steps - 1
                 except (TypeError, ValueError) as exc:
                     # a result that is not one number
                     raise _model_failure(model, step * dt, exc) from exc
                 step += 1
-                a = a_next
+                values[step] = a = a_next
 
-    times = rec_steps[:n_rec] * dt
-    if n_rec < len(values):
-        values = values[:n_rec].copy()
+    times = np.arange(step + 1) * dt
     if end is None:
         return PathResult(times, values, "survived", None, (master, index))
+    values = values[:step + 1].copy()
     event = (step + 1) * dt  # the step that ended the path
     if -math.inf < end <= 0.0:
         return PathResult(times, values, "absorbed", event, (master, index))
@@ -757,9 +744,9 @@ def ergodicity_check(model: StochasticModel,
     relative step ``1e-6``.
     The transform is declared to exist when the transformed drift is
     constant over ``levels`` (default ``1, 2, ..., 100``): its largest
-    relative deviation from the grid mean stays below ``1e-6``, the
-    report's ``tolerance``.  Existence means time averages of
-    one long path stand in for ensemble averages.
+    relative deviation from the grid mean stays below ``1e-6``.
+    Existence means time averages of one long path stand in for
+    ensemble averages.
 
     A diffusion that vanishes somewhere on the grid admits no
     transform at all; that comes back as a report with
@@ -786,7 +773,6 @@ def ergodicity_check(model: StochasticModel,
             u_of_A=nan_grid,
             drift_of_u=nan_grid,
             constancy_score=math.inf,
-            tolerance=_CONSTANCY_TOLERANCE,
             reason="diffusion vanishes on the grid; the transform divides by it",
         )
     drift = _coefficient(model, model.drift, grid, None)
@@ -821,7 +807,6 @@ def ergodicity_check(model: StochasticModel,
         u_of_A=u,
         drift_of_u=drift_u,
         constancy_score=score,
-        tolerance=_CONSTANCY_TOLERANCE,
     )
 
 

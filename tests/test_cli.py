@@ -142,6 +142,36 @@ def test_flags_a_command_does_not_read_are_usage_errors(command, flag, value,
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source,flags,unread", [
+    (["--model", "hyperbolic", "--k", "0.01", "--I", "1"], ["--param", "k=5"], "--param"),
+    (["--model", "hyperbolic", "--k", "0.01", "--I", "1"], ["--param", "k=5", "--init", "A=3"],
+     "--param, --init"),
+    (["--model", "exponential", "--k", "0.01", "--A0", "2"], ["--init", "A=3"], "--init"),
+    (["--dsl", "dA = k*A^2", "--param", "k=0.01", "--A0", "1"], ["--k", "5", "--Y0", "3"],
+     "--k, --Y0"),
+    (["--dsl", "dA = k*A^2", "--param", "k=0.01", "--A0", "1"],
+     ["--I", "1", "--R", "2", "--n", "3", "--k1", "1", "--k2", "1"],
+     "--I, --R, --n, --k1, --k2"),
+])
+def test_simulate_flags_its_source_does_not_read_are_usage_errors(source, flags, unread,
+                                                                  tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", *source, *flags, "--t-max", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {source[0]} does not read {unread}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_dsl_file_does_not_read_model_flags(tmp_path, capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("dA = k*A^2")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--dsl-file", str(law), "--param", "k=0.01", "--A0", "1",
+                  "--k", "5", "--t-max", "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --dsl-file does not read --k\n")
+
+
 @pytest.mark.parametrize("model,flags,missing", [
     ("hyperbolic", [], "--k"), ("powerlaw", ["--k", "1"], "--n"),
     ("powerlaw", [], "--k, --n"), ("loglaw", [], "--k"),

@@ -7,6 +7,7 @@ reproduce it bit for bit on product-form models.
 """
 
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -271,24 +272,49 @@ class TestScalarPath:
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                             n_paths=index + 1, master_seed=11, threshold=threshold)
         batch = simulate_batches([spec], record_points)[0]
-        stride = max(1, steps // record_points)
-        path = em_path(model, 1.0, 0.01, spec.t_end, seed=(11, index),
-                       record_every=stride, threshold=threshold)
-        row = batch.series[index]
-        kept = np.isfinite(row)
-        times = batch.rec_steps[kept] * 0.01
-        values = row[kept]
+        path = em_path(model, 1.0, 0.01, spec.t_end, seed=(11, index), threshold=threshold)
+        # the path keeps every step it was alive for, the batch row the
+        # recorded ones among them
+        alive = steps + 1 if batch.survived[index] else round(batch.event_times[index] / 0.01)
+        times = np.arange(alive) * 0.01
         crossing = batch.final_levels[index]
         if batch.exploded[index] and np.isfinite(crossing):
             times = np.append(times, batch.event_times[index])
-            values = np.append(values, crossing)
+            assert path.values[-1] == crossing
         assert path.times.tobytes() == times.tobytes()
-        assert path.values.tobytes() == values.tobytes()
+        row = batch.series[index]
+        kept = batch.rec_steps < alive
+        assert np.array_equal(np.isfinite(row), kept)
+        assert path.values[batch.rec_steps[kept]].tobytes() == row[kept].tobytes()
         assert path.outcome == batch.outcomes[index]
         if batch.survived[index]:
             assert path.event_time is None
         else:
             assert path.event_time == batch.event_times[index]
+
+    def test_em_path_outputs_are_pinned(self):
+        # times, values, outcome and event time of 240 paths, pinned: they
+        # survive, explode with and without a crossing sample, and are
+        # absorbed.  np.sqrt returns a numpy scalar and rounds correctly on
+        # every CPU; np.exp would not do here, since it rounds differently
+        # where numpy runs its AVX-512 code
+        models = [hyperbolic_sde_model(0.05, 0.05), hyperbolic_sde_model(1.0, 1.5),
+                  gbm_model(0.5, 1.0, 1.0),
+                  StochasticModel(drift=lambda a: a ** 3, diffusion=lambda a: 0.5 * a,
+                                  label="cubic"),
+                  StochasticModel(drift=lambda a: np.sqrt(a) * a, diffusion=lambda a: 0.7 * a,
+                                  label="numpy-scalar")]
+        digest = hashlib.sha256()
+        for model in models:
+            for t_end in (0.01, 0.37, 5.0, 40.0):
+                for seed in (0, (3, 1), (11, 7), (42, 999)):
+                    for threshold in (3.0, 1e9, math.inf):
+                        path = em_path(model, 1.0, 0.01, t_end, seed, threshold=threshold)
+                        for part in (path.times, path.values):
+                            digest.update(part.tobytes())
+                        digest.update(repr((path.outcome, path.event_time)).encode())
+        assert digest.hexdigest() == \
+            "76c0ab238c2aeab269083a2a62e2ce42edee6fa3d489f74b7ad984294ce0c904"
 
     def test_overflowing_power_explodes_without_a_crossing_sample(self):
         model = StochasticModel(drift=lambda a: a ** 3,

@@ -157,9 +157,6 @@ ROWS = [
         POSITIVE + (0.005,)),
     Row("em_path.threshold", lambda v: em_path(MODEL, 1.0, 0.01, 0.1, seed=0, threshold=v),
         1e9, THRESHOLD + (0.5,)),
-    Row("em_path.record_every",
-        lambda v: em_path(MODEL, 1.0, 0.01, 0.1, seed=0, record_every=v), 1, (0,),
-        integer=True),
     Row("EnsembleSpec.A0", lambda v: run_ensemble(dataclasses.replace(SPEC, A0=v)), 1,
         POSITIVE),
     Row("EnsembleSpec.dt", lambda v: run_ensemble(dataclasses.replace(SPEC, dt=v)), 0.01,

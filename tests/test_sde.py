@@ -112,13 +112,6 @@ class TestEmPath:
         two = em_path(model, 1.0, 0.01, 20.0, seed=(42, 1))
         assert not np.array_equal(one.values, two.values)
 
-    def test_record_stride_subsamples_same_lattice(self):
-        model = hyperbolic_sde_model(0.05, 0.05)
-        full = em_path(model, 1.0, 0.01, 20.0, seed=(7, 0))
-        coarse = em_path(model, 1.0, 0.01, 20.0, seed=(7, 0), record_every=10)
-        positions = np.searchsorted(full.times, coarse.times)
-        assert np.array_equal(full.values[positions], coarse.values)
-
     def test_infinite_threshold_runs_to_the_horizon(self):
         path = em_path(gbm_model(0.0005, 100.0, 0.001), 1.0, 0.01, 10.0, seed=3,
                        threshold=math.inf)
@@ -177,12 +170,6 @@ class TestEmPath:
         assert path.seed == (3, 1)
         assert path.values.tobytes() == em_path(model, 1.0, 0.01, 1.0,
                                                 seed=(3, 1)).values.tobytes()
-
-    @pytest.mark.parametrize("record_every", [2.5, True])
-    def test_rejects_a_non_integral_record_every(self, record_every):
-        with pytest.raises(DomainError, match="record_every must be an integer"):
-            em_path(hyperbolic_sde_model(0.05, 0.05), 1.0, 0.01, 1.0, seed=0,
-                    record_every=record_every)
 
     def test_threshold_must_exceed_the_initial_level(self):
         # a threshold at or below A0 would "explode" every path at step 1
