@@ -35,6 +35,7 @@ phase to a self-referential second phase at the exact switching level.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, Union
 
@@ -162,6 +163,8 @@ class PhasePlan:
 def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
     """Coerce a growth law to ``(scalar_callable, label)``; an equation
     ``dx = ...`` is a law in its own variable ``x``."""
+    params = {} if parameters is None else \
+        dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
     var = None
     if isinstance(law, str):
         law = dsl.parse(law)
@@ -173,13 +176,14 @@ def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
                 )
             [(var, law)] = law.equations
     if isinstance(law, (dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
-        params = {} if parameters is None else \
-            dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
         if var is None:
             var = dsl.level_variable(law, params)
         fn = dsl.as_function(law, var=var, parameters=params)
         return fn, dsl.pretty_print(law)
     if callable(law):
+        if parameters is not None:
+            raise DomainError("parameters must be None for a callable law, got "
+                              f"{reprlib.repr(parameters)}")
         label = getattr(law, "__name__", None) or "callable"
         return law, label
     raise DomainError(f"cannot interpret {law!r} as a growth law")
@@ -394,7 +398,8 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
     integral supplies the singularity time measured from ``A0``.
 
     The law must be positive and monotone non-decreasing on
-    ``[A0, inf)``; both are validated by sampling.
+    ``[A0, inf)``; both are validated by sampling.  ``parameters`` bind
+    the names of a DSL law and must be None for a callable one.
     """
     check_real("A0", A0, above=0.0)
     fn, label = _as_rate(law, parameters)
@@ -494,7 +499,8 @@ def compose_phases(R: float, I: float, phase2_law: GrowthLaw, *,
     level (default: the driver capability ``I``), which both phases
     share as the exact same float.  Phase 2 integrates ``phase2_law``
     from that level; its blow-up, when one is found, is reported on the
-    combined clock.
+    combined clock.  ``parameters`` bind the names of a DSL law and must
+    be None for a callable one.
     """
     k = calibrate_k(R, I)
     check_real("initial level c", c, above=0.0)

@@ -7,6 +7,15 @@ verdict for a growth law), ``compose`` (two-phase scenario plan),
 ``barometer`` (trend test over a CSV series), and ``reproduce``
 (canned figure data and headline numbers).
 
+A source, a ``--model`` row of ``solve``, ``simulate`` or ``ensemble``
+or ``simulate --dsl``/``--dsl-file``, reads only the flags listed for it
+below, ! marking a needed one; another of --k --I --R --n --k1 --k2 --c
+--sigma --A0 --Y0 --param --init, or an unset needed one, exits 2.
+solve: exponential k R I c, hyperbolic k! I!, powerlaw k! I! n!, loglaw
+k! c, coupled-gdp k1!.  simulate: exponential k R I A0, hyperbolic and
+loglaw k! A0, powerlaw k! n! A0, coupled-gdp k1! k2! A0 Y0, --dsl param
+init A0.  ensemble: hyperbolic-sde k! sigma! A0, gbm k! I! sigma! A0.
+
 Flags sit after the subcommand.  Every subcommand takes ``--out DIR``
 for output files; ``solve``, ``simulate``, ``compose`` and
 ``reproduce`` write tables and take ``--format csv|json``; ``ensemble``
@@ -100,54 +109,50 @@ def _emit_json(args, basename: str, payload: dict) -> None:
     print(text)
 
 
-def _parse_bindings(pairs: list[str] | None, parser, flag: str) -> dict[str, float]:
+def _parse_bindings(args, dest: str) -> dict[str, float]:
     bindings: dict[str, float] = {}
-    for item in pairs or []:
+    for item in getattr(args, dest) or []:
         for chunk in item.split(","):
             chunk = chunk.strip()
             if not chunk:
                 continue
             name, sep, raw = chunk.partition("=")
             if not sep or not name:
-                parser.error(f"{flag} expects NAME=VALUE, got {chunk!r}")
+                args.parser.error(f"--{dest} expects NAME=VALUE, got {chunk!r}")
             try:
                 bindings[name.strip()] = float(raw)
             except ValueError:
-                parser.error(f"{flag} value for {name!r} is not a number: {raw!r}")
+                args.parser.error(f"--{dest} value for {name!r} is not a number: {raw!r}")
     return bindings
-
-
-def _blowup_payload(event: ode.BlowUpEvent | None):
-    return None if event is None else asdict(event)
 
 
 # --------------------------------------------------------------------------
 # solve
 
 
-# model -> (flags solve needs, level at time t, blow-up time or None,
-#           DSL source of the rate simulate integrates)
+# model -> (flags solve reads, flags simulate reads ("!" marks a needed one),
+#           level at time t, blow-up time or None, DSL source of simulate's rate)
 _MODELS = {
-    "exponential": ((), lambda a, t: closedform.exp_phase_solution(
+    "exponential": ("k R I c", "k R I A0", lambda a, t: closedform.exp_phase_solution(
         _growth_rate(a), a.I, t, 1.0 if a.c is None else a.c), lambda a: None, "dA = r*A"),
-    "hyperbolic": (("k", "I"), lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
-                   lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star,
-                   "dA = k*A*A"),
-    "powerlaw": (("k", "I", "n"), lambda a, t: closedform.powerlaw_solution(a.k, a.I, a.n, t),
-                 lambda a: closedform.powerlaw_blowup_time(a.k, a.I, a.n).t_star,
+    "hyperbolic": ("k! I!", "k! A0", lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
+                   lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star, "dA = k*A*A"),
+    "powerlaw": ("k! I! n!", "k! n! A0", lambda a, t: closedform.powerlaw_solution(
+        a.k, a.I, a.n, t), lambda a: closedform.powerlaw_blowup_time(a.k, a.I, a.n).t_star,
                  "dA = k*A^n"),
-    "loglaw": (("k",), lambda a, t: closedform.loglaw_solution(
+    "loglaw": ("k! c", "k! A0", lambda a, t: closedform.loglaw_solution(
         0.0 if a.c is None else a.c, a.k, t), lambda a: None, "dA = k*ln(A)*A"),
-    "coupled-gdp": (("k1",), lambda a, t: closedform.coupled_gdp_solution(a.k1, t),
+    "coupled-gdp": ("k1!", "k1! k2! A0 Y0", lambda a, t: closedform.coupled_gdp_solution(a.k1, t),
                     lambda a: 1.0 / a.k1, "dY = k1*(Y*A); dA = k2*(Y*A)"),
 }
 # simulate's initial levels of the models' states when --A0/--Y0 are unset
 _DEFAULT_LEVELS = {"A": "1", "Y": "k1/k2"}
+# the flags that feed a source, in the order usage errors list them
+_SOURCE_FLAGS = ("k", "I", "R", "n", "k1", "k2", "c", "sigma", "A0", "Y0", "param", "init")
 
 
 def _growth_rate(args) -> float:
-    """The exponential model's ``k``: ``--k``, else calibrated from ``--R``
-    and ``--I``."""
+    """The exponential model's ``k``: ``--k``, else calibrated from ``--R`` and ``--I``."""
     if args.k is not None:
         return check_real("k", args.k, above=0.0)
     if args.R is not None:
@@ -155,10 +160,17 @@ def _growth_rate(args) -> float:
     raise DomainError("no growth rate available: set k or R")
 
 
-def _need(args, *flags: str) -> None:
-    missing = [flag for flag in flags if getattr(args, flag) is None]
+def _check_flags(args, source: str, flags: str) -> None:
+    """Exit 2 naming each given source flag that ``flags`` does not list,
+    else each flag marked ``!`` there, a needed one, that is unset."""
+    listed = flags.split()
+    unread = [f"--{f}" for f in _SOURCE_FLAGS if getattr(args, f, None) is not None
+              and f not in listed and f + "!" not in listed]
+    if unread:
+        args.parser.error(f"{source} does not read {', '.join(unread)}")
+    missing = [f"--{f}" for f in _SOURCE_FLAGS if f + "!" in listed and getattr(args, f) is None]
     if missing:
-        args.parser.error("missing required flags: " + ", ".join(f"--{m}" for m in missing))
+        args.parser.error("missing required flags: " + ", ".join(missing))
 
 
 def cmd_solve(args) -> int:
@@ -167,8 +179,8 @@ def cmd_solve(args) -> int:
         parser.error("--steps must be at least 2")
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
-    flags, level, blowup_time, _ = _MODELS[args.model]
-    _need(args, *flags)
+    flags, _, level, blowup_time, _ = _MODELS[args.model]
+    _check_flags(args, "--model", flags)
     grid = np.linspace(0.0, args.t_max, args.steps)
     # the level functions validate the parameters the blow-up time reads
     levels = [level(args, float(t)) for t in grid]
@@ -191,17 +203,16 @@ def cmd_solve(args) -> int:
 
 
 def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
-    spec = dsl.parse(_MODELS[args.model][3])
+    _, flags, _, _, source = _MODELS[args.model]
+    _check_flags(args, "--model", flags)
+    spec = dsl.parse(source)
     if args.model == "exponential":
         # the calibrated rate: k, or k from R, times I (default 1)
         r = _growth_rate(args) * (1.0 if args.I is None else args.I)
         params, label = {"r": r}, f"exponential(k*I={r!r})"
     else:
-        # the flags needed are the source's parameters
-        names = sorted({name for _, rhs in spec.equations for name in dsl.free_names(rhs)}
-                       - set(spec.state_names))
-        _need(args, *names)
-        params = {name: getattr(args, name) for name in names}
+        # the needed flags are the source's parameters
+        params = {f[:-1]: getattr(args, f[:-1]) for f in flags.split() if f.endswith("!")}
         label = f"{args.model}({', '.join(f'{n}={v!r}' for n, v in params.items())})"
     levels = [getattr(args, f"{name}0") for name in spec.state_names]
     levels = [dsl.evaluate(dsl.parse(_DEFAULT_LEVELS[name]), params) if level is None
@@ -209,11 +220,13 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
     return dsl.to_field(spec, params), np.array(levels), label
 
 
-def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
+def _dsl_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
+    parser = args.parser
+    _check_flags(args, "--dsl" if args.dsl is not None else "--dsl-file", "param init A0")
     source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
     spec = dsl.parse(source)
-    params = _parse_bindings(args.param, parser, "--param")
-    levels = _parse_bindings(args.init, parser, "--init")
+    params = _parse_bindings(args, "param")
+    levels = _parse_bindings(args, "init")
     if not isinstance(spec, dsl.SystemSpec):
         spec = dsl.SystemSpec(equations=((dsl.level_variable(spec, params), spec),))
     field = dsl.to_field(spec, params)
@@ -237,24 +250,9 @@ def _dsl_field(args, parser) -> tuple[ode.VectorField, np.ndarray, str]:
 
 def cmd_simulate(args) -> int:
     parser = args.parser
-    sources = [args.model is not None, args.dsl is not None, args.dsl_file is not None]
-    if sum(sources) != 1:
-        parser.error("exactly one of --model, --dsl, --dsl-file is required")
-    # each source reads only its own flags; --A0 serves both
-    if args.model is not None:
-        source, foreign = "--model", ("param", "init")
-    else:
-        source = "--dsl" if args.dsl is not None else "--dsl-file"
-        foreign = ("k", "I", "R", "n", "k1", "k2", "Y0")
-    unread = [f"--{name}" for name in foreign if getattr(args, name) is not None]
-    if unread:
-        parser.error(f"{source} does not read {', '.join(unread)}")
     if args.t_max <= 0.0:
         parser.error("--t-max must be positive")
-    if args.model is not None:
-        field, state0, label = _model_field(args)
-    else:
-        field, state0, label = _dsl_field(args, parser)
+    field, state0, label = (_dsl_field if args.model is None else _model_field)(args)
 
     opts = ode.IntegrationOptions(
         rtol=args.rtol, atol=args.atol,
@@ -280,7 +278,7 @@ def cmd_simulate(args) -> int:
         "t_max": args.t_max,
         "final_state": trajectory.states[-1] if len(trajectory.times) else None,
         "final_time": trajectory.times[-1] if len(trajectory.times) else None,
-        "blowup": _blowup_payload(trajectory.blowup),
+        "blowup": None if trajectory.blowup is None else asdict(trajectory.blowup),
         "table": path,
     }
     _emit_json(args, "simulate_summary", summary)
@@ -291,16 +289,16 @@ def cmd_simulate(args) -> int:
 # ensemble
 
 
-# ensemble --model -> (flags it needs, the model built from them)
+# ensemble --model -> (flags it reads, the model built from them)
 _SDE_MODELS = {
-    "hyperbolic-sde": (("k", "sigma"), lambda a: sde.hyperbolic_sde_model(a.k, a.sigma)),
-    "gbm": (("k", "I", "sigma"), lambda a: sde.gbm_model(a.k, a.I, a.sigma)),
+    "hyperbolic-sde": ("k! sigma! A0", lambda a: sde.hyperbolic_sde_model(a.k, a.sigma)),
+    "gbm": ("k! I! sigma! A0", lambda a: sde.gbm_model(a.k, a.I, a.sigma)),
 }
 
 
 def cmd_ensemble(args) -> int:
     flags, build = _SDE_MODELS[args.model]
-    _need(args, *flags)
+    _check_flags(args, "--model", flags)
     model = build(args)
     spec = sde.EnsembleSpec(
         model=model, A0=args.A0, dt=args.dt, t_end=args.t_max,
@@ -342,12 +340,8 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    parser = args.parser
-    sources = [args.dsl is not None, args.dsl_file is not None]
-    if sum(sources) != 1:
-        parser.error("exactly one of --dsl, --dsl-file is required")
     source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
-    params = _parse_bindings(args.param, parser, "--param")
+    params = _parse_bindings(args, "param")
     verdict = analysis.classify_growth_law(source, A0=args.A0, parameters=params)
     payload = {
         "command": "classify",
@@ -368,8 +362,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    parser = args.parser
-    params = _parse_bindings(args.param, parser, "--param")
+    params = _parse_bindings(args, "param")
     plan = analysis.compose_phases(
         args.R, args.I, args.dsl,
         c=args.c if args.c is not None else 1.0,
@@ -386,7 +379,7 @@ def cmd_compose(args) -> int:
         "switch_time": plan.switch_time,
         "switch_level": plan.switch_level,
         "total_blowup_time": plan.total_blowup_time,
-        "blowup": _blowup_payload(plan.blowup),
+        "blowup": None if plan.blowup is None else asdict(plan.blowup),
         "rows": int(len(plan.times)),
         "table": path,
     }
@@ -554,9 +547,14 @@ def cmd_reproduce(args) -> int:
 # parser
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
+def _i_help(table: dict, column: int) -> str:
+    readers = [model for model, row in table.items() if "I" in row[column].replace("!", "").split()]
+    return f"driver capability ratio ({', '.join(readers)})"
+
+
+def _add_scenario_flags(sub: argparse.ArgumentParser, column: int) -> None:
     sub.add_argument("--k", type=float, help="growth coefficient")
-    sub.add_argument("--I", type=float, help="driver capability ratio")
+    sub.add_argument("--I", type=float, help=_i_help(_MODELS, column))
     sub.add_argument("--R", type=float, help="annual growth factor")
     sub.add_argument("--n", type=float, help="power-law exponent")
     sub.add_argument("--k1", type=float, help="coupled-system coefficient 1")
@@ -570,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = root.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="evaluate a closed-form model on a grid")
-    _add_scenario_flags(solve)
+    _add_scenario_flags(solve, 0)
     solve.add_argument("--c", type=float, help="initial level constant")
     solve.add_argument("--model", required=True, choices=tuple(_MODELS))
     solve.add_argument("--t-max", type=float, required=True, help="grid end time")
@@ -579,14 +577,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(handler=cmd_solve)
 
     simulate = subs.add_parser("simulate", help="integrate a model adaptively")
-    _add_scenario_flags(simulate)
+    _add_scenario_flags(simulate, 1)
     simulate.add_argument("--k2", type=float, help="coupled-system coefficient 2")
     simulate.add_argument("--A0", type=float, help="initial level")
     simulate.add_argument("--Y0", type=float, help="initial co-factor level")
+    source = simulate.add_mutually_exclusive_group(required=True)
     # the built-in fields are the DSL sources of the model table solve reads
-    simulate.add_argument("--model", choices=tuple(_MODELS))
-    simulate.add_argument("--dsl", help="growth-law DSL source text")
-    simulate.add_argument("--dsl-file", help="file with growth-law DSL source")
+    source.add_argument("--model", choices=tuple(_MODELS))
+    source.add_argument("--dsl", help="growth-law DSL source text")
+    source.add_argument("--dsl-file", help="file with growth-law DSL source")
     simulate.add_argument("--param", action="append", metavar="NAME=VALUE",
                           help="bind a DSL parameter (repeatable)")
     simulate.add_argument("--init", action="append", metavar="NAME=VALUE",
@@ -610,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "continuous hyperbolic-sde model neither explodes nor reaches zero.")
     ens.add_argument("--model", required=True, choices=tuple(_SDE_MODELS))
     ens.add_argument("--k", type=float, help="growth coefficient")
-    ens.add_argument("--I", type=float, help="driver capability ratio (gbm)")
+    ens.add_argument("--I", type=float, help=_i_help(_SDE_MODELS, 0))
     ens.add_argument("--sigma", type=float, help="volatility coefficient")
     ens.add_argument("--A0", type=float, default=1.0)
     ens.add_argument("--dt", type=float, default=0.01,
@@ -623,8 +622,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     classify = subs.add_parser("classify",
                                help="finite-time convergence verdict for a law")
-    classify.add_argument("--dsl", help="rate expression, e.g. 'k * A^2'")
-    classify.add_argument("--dsl-file", help="file with the rate expression")
+    source = classify.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dsl", help="rate expression, e.g. 'k * A^2'")
+    source.add_argument("--dsl-file", help="file with the rate expression")
     classify.add_argument("--param", action="append", metavar="NAME=VALUE",
                           help="bind a parameter (repeatable)")
     classify.add_argument("--A0", type=float, default=1.0,

@@ -53,7 +53,8 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import BindingError, DomainError, DslSyntaxError, as_real, check_instance
+from .errors import (BindingError, DomainError, DslSyntaxError, as_real, check_instance,
+                     check_real)
 
 __all__ = [
     "Num",
@@ -81,7 +82,10 @@ _RESERVED = frozenset({"ln", "exp"})
 
 @dataclass(frozen=True)
 class Num:
-    value: float
+    value: float  # finite and >= 0, as the parser produces: a minus sign is a Neg
+
+    def __post_init__(self):
+        check_real("Num value", self.value, at_least=0.0)
 
 
 @dataclass(frozen=True)

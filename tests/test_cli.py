@@ -143,8 +143,8 @@ def test_flags_a_command_does_not_read_are_usage_errors(command, flag, value,
 
 
 @pytest.mark.parametrize("source,flags,unread", [
-    (["--model", "hyperbolic", "--k", "0.01", "--I", "1"], ["--param", "k=5"], "--param"),
-    (["--model", "hyperbolic", "--k", "0.01", "--I", "1"], ["--param", "k=5", "--init", "A=3"],
+    (["--model", "hyperbolic", "--k", "0.01"], ["--param", "k=5"], "--param"),
+    (["--model", "hyperbolic", "--k", "0.01"], ["--param", "k=5", "--init", "A=3"],
      "--param, --init"),
     (["--model", "exponential", "--k", "0.01", "--A0", "2"], ["--init", "A=3"], "--init"),
     (["--dsl", "dA = k*A^2", "--param", "k=0.01", "--A0", "1"], ["--k", "5", "--Y0", "3"],
@@ -170,6 +170,73 @@ def test_simulate_dsl_file_does_not_read_model_flags(tmp_path, capsys):
                   "--k", "5", "--t-max", "1", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith("error: --dsl-file does not read --k\n")
+
+
+# the source flags of each subcommand
+COMMAND_SOURCE_FLAGS = {
+    "solve": "--k --I --R --n --k1 --c",
+    "simulate": "--k --I --R --n --k1 --k2 --A0 --Y0 --param --init",
+    "ensemble": "--k --I --sigma --A0",
+}
+# each source: a command line that gives it every flag it reads (LAW is the
+# path of a law file), and those flags
+SOURCES = {
+    "solve-exponential": ("solve --model exponential --k 0.01 --R 1.5 --I 2 --c 1",
+                          "--k --R --I --c"),
+    "solve-hyperbolic": ("solve --model hyperbolic --k 0.01 --I 1", "--k --I"),
+    "solve-powerlaw": ("solve --model powerlaw --k 0.01 --I 1 --n 2", "--k --I --n"),
+    "solve-loglaw": ("solve --model loglaw --k 0.01 --c 1", "--k --c"),
+    "solve-coupled-gdp": ("solve --model coupled-gdp --k1 0.05", "--k1"),
+    "simulate-exponential": ("simulate --model exponential --k 0.01 --R 1.5 --I 2 --A0 1",
+                             "--k --R --I --A0"),
+    "simulate-hyperbolic": ("simulate --model hyperbolic --k 0.01 --A0 1", "--k --A0"),
+    "simulate-powerlaw": ("simulate --model powerlaw --k 0.01 --n 2 --A0 1", "--k --n --A0"),
+    "simulate-loglaw": ("simulate --model loglaw --k 0.01 --A0 2", "--k --A0"),
+    "simulate-coupled-gdp": ("simulate --model coupled-gdp --k1 0.05 --k2 0.1 --A0 1 --Y0 0.5",
+                             "--k1 --k2 --A0 --Y0"),
+    # --A0 and --init both set the initial level, so each case gives one of them
+    "simulate-dsl": ("simulate --dsl 'dA = k*A^2' --param k=0.01 --init A=1",
+                     "--param --init --A0"),
+    "simulate-dsl-file": ("simulate --dsl-file LAW --param k=0.01 --A0 1", "--param --init --A0"),
+    "ensemble-hyperbolic-sde": ("ensemble --model hyperbolic-sde --k 0.05 --sigma 0.05 --A0 1",
+                                "--k --sigma --A0"),
+    "ensemble-gbm": ("ensemble --model gbm --k 0.01 --I 1 --sigma 0.1 --A0 1",
+                     "--k --I --sigma --A0"),
+}
+
+
+@pytest.mark.parametrize("argv,reads", SOURCES.values(), ids=SOURCES)
+def test_a_source_flag_its_source_does_not_read_is_a_usage_error(argv, reads, tmp_path,
+                                                                capsys):
+    law = tmp_path / "law.txt"
+    law.write_text("dA = k*A^2")
+    argv = [str(law) if arg == "LAW" else arg for arg in shlex.split(argv)]
+    argv += ["--t-max", "1"] + (["--paths", "5"] if argv[0] == "ensemble" else [])
+    out = tmp_path / "out"
+    unread = [f for f in COMMAND_SOURCE_FLAGS[argv[0]].split() if f not in reads.split()]
+    for flag in unread:
+        value = {"--param": "k=1", "--init": "A=1"}.get(flag, "1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {argv[1]} does not read {flag}\n")
+        assert not out.exists()
+    assert cli.main([*argv, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--t-max", "1"),
+    ("simulate", "--model", "hyperbolic", "--dsl", "dA = A", "--t-max", "1"),
+    ("classify",),
+    ("classify", "--dsl", "A^2", "--dsl-file", "law.txt"),
+], ids=["simulate-none", "simulate-two", "classify-none", "classify-two"])
+def test_a_command_takes_exactly_one_source(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert re.search(r"one of the arguments .* is required|not allowed with argument",
+                     capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("model,flags,missing", [

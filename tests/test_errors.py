@@ -73,6 +73,7 @@ from blowuplab import (
     total_singularity_time,
     volatility_masking_scan,
 )
+from blowuplab.dsl import Num
 from blowuplab.errors import check_array, check_integer, check_real
 
 inf = math.inf
@@ -199,6 +200,8 @@ ROWS = [
     Row("volatility_masking_scan.window", lambda v: scan(window=v), 8, (4, 17), integer=True),
     Row("volatility_masking_scan.record_points", lambda v: scan(record_points=v), 16, (4, 0),
         integer=True),
+    # dsl: a literal is what the parser reads, so a minus sign is a Neg node
+    Row("Num.value", Num, 1.0, (-1.0, inf, -inf)),
 ]
 
 
@@ -285,6 +288,12 @@ OBJECT_ROWS = [
     ObjectRow("classify_growth_law.law", classify_growth_law, "A^2", ("dA = A; dY = Y", 3.0)),
     ObjectRow("classify_growth_law.parameters",
               lambda v: classify_growth_law("k*A^2", parameters=v), K, (1.0, "k")),
+    # a callable law binds no names, so it takes no parameters
+    ObjectRow("classify_growth_law.parameters_of_a_callable",
+              lambda v: classify_growth_law(lambda a: a * a, parameters=v), None, ("junk", K, {})),
+    ObjectRow("compose_phases.parameters_of_a_callable",
+              lambda v: compose_phases(2.0, 10.0, lambda a: a * a, parameters=v), None,
+              ("junk", K, {})),
     # ensemble
     ObjectRow("volatility_masking_scan.template",
               lambda v: volatility_masking_scan(0.05, [0.1], v, window=8, record_points=16),
