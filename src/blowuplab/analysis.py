@@ -44,7 +44,7 @@ import numpy as np
 from . import dsl
 from .closedform import calibrate_k
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
-                     check_instance, check_integer, check_real)
+                     check_integer, check_real)
 from .ode import BlowUpEvent, VectorField, estimate_blowup_time, fit_line, gauss_kronrod, integrate
 
 __all__ = [
@@ -66,8 +66,8 @@ INFINITE_TIME = "infinite-time"
 INCONCLUSIVE = "inconclusive"
 
 # A growth law is a rate expression in one level variable: DSL source,
-# a parsed DSL expression, or any float-to-float callable.
-GrowthLaw = Union[str, dsl.Expr, Callable]
+# a parsed DSL expression or equation, or any float-to-float callable.
+GrowthLaw = Union[str, dsl.Expr, dsl.SystemSpec, Callable]
 
 
 # Classifier settings.  The quadrature ladder starts with eight decades
@@ -161,32 +161,19 @@ class PhasePlan:
 
 
 def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
-    """Coerce a growth law to ``(scalar_callable, label)``; an equation
-    ``dx = ...`` is a law in its own variable ``x``."""
-    params = {} if parameters is None else \
-        dict(check_instance("parameters", parameters, Mapping, "a mapping or None"))
-    var = None
+    """Coerce a growth law to ``(scalar_callable, label)``: DSL text is
+    parsed, a parsed law compiles with :func:`dsl.as_function` and a
+    callable is kept; the label is the callable's name."""
     if isinstance(law, str):
         law = dsl.parse(law)
-        if isinstance(law, dsl.SystemSpec):
-            if len(law.equations) != 1:
-                raise DomainError(
-                    "growth-law classification works on a single equation; "
-                    f"got {len(law.equations)}"
-                )
-            [(var, law)] = law.equations
-    if isinstance(law, (dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
-        if var is None:
-            var = dsl.level_variable(law, params)
-        fn = dsl.as_function(law, var=var, parameters=params)
-        return fn, dsl.pretty_print(law)
-    if callable(law):
-        if parameters is not None:
-            raise DomainError("parameters must be None for a callable law, got "
-                              f"{reprlib.repr(parameters)}")
-        label = getattr(law, "__name__", None) or "callable"
-        return law, label
-    raise DomainError(f"cannot interpret {law!r} as a growth law")
+    if isinstance(law, (dsl.SystemSpec, dsl.Num, dsl.Name, dsl.Neg, dsl.BinOp, dsl.Call)):
+        law = dsl.as_function(law, parameters)
+    elif not callable(law):
+        raise DomainError(f"cannot interpret {law!r} as a growth law")
+    elif parameters is not None:
+        raise DomainError("parameters must be None for a callable law, got "
+                          f"{reprlib.repr(parameters)}")
+    return law, getattr(law, "__name__", None) or "callable"
 
 
 def _safe_rate(fn: Callable, label: str) -> Callable[[float], float]:

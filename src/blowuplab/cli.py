@@ -117,10 +117,13 @@ def _parse_bindings(args, dest: str) -> dict[str, float]:
             if not chunk:
                 continue
             name, sep, raw = chunk.partition("=")
+            name = name.strip()
             if not sep or not name:
                 args.parser.error(f"--{dest} expects NAME=VALUE, got {chunk!r}")
+            if name in bindings:
+                args.parser.error(f"--{dest} gives {name!r} more than once")
             try:
-                bindings[name.strip()] = float(raw)
+                bindings[name] = float(raw)
             except ValueError:
                 args.parser.error(f"--{dest} value for {name!r} is not a number: {raw!r}")
     return bindings
@@ -223,8 +226,7 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
 def _dsl_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
     parser = args.parser
     _check_flags(args, "--dsl" if args.dsl is not None else "--dsl-file", "param init A0")
-    source = args.dsl if args.dsl_file is None else _read_text(args.dsl_file)
-    spec = dsl.parse(source)
+    spec = dsl.parse(args.dsl if args.dsl_file is None else _read_text(args.dsl_file))
     params = _parse_bindings(args, "param")
     levels = _parse_bindings(args, "init")
     if not isinstance(spec, dsl.SystemSpec):
@@ -362,13 +364,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    params = _parse_bindings(args, "param")
     plan = analysis.compose_phases(
         args.R, args.I, args.dsl,
         c=args.c if args.c is not None else 1.0,
         switch_level=args.switch_level,
         horizon=args.horizon,
-        parameters=params,
+        parameters=_parse_bindings(args, "param"),
     )
     path = _write_table(args, "compose", ["t", "A"],
                         zip(plan.times, plan.levels))
@@ -398,17 +399,15 @@ def _read_series(path: str, time_col: str, value_col: str | None):
     columns = [c.strip() for c in header.split(",")]
     if time_col not in columns:
         raise DomainError(f"column {time_col!r} not found in {path!r}")
-    t_idx = columns.index(time_col)
     if value_col is None:
-        candidates = [i for i in range(len(columns)) if i != t_idx]
-        if not candidates:
+        value_col = next((c for c in columns if c != time_col), None)
+        if value_col is None:
             raise DomainError(f"{path!r} has no value column")
-        v_idx = candidates[0]
-        value_col = columns[v_idx]
-    elif value_col in columns:
-        v_idx = columns.index(value_col)
-    else:
+    elif value_col == time_col:
+        raise DomainError(f"value column {value_col!r} is the time column")
+    elif value_col not in columns:
         raise DomainError(f"column {value_col!r} not found in {path!r}")
+    t_idx, v_idx = columns.index(time_col), columns.index(value_col)
     times = []
     values = []
     for line_no, line in enumerate(rows, start=2):
@@ -587,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--dsl", help="growth-law DSL source text")
     source.add_argument("--dsl-file", help="file with growth-law DSL source")
     simulate.add_argument("--param", action="append", metavar="NAME=VALUE",
-                          help="bind a DSL parameter (repeatable)")
+                          help="bind a DSL parameter, once per name (repeatable)")
     simulate.add_argument("--init", action="append", metavar="NAME=VALUE",
-                          help="initial level for a DSL state variable (repeatable)")
+                          help="a DSL state variable's initial level, once per name (repeatable)")
     simulate.add_argument("--t-max", type=float, required=True)
     simulate.add_argument("--points", type=int,
                           help="record on a fixed grid of this many points")
@@ -626,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--dsl", help="rate expression, e.g. 'k * A^2'")
     source.add_argument("--dsl-file", help="file with the rate expression")
     classify.add_argument("--param", action="append", metavar="NAME=VALUE",
-                          help="bind a parameter (repeatable)")
+                          help="bind a parameter, once per name (repeatable)")
     classify.add_argument("--A0", type=float, default=1.0,
                           help="starting level (default: 1.0)")
     classify.set_defaults(handler=cmd_classify)
@@ -642,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     compose.add_argument("--dsl", required=True,
                          help="phase-2 rate expression, e.g. 'k * A^2'")
     compose.add_argument("--param", action="append", metavar="NAME=VALUE",
-                         help="bind a parameter (repeatable)")
+                         help="bind a parameter, once per name (repeatable)")
     compose.add_argument("--switch-level", type=float,
                          help="override the switching level")
     compose.add_argument("--horizon", type=float, default=1e4,

@@ -39,8 +39,14 @@ components of a state vector, get IEEE semantics, producing
 bare expression node otherwise; :func:`pretty_print` renders any node
 back to source that reparses to an equal tree.  Parameters are always
 call arguments, ``to_field(parse(source), {"k": 0.05})``; a parsed
-system holds only its equations.  A bare expression's variable is the
-one name its parameters leave unbound (:func:`level_variable`).
+system holds only its equations.  :func:`as_function` and
+:func:`to_field` bind them by one rule: every name an equation reads is
+a state variable or a parameter, and a parameter that names a state
+variable or that no equation reads is a
+:class:`~blowuplab.errors.BindingError`.  A bare expression's variable
+is the one name its parameters leave unbound (:func:`level_variable`).
+:func:`evaluate` is exempt: its one mapping holds variables and
+parameters alike, and it ignores names the expression does not read.
 """
 
 from __future__ import annotations
@@ -513,26 +519,43 @@ def pretty_print(node: Expr | SystemSpec) -> str:
 # compilation to callables
 
 
-def as_function(expr: Expr, var: str = "A",
-                parameters: Mapping[str, float] | None = None) -> Callable:
-    """Compile an expression to a function of one variable.
+def _check_bindings(spec: SystemSpec, params: dict, unbound: str) -> None:
+    """Raise BindingError unless ``params`` bind ``spec`` by the module's
+    rule; ``unbound`` formats where an unbound name sits."""
+    states = set(spec.state_names)
+    for var, rhs in spec.equations:
+        missing = sorted(free_names(rhs) - states - set(params))
+        if missing:
+            raise BindingError(f"unbound names {missing} in "
+                               + unbound.format(var=var, law=pretty_print(rhs)))
+    read = set().union(*(free_names(rhs) for _, rhs in spec.equations))
+    for names, fault in ((states & set(params), "name state variables of"),
+                         (set(params) - read, "are read by no equation of")):
+        if names:
+            raise BindingError(f"parameters {sorted(names)} {fault} {pretty_print(spec)!r}")
 
-    Remaining free names must be covered by ``parameters``; otherwise
-    :class:`~blowuplab.errors.BindingError` lists the culprits.  The
-    parameters bind now.  The returned callable accepts a Python number
-    (strict arithmetic) or a numpy array or scalar (IEEE semantics); see
-    :func:`evaluate`.
+
+def as_function(law: Expr | SystemSpec, parameters: Mapping[str, float] | None = None) -> Callable:
+    """Compile a growth law to a function of its one variable.
+
+    ``law`` is an expression, whose variable is :func:`level_variable`'s,
+    or a system of one equation ``dx = ...``, whose variable is ``x``.
+    ``parameters`` bind now by the module's rule, so an unbound name, a
+    parameter that names the variable or one the law does not read is a
+    :class:`~blowuplab.errors.BindingError`.  The returned callable,
+    named by the law's :func:`pretty_print`, takes a Python number
+    (strict arithmetic) or a numpy array or scalar (IEEE semantics).
     """
-    check_instance("expr", expr, _NODES, "a parsed expression")
-    check_instance("var", var, str, "a name")
+    check_instance("law", law, _NODES + (SystemSpec,), "a parsed expression or system")
     params = _bindings("parameters", parameters)
-    missing = sorted(free_names(expr) - set(params) - {var})
-    if missing:
-        raise BindingError(
-            f"unbound names {missing} in {pretty_print(expr)!r}; "
-            f"bind them via parameters or use variable {var!r}"
-        )
-    strict, ieee = (_function(_compile(expr, {var: 0}, params, mode))
+    if not isinstance(law, SystemSpec):
+        law = SystemSpec(((level_variable(law, params), law),))
+    if len(law.equations) != 1:
+        raise DomainError("growth-law classification works on a single equation; "
+                          f"got {len(law.equations)}")
+    _check_bindings(law, params, "{law!r}; bind them via parameters or use variable {var!r}")
+    [(var, law)] = law.equations
+    strict, ieee = (_function(_compile(law, {var: 0}, params, mode))
                     for mode in (False, True))
 
     def fn(value):
@@ -541,34 +564,25 @@ def as_function(expr: Expr, var: str = "A",
                 return ieee((value,))
         return strict((value,))
 
-    fn.__name__ = f"law_{var}"
-    fn.__doc__ = f"Evaluate {pretty_print(expr)!r} at {var}."
+    fn.__name__ = pretty_print(law)
+    fn.__doc__ = f"Evaluate {fn.__name__!r} at {var}."
     return fn
 
 
 def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     """Compile a system to an ODE vector field.
 
-    Every free name must resolve to a state variable or one of
-    ``parameters``; unbound names raise
-    :class:`~blowuplab.errors.BindingError` naming the equation.
-    The parameters bind now, as in :func:`as_function`.  Returns a
-    :class:`~blowuplab.ode.VectorField` whose state order follows the
-    equation order.
+    ``parameters`` bind now by the module's rule: a
+    :class:`~blowuplab.errors.BindingError` names the equation that reads
+    an unbound name, else the parameters that name a state variable or
+    that no equation reads.  The field's state order is the equation order.
     """
     from .ode import VectorField  # deferred: ode does not import dsl
 
     check_instance("spec", spec, SystemSpec, "a parsed system")
     params = _bindings("parameters", parameters)
+    _check_bindings(spec, params, "equation for d{var} ({law!r})")
     names = spec.state_names
-    bound = set(params) | set(names)
-    for var, rhs in spec.equations:
-        missing = sorted(free_names(rhs) - bound)
-        if missing:
-            raise BindingError(
-                f"unbound names {missing} in equation for d{var} "
-                f"({pretty_print(rhs)!r})"
-            )
     slots = {name: index for index, name in enumerate(names)}
     rates = [_function(_compile(rhs, slots, params, ieee=True))
              for _, rhs in spec.equations]

@@ -110,6 +110,35 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
 
 
+def exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a law with one parameter k and variable A for each command that binds --param
+BINDING_COMMANDS = {
+    "simulate": ["simulate", "--dsl", "dA = k*A", "--init", "A=1", "--t-max", "1"],
+    "classify": ["classify", "--dsl", "k*A^2"],
+    "compose": ["compose", "--R", "2", "--I", "10", "--dsl", "k*A^2"],
+}
+
+
+@pytest.mark.parametrize("params,code,message", [
+    (["--param", "k=0.1", "--param", "k=0.2"], 2, "--param gives 'k' more than once"),
+    (["--param", "k=0.1,k=0.2"], 2, "--param gives 'k' more than once"),
+    (["--param", "k=0.1,zz=3"], 3, "error: parameters ['zz'] are read by no equation of"),
+    (["--param", "k=0.1,A=3"], 3, "error: parameters ['A'] name state variables of"),
+], ids=["repeated", "repeated-in-a-list", "unread", "variable"])
+@pytest.mark.parametrize("command", BINDING_COMMANDS)
+def test_a_binding_outside_the_rule_writes_nothing(command, params, code, message,
+                                                   tmp_path, capsys):
+    assert exit_code([*BINDING_COMMANDS[command], *params, "--out", str(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 VALID_COMMANDS = {
     "solve": ["solve", "--model", "hyperbolic", "--k", "0.01", "--I", "1",
               "--t-max", "50"],
@@ -376,6 +405,12 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "--init names no state variable: Y" in capsys.readouterr().err
 
+    def test_an_initial_level_given_twice_is_a_usage_error(self, tmp_path, capsys):
+        assert exit_code(["simulate", "--dsl", "dA = A", "--init", "A=1", "--init", "A=2",
+                          "--t-max", "1", "--out", str(tmp_path)]) == 2
+        assert "--init gives 'A' more than once" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_a0_and_init_together_are_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["simulate", "--dsl", "dA = A", "--init", "A=5", "--A0", "1",
@@ -483,6 +518,14 @@ class TestBarometerCommand:
                         str(tmp_path / "solve_exponential.csv"),
                         "--window", "64", "--out", str(tmp_path))
         assert data["flagged"] is False
+
+    def test_the_time_column_is_no_value_column(self, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,A\n" + "".join(f"{t},{math.exp(t)}\n" for t in range(16)))
+        assert exit_code(["barometer", "--csv", str(csv), "--value-col", "t",
+                          "--window", "8", "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: value column 't' is the time column\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_column_is_a_domain_error(self, tmp_path):
         csv = tmp_path / "series.csv"

@@ -29,6 +29,7 @@ from blowuplab.dsl import (
     Name,
     Neg,
     Num,
+    SystemSpec,
     as_function,
     evaluate,
     free_names,
@@ -182,7 +183,7 @@ class TestEvaluate:
         with pytest.raises(BindingError):
             evaluate(parse("k*A"), {"A": 1.0})
         with pytest.raises(BindingError, match=r"unbound names \['k'\]"):
-            as_function(parse("k*A"), "A")
+            as_function(parse("dA = k*A"))
 
     def test_array_broadcast(self):
         values = evaluate(parse("k*A^2"), {"k": 2.0, "A": np.array([1.0, 2.0, 3.0])})
@@ -207,7 +208,7 @@ class TestNativeEquivalence:
     GRID = np.geomspace(0.5, 1e6, 25)
 
     def check(self, source, native, **params):
-        fn = as_function(parse(source), var="A", parameters=params)
+        fn = as_function(parse(source), params)
         for level in self.GRID:
             expected = native(float(level))
             if expected == 0.0:
@@ -348,8 +349,8 @@ class TestCompiledAgainstTreeWalk:
     def test_python_floats(self, tree, bindings):
         expected = outcome(tree_walk_evaluate, tree, bindings)
         assert same(expected, outcome(evaluate, tree, bindings))
-        params = {name: value for name, value in bindings.items() if name != "A"}
-        law = as_function(tree, "A", params)
+        params = {name: bindings[name] for name in free_names(tree) - {"A"}}
+        law = as_function(tree, params)
         assert same(expected, outcome(law, bindings["A"]))
 
     @settings(max_examples=300, deadline=None)
@@ -361,8 +362,31 @@ class TestCompiledAgainstTreeWalk:
         expected = outcome(tree_walk_evaluate, tree, bindings)
         assert same(expected, outcome(evaluate, tree, bindings))
         if array_names == {"A"}:
-            law = as_function(tree, "A", {n: v for n, v in bindings.items() if n != "A"})
+            law = as_function(tree, {n: bindings[n] for n in free_names(tree) - {"A"}})
             assert same(expected, outcome(law, bindings["A"]))
+
+
+class TestBindingRule:
+    @settings(max_examples=300, deadline=None)
+    @given(_trees, st.sets(st.sampled_from(_NAMES)), _float_bindings)
+    def test_parameters_bind_exactly_the_names_read(self, tree, names, floats):
+        # as the equation dA = tree the law's variable is A, whatever it reads
+        law = SystemSpec((("A", tree),))
+        exact = {name: floats[name] for name in free_names(tree) - {"A"}}
+        fn, field = as_function(law, exact), to_field(law, exact)
+        level = np.float64(floats["A"])
+        assert same(outcome(evaluate, tree, floats), outcome(fn, floats["A"]))
+        expected = outcome(evaluate, tree, {**floats, "A": level})
+        assert same(expected, outcome(fn, level))
+        with np.errstate(all="ignore"):
+            assert same(expected, outcome(lambda: field.rate(np.array([level]))[0]))
+        # an unbound name, a parameter named A or one the law does not read
+        if names != set(exact):
+            params = {name: floats[name] for name in names}
+            with pytest.raises(BindingError):
+                as_function(law, params)
+            with pytest.raises(BindingError):
+                to_field(law, params)
 
 
 def _model_args(*argv):

@@ -302,9 +302,8 @@ OBJECT_ROWS = [
     ObjectRow("parse.source", parse, "dA = k*A", (None, 1.0, b"dA = A", ["dA = A"])),
     ObjectRow("evaluate.expr", lambda v: evaluate(v, K), parse("k*2"), (None, "k*2", SYSTEM)),
     ObjectRow("evaluate.bindings", lambda v: evaluate(parse("k*2"), v), K, (None, 1.0, "k")),
-    ObjectRow("as_function.expr", lambda v: as_function(v, parameters=K), EXPR,
-              (None, "k*A", SYSTEM)),
-    ObjectRow("as_function.var", lambda v: as_function(EXPR, var=v, parameters=K), "A", (None, 1)),
+    ObjectRow("as_function.law", lambda v: as_function(v, parameters=K), EXPR,
+              (None, "k*A", parse("dA = A; dY = Y"))),
     ObjectRow("as_function.parameters", lambda v: as_function(EXPR, parameters=v), K, (1.0, "k")),
     ObjectRow("pretty_print.node", pretty_print, EXPR, (None, "k*A", 1.0)),
     ObjectRow("to_field.spec", lambda v: to_field(v, K), SYSTEM, (None, "dA = k*A", EXPR)),
