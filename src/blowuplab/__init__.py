@@ -30,6 +30,7 @@ from .analysis import (
     ConvergenceVerdict,
     PhasePlan,
     barometer,
+    barometer_batch,
     classify_growth_law,
     compose_phases,
 )
@@ -92,7 +93,7 @@ __all__ = [
     # analysis
     "FINITE_TIME", "INFINITE_TIME", "INCONCLUSIVE",
     "ConvergenceVerdict", "BarometerReport", "PhasePlan",
-    "classify_growth_law", "barometer", "compose_phases",
+    "classify_growth_law", "barometer", "barometer_batch", "compose_phases",
     # dsl
     "SystemSpec", "parse", "evaluate", "pretty_print", "as_function", "to_field",
     # errors

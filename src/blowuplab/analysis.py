@@ -23,10 +23,11 @@ and only commits to a verdict when both agree:
 
 :func:`barometer` is the online counterpart: a quadratic trend test on
 ``ln(value)`` over a trailing window, flagging super-exponential
-curvature when its t-statistic clears a threshold.  Exactly
-exponential data fits the quadratic term at machine-epsilon size with
-machine-epsilon residuals, which can produce huge spurious
-t-statistics; a tiny absolute curvature floor filters those.
+curvature when its t-statistic clears a threshold;
+:func:`barometer_batch` tests many series on one time grid in one fit.
+Exactly exponential data fits the quadratic term at machine-epsilon
+size with machine-epsilon residuals, so its t-statistic is rounding
+noise that can be huge; a tiny absolute curvature floor filters those.
 
 :func:`compose_phases` stitches the externally driven exponential
 phase to a self-referential second phase at the exact switching level.
@@ -58,6 +59,7 @@ __all__ = [
     "PhasePlan",
     "classify_growth_law",
     "barometer",
+    "barometer_batch",
     "compose_phases",
 ]
 
@@ -423,11 +425,14 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     samples (time standardized for conditioning) and reports the
     curvature's t-statistic.  ``flagged`` requires ``b2`` positive,
     ``z > z_threshold``, and ``b2`` above a floor of
-    ``1e-12 * max(1, |b0|, |b1|)`` in standardized units;
-    the floor suppresses machine-epsilon curvature that exact
-    exponential data otherwise turns into an arbitrarily significant
-    fit.  Only the trailing window is read, so only its samples must be
-    finite, increasing in time and positive.
+    ``1e-12 * max(1, |b0|, |b1|)`` in standardized units.  On exactly
+    exponential data ``b2`` and its standard error are both rounding
+    noise, so ``z`` is arbitrary there and the floor decides.  The
+    t-statistic assumes independent residuals; on a random-walk
+    log-level such as geometric Brownian motion it flags more paths the
+    longer the window (0.28, 0.38 and 0.45 of them at windows 50, 200
+    and 1000).  Only the trailing window is read, so only its samples
+    must be finite, increasing in time and positive.
     """
     check_integer("window", window, at_least=8)
     check_real("z_threshold", z_threshold)
@@ -441,34 +446,64 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
         raise DomainError("times and values must be equally long")
     if len(tw) < window:
         raise InsufficientDataError(f"need at least {window} samples, got {len(tw)}")
+    return _trend_fit(tw, vw[None, :], z_threshold)[0]
 
-    y = np.log(vw)
-    center = tw.mean()
+
+def barometer_batch(times: Sequence[float], series: Sequence[Sequence[float]],
+                    window: int, z_threshold: float = 3.0) -> list[BarometerReport]:
+    """:func:`barometer` on every row of the 2-d ``series``, whose rows share ``times``.
+
+    Each row's report equals, bit for bit, ``barometer`` on that row
+    alone, so the same caveats hold: ``z`` on exactly exponential data
+    is rounding noise and the floor decides, and on a random-walk
+    log-level the independence the t-statistic assumes fails, so longer
+    windows flag more.  Only the trailing window of each row is read.
+    """
+    check_integer("window", window, at_least=8)
+    check_real("z_threshold", z_threshold)
+    try:
+        tw = times[-window:]
+    except (TypeError, IndexError, KeyError):  # not a sequence; check_array names it
+        tw = times
+    tw = check_array("window times", tw, min_len=0, increasing=True)
+    try:
+        block = np.asarray(series)
+    except (TypeError, ValueError):  # ragged rows
+        block = np.empty(0)
+    if block.ndim != 2 or block.dtype.kind not in "iuf":
+        raise DomainError(f"series must be a 2-d real array, got {reprlib.repr(series)}")
+    if block.shape[1] != len(times):
+        raise DomainError(f"rows of series must be as long as times, got {block.shape[1]}")
+    if len(tw) < window:
+        raise InsufficientDataError(f"need at least {window} samples, got {len(tw)}")
+    block = block[:, -window:].astype(float, copy=False)
+    bad = ~(np.isfinite(block) & (block > 0.0)).all(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        check_array(f"window values of row {row}", block[row], min_len=0, positive=True)
+    return _trend_fit(tw, block, z_threshold)
+
+
+def _trend_fit(tw: np.ndarray, block: np.ndarray, z_threshold: float) -> list[BarometerReport]:
+    # one 3 x window projection serves every row, each row reduced on its own
+    # in a C-contiguous block: no BLAS call grows with the row count (a large
+    # one starts BLAS threads) and no row's numbers depend on the others
+    y = np.log(block, order="C")
     spread = tw.std()
-    tau = (tw - center) / spread
+    tau = (tw - tw.mean()) / spread
     design = np.column_stack([np.ones_like(tau), tau, tau * tau])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = y - design @ coef
-    dof = window - 3
-    sigma2 = float(residual @ residual) / dof
     gram_inv = np.linalg.inv(design.T @ design)
-    se = math.sqrt(max(sigma2 * gram_inv[2, 2], 0.0))
-
-    b2 = float(coef[2])
-    floor = _CURVATURE_FLOOR * max(1.0, abs(float(coef[0])), abs(float(coef[1])))
-    above_floor = b2 > floor
-    if se == 0.0:
-        z = math.inf if above_floor else 0.0
-    else:
-        z = b2 / se
-    flagged = bool(above_floor and z > z_threshold)
-    return BarometerReport(
-        window=(float(tw[0]), float(tw[-1])),
-        n_samples=window,
-        quadratic_coeff=float(b2 / spread ** 2),
-        z_score=float(z),
-        flagged=flagged,
-    )
+    b0, b1, b2 = ((y * row).sum(axis=1) for row in gram_inv @ design.T)
+    residual = y - (b0[:, None] + b1[:, None] * tau + b2[:, None] * tau * tau)
+    sigma2 = (residual * residual).sum(axis=1) / (len(tw) - 3)
+    se = np.sqrt(np.maximum(sigma2 * gram_inv[2, 2], 0.0))
+    above_floor = b2 > _CURVATURE_FLOOR * np.maximum(1.0, np.maximum(abs(b0), abs(b1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(se > 0.0, b2 / se, np.where(above_floor, math.inf, 0.0))
+    flagged = above_floor & (z > z_threshold)
+    span = (float(tw[0]), float(tw[-1]))
+    return [BarometerReport(span, len(tw), coeff, z_score, flag) for coeff, z_score, flag
+            in zip((b2 / spread ** 2).tolist(), z.tolist(), flagged.tolist())]
 
 
 # --------------------------------------------------------------------------

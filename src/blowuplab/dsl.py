@@ -551,8 +551,7 @@ def as_function(law: Expr | SystemSpec, parameters: Mapping[str, float] | None =
     if not isinstance(law, SystemSpec):
         law = SystemSpec(((level_variable(law, params), law),))
     if len(law.equations) != 1:
-        raise DomainError("growth-law classification works on a single equation; "
-                          f"got {len(law.equations)}")
+        raise DomainError(f"a growth law is a single equation; got {len(law.equations)}")
     _check_bindings(law, params, "{law!r}; bind them via parameters or use variable {var!r}")
     [(var, law)] = law.equations
     strict, ieee = (_function(_compile(law, {var: 0}, params, mode))

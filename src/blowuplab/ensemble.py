@@ -22,7 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import barometer
+# perfbench/layers.py patches ``ensemble.barometer`` by name when it traces
+# a run, so the name stays importable here though the scan does not call it
+from .analysis import barometer, barometer_batch  # noqa: F401
 from .errors import DomainError, check_array, check_instance, check_integer
 from .sde import EnsembleSpec, EnsembleStats, hyperbolic_sde_model, simulate_batches
 
@@ -64,14 +66,16 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     For each noise level the template ensemble is run with the
     hyperbolic model ``dA = k*A**2 dt + sigma*A**2 dW`` and the same
     master seed (common random numbers), all levels in one batch, and
-    every path still alive at the horizon is tested: its trailing
-    ``window`` recorded samples go through
-    :func:`~blowuplab.analysis.barometer`.  Returned points follow the
-    order of ``sigmas``; ``flagged_fraction`` is ``nan`` when no path
-    survived to be analyzed.  Paths absorbed before the horizon have no
-    complete log-trajectory to test; they are excluded from the
-    fraction and counted in ``absorbed_fraction`` instead.  ``workers``
-    has no effect; it is accepted for compatibility.
+    every path still alive at the horizon is tested: the trailing
+    ``window`` recorded samples of a level's survivors go through one
+    call of :func:`~blowuplab.analysis.barometer_batch`, which gives
+    each path the report :func:`~blowuplab.analysis.barometer` would.
+    Returned points follow the order of ``sigmas``; ``flagged_fraction``
+    is ``nan`` when no path survived to be analyzed.  Paths absorbed
+    before the horizon have no complete log-trajectory to test; they are
+    excluded from the fraction and counted in ``absorbed_fraction``
+    instead.  ``workers`` has no effect; it is accepted for
+    compatibility.
     """
     check_instance("template", template, EnsembleSpec, "an EnsembleSpec")
     check_integer("window", window, at_least=8)
@@ -87,9 +91,9 @@ def volatility_masking_scan(k: float, sigmas: Sequence[float],
     points: list[MaskingPoint] = []
     for sigma, spec, stats in zip(levels, specs, simulate_batches(specs, record_points)):
         live = np.flatnonzero(stats.survived)
-        times = stats.rec_steps * spec.dt
-        n_flagged = sum(int(barometer(times, stats.series[lane], window).flagged)
-                        for lane in live)
+        reports = barometer_batch(stats.rec_steps[-window:] * spec.dt,
+                                  stats.series[live, -window:], window)
+        n_flagged = sum(report.flagged for report in reports)
         n_analyzed = int(live.size)
         fraction = (n_flagged / n_analyzed) if n_analyzed else math.nan
         points.append(MaskingPoint(

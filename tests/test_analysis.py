@@ -17,6 +17,7 @@ from blowuplab import (
     PhasePlan,
     VectorField,
     barometer,
+    barometer_batch,
     calibrate_k,
     classify_growth_law,
     compose_phases,
@@ -259,6 +260,40 @@ class TestBarometer:
         with pytest.raises(DomainError, match="window must be an integer"):
             barometer(times, np.exp(times), 8.5)
         assert barometer(times, np.exp(times), np.int64(16)).n_samples == 16
+
+
+class TestBarometerBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["curved", "exponential", "constant"]),
+                          min_size=1, max_size=40),
+           window=st.integers(8, 200), extra=st.integers(0, 20),
+           start=st.floats(-100.0, 100.0), span=st.floats(0.1, 1000.0),
+           seed=st.integers(0, 2**16))
+    def test_each_row_equals_its_own_barometer(self, kinds, window, extra, start, span,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        times = np.linspace(start, start + span, window + extra)
+        u = np.linspace(0.0, 1.0, window + extra)
+        rows = []
+        for kind in kinds:
+            rate, curvature = rng.uniform(-2.0, 5.0), rng.uniform(-3.0, 3.0)
+            level = rng.uniform(1e-3, 1e3)
+            if kind == "curved":
+                noise = 0.05 * rng.standard_normal(len(u))
+                rows.append(level * np.exp(rate * u + curvature * u * u + noise))
+            elif kind == "exponential":
+                rows.append(level * np.exp(rate * u))
+            else:
+                rows.append(np.full(len(u), level))
+        reports = barometer_batch(times, np.array(rows), window)
+        assert len(reports) == len(rows)
+        for row, report in zip(rows, reports):
+            # repr tells every double apart, -0.0 from 0.0 included
+            assert repr(report) == repr(barometer(times, row, window))
+
+    def test_zero_rows_give_no_reports(self):
+        times = np.linspace(0.0, 1.0, 32)
+        assert barometer_batch(times, np.empty((0, 32)), 16) == []
 
 
 class TestComposePhases:

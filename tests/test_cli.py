@@ -104,6 +104,16 @@ class TestExitCodes:
         assert cli.main([*argv, "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.startswith("error: unbound names ['x']")
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--dsl", "dA = A; dY = Y"),
+        ("compose", "--R", "2", "--I", "10", "--dsl", "dA = A; dY = Y"),
+    ], ids=["classify", "compose"])
+    def test_a_system_of_two_equations_exits_3_and_writes_nothing(self, argv, tmp_path,
+                                                                  capsys):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: a growth law is a single equation; got 2\n"
+        assert not any(tmp_path.iterdir())
+
     def test_classify_rejects_rate_vanishing_at_start(self, tmp_path):
         proc = run_cli("classify", "--dsl", "ln(A)*A", "--out", str(tmp_path))
         assert proc.returncode == 3

@@ -10,6 +10,7 @@ from blowuplab import (
     DomainError,
     EnsembleSpec,
     EnsembleStats,
+    barometer,
     em_path,
     ensemble,
     gbm_model,
@@ -214,11 +215,14 @@ def stats():
     return run_ensemble(paper_spec(500, 42), workers=4)
 
 
+SCAN_TEMPLATE = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=80.0,
+                             n_paths=60, master_seed=2718)
+SCAN_SIGMAS = [0.0, 0.02, 0.1]
+
+
 @pytest.fixture(scope="module")
 def points():
-    template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=80.0,
-                            n_paths=60, master_seed=2718)
-    return volatility_masking_scan(0.01, [0.0, 0.02, 0.1], template,
+    return volatility_masking_scan(0.01, SCAN_SIGMAS, SCAN_TEMPLATE,
                                    window=64, record_points=320)
 
 
@@ -312,6 +316,15 @@ class TestMaskingScan:
         assert noisy.absorbed_fraction == pytest.approx(1.0 / 60.0)
         assert noisy.n_analyzed == noisy.n_paths - 1
         assert noisy.flagged_fraction == noisy.n_flagged / noisy.n_analyzed
+
+    def test_flags_match_a_loop_of_barometer_over_the_survivors(self, points):
+        specs = [dataclasses.replace(SCAN_TEMPLATE, model=hyperbolic_sde_model(0.01, sigma))
+                 for sigma in SCAN_SIGMAS]
+        for point, spec, stats in zip(points, specs, simulate_batches(specs, 320)):
+            times = stats.rec_steps * spec.dt
+            n_flagged = sum(int(barometer(times, stats.series[lane], 64).flagged)
+                            for lane in np.flatnonzero(stats.survived))
+            assert point.n_flagged == n_flagged
 
     def test_rejects_bad_arguments(self):
         template = EnsembleSpec(model=None, A0=1.0, dt=0.01, t_end=80.0,

@@ -43,6 +43,7 @@ from blowuplab import (
     VectorField,
     as_function,
     barometer,
+    barometer_batch,
     calibrate_k,
     classify_growth_law,
     compose_phases,
@@ -186,6 +187,10 @@ ROWS = [
     Row("barometer.window", lambda v: barometer(TIMES, np.exp(TIMES), v), 8, (7, 0),
         integer=True),
     Row("barometer.z_threshold", lambda v: barometer(TIMES, np.exp(TIMES), 8, v), 3, FINITE),
+    Row("barometer_batch.window", lambda v: barometer_batch(TIMES, [np.exp(TIMES)], v), 8,
+        (7, 0), integer=True),
+    Row("barometer_batch.z_threshold",
+        lambda v: barometer_batch(TIMES, [np.exp(TIMES)], 8, v), 3, FINITE),
     Row("compose_phases.R", lambda v: compose_phases(v, 10.0, "0.1*A^2"), 2, (1.0, inf)),
     Row("compose_phases.I", lambda v: compose_phases(2.0, v, "0.1*A^2"), 10, POSITIVE),
     Row("compose_phases.c", lambda v: compose_phases(2.0, 10.0, "0.1*A^2", c=v), 1, POSITIVE),
@@ -236,6 +241,10 @@ ARRAY_ROWS = [
     ArrayRow("barometer.times", lambda v: barometer(v, np.exp(TIMES), WHOLE), SERIES),
     ArrayRow("barometer.values", lambda v: barometer(TIMES, v, WHOLE),
              np.exp(TIMES).tolist()),
+    ArrayRow("barometer_batch.times", lambda v: barometer_batch(v, [np.exp(TIMES)], WHOLE),
+             SERIES),
+    ArrayRow("barometer_batch.series", lambda v: barometer_batch(TIMES, v, WHOLE),
+             [np.exp(TIMES).tolist()]),
     ArrayRow("classify_growth_law.parameters",
              lambda v: classify_growth_law("k*A^2", parameters={"k": v}), 1.0),
     ArrayRow("compose_phases.parameters",
@@ -444,6 +453,31 @@ class TestArrayRegressions:
         assert barometer(times, values, 16).n_samples == 16
         with pytest.raises(DomainError):
             barometer(times, values, 17)
+
+    @pytest.mark.parametrize("series,message", [
+        (np.exp(TIMES), r"^series must be a 2-d real array, got "),
+        ([np.exp(TIMES), np.exp(TIMES[1:])], r"^series must be a 2-d real array, got "),
+        ([np.exp(TIMES[1:])], r"^rows of series must be as long as times, got 15$"),
+        ([np.exp(TIMES), np.exp(TIMES), -np.exp(TIMES)], r"^window values of row 2 must"),
+        ([np.exp(TIMES), np.where(TIMES > 0.5, math.nan, 1.0)], r"^window values of row 1 must"),
+        ([np.exp(TIMES), np.where(TIMES > 0.5, inf, 1.0)], r"^window values of row 1 must"),
+        ([np.exp(TIMES), np.where(TIMES > 0.9, 0.0, 1.0)], r"^window values of row 1 must"),
+    ], ids=["1-d", "ragged", "length", "negative", "nan", "inf", "zero"])
+    def test_barometer_batch_rejects_a_malformed_series(self, series, message):
+        with pytest.raises(DomainError, match=message) as info:
+            barometer_batch(TIMES, series, 8)
+        assert type(info.value) is DomainError
+
+    def test_barometer_batch_reads_only_the_trailing_window_of_each_row(self):
+        times = np.concatenate([[math.nan, -1.0], TIMES])
+        row = np.concatenate([[-1.0, math.inf], np.exp(TIMES)])
+        assert len(barometer_batch(times, [row, row], 16)) == 2
+        with pytest.raises(DomainError, match="^window values of row 0 must"):
+            barometer_batch(times, [row, row], 17)
+        with pytest.raises(DomainError, match="^window times must"):
+            barometer_batch(times, [row, row], 18)
+        with pytest.raises(InsufficientDataError, match="^need at least 32 samples, got 16$"):
+            barometer_batch(TIMES, [np.exp(TIMES)], 32)
 
     def test_inf_and_nan_stay_legal_bindings(self):
         for value in (inf, -inf, math.nan):
