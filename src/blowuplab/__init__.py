@@ -53,7 +53,6 @@ from .ode import (
     VectorField,
     estimate_blowup_time,
     integrate,
-    integrate_multiplicative,
 )
 from .sde import (
     EnsembleSpec,
@@ -82,7 +81,7 @@ __all__ = [
     "coupled_gdp_solution",
     # ode
     "VectorField", "Trajectory", "BlowUpEvent", "IntegrationOptions",
-    "integrate", "estimate_blowup_time", "integrate_multiplicative",
+    "integrate", "estimate_blowup_time",
     # sde
     "StochasticModel", "PathResult", "EnsembleSpec", "EnsembleStats",
     "ErgodicityReport", "em_path", "simulate_batches",

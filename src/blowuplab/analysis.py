@@ -218,7 +218,7 @@ def _ladder_integrand(rate):
 def _fit_decay_order(increments: Sequence[float]) -> float:
     """Least-squares order of ``d_j ~ j**(-alpha)`` over the tail rungs."""
     count = len(increments)
-    take = max(6, min(16, count // 2))
+    take = min(count, max(6, min(16, count // 2)))
     idx = np.arange(count - take + 1, count + 1, dtype=float)
     # distinct rung indices: the fit always exists
     slope, _, _ = fit_line(np.log(idx), np.log(np.array(increments[-take:])))
@@ -357,8 +357,9 @@ def _exponent_method(rate, A0: float) -> MethodReading:
 
 def _validate_rate_shape(rate, A0: float) -> None:
     # positivity and monotonicity are assumptions of the whole method;
-    # sample them instead of trusting the caller
-    top = min(1e12 * max(A0, 1.0), 1e300)
+    # sample them instead of trusting the caller, upward from A0 even
+    # where A0 lies above 1e300
+    top = max(min(1e12 * max(A0, 1.0), 1e300), A0)
     grid = np.exp(np.linspace(math.log(A0), math.log(top), 49))
     previous = None
     for level in grid.tolist():

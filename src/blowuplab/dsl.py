@@ -225,14 +225,16 @@ class _Parser:
     # grammar rules
 
     def system(self) -> SystemSpec:
+        # each equation's d<var> token, to place a repeated one
+        heads = [self.current]
         equations = [self.equation()]
         while self.match_op(";"):
+            heads.append(self.current)
             equations.append(self.equation())
         self.end()
         seen: set[str] = set()
-        for var, _ in equations:
+        for (var, _), token in zip(equations, heads):
             if var in seen:
-                token = self.tokens[0]
                 raise DslSyntaxError(
                     f"state variable {var!r} defined more than once",
                     token.line, token.column,

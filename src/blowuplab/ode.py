@@ -54,7 +54,6 @@ __all__ = [
     "IntegrationOptions",
     "integrate",
     "estimate_blowup_time",
-    "integrate_multiplicative",
     "DEFAULT_BLOWUP_THRESHOLD",
 ]
 
@@ -291,11 +290,13 @@ class _Core:
     """Stepping loop shared by :func:`integrate` and the blow-up refiner.
 
     Keeps the current ``(t, y, f)`` triple and a bounded tail of recent
-    accepted samples for exponent fitting, and can be resumed with a
-    higher threshold after a crossing.  ``y`` and ``f`` are lists of
-    Python floats that are replaced, never mutated, so the tail and the
-    recorded samples hold them without copies.  A run hands back its
-    blow-up event; the core keeps no result of its own.
+    accepted samples for exponent fitting.  A run advances to one target
+    time and lands on it exactly; the core can then run on to a later
+    target, or be resumed with a higher threshold after a crossing.
+    ``y`` and ``f`` are lists of Python floats that are replaced, never
+    mutated, so the tail and the recorded samples hold them without
+    copies.  A run hands back its blow-up event; the core keeps no
+    result of its own.
     """
 
     def __init__(self, rate, y0: np.ndarray, opts: IntegrationOptions,
@@ -322,38 +323,26 @@ class _Core:
         self.samples.append((self.t, self.y))
 
     def run(self, t_end: float, threshold: float, *, record: bool,
-            t_eval: np.ndarray | None = None,
             xtol: float | None = None) -> BlowUpEvent | None:
-        """Advance until ``t_end`` or a blow-up.
+        """Advance to ``t_end``, landing on it exactly, or to a blow-up.
 
-        Returns ``None`` at ``t_end``.  At a threshold crossing it
-        returns the ``threshold-crossing`` event, whose bracket is at
-        most ``xtol`` wide (default: ``opts.blowup_tol``, else ``1e-3``
-        of the time the crossing step ends), and the core sits at the
-        last sub-threshold point, ``t_low``.  A stall that the tail
-        resolves returns the ``reciprocal-extrapolation`` event.
+        Returns ``None`` at ``t_end``; with ``record`` every accepted
+        step is recorded.  At a threshold crossing it returns the
+        ``threshold-crossing`` event, whose bracket is at most ``xtol``
+        wide (default: ``opts.blowup_tol``, else ``1e-3`` of the time
+        the crossing step ends), and the core sits at the last
+        sub-threshold point, ``t_low``.  A stall that the tail resolves
+        returns the ``reciprocal-extrapolation`` event.
         """
-        eval_idx = 0
-        if t_eval is not None:
-            eval_idx = int(np.searchsorted(t_eval, self.t, side="right"))
-            # a requested point at the very start records immediately
-            if eval_idx > 0 and t_eval[eval_idx - 1] == self.t:
-                self.record()
-        elif record and not self.samples:
-            self.record()
-
         rejects = 0
         with np.errstate(all="ignore"):
             while self.t < t_end:
                 # only the controller's own step can underflow; a step
-                # shortened to land on a requested time may be tiny
+                # shortened to land on t_end may be tiny
                 if self.h < self.h_min:
                     return self._stall()
-                target = t_end
-                if t_eval is not None and eval_idx < len(t_eval):
-                    target = min(target, float(t_eval[eval_idx]))
-                h = min(self.h, target - self.t)
-                hit_target = h >= target - self.t
+                h = min(self.h, t_end - self.t)
+                hit_target = h >= t_end - self.t
                 attempt = _try_step(self.rate, self.y, self.f, h)
                 # a stage that went non-finite fails like an infinite error
                 norm = math.inf if attempt is None else \
@@ -368,15 +357,11 @@ class _Core:
                 rejects = 0
                 if max(y_new) >= threshold:
                     return self._bisect_crossing(h, threshold, xtol)
-                self.t = target if hit_target else self.t + h
+                self.t = t_end if hit_target else self.t + h
                 self.y = y_new
                 self.f = f_new
                 self.tail.append((self.t, self.y, self.f))
-                if t_eval is not None:
-                    if eval_idx < len(t_eval) and self.t == float(t_eval[eval_idx]):
-                        self.record()
-                        eval_idx += 1
-                elif record:
+                if record:
                     self.record()
                 grow = _MAX_FACTOR if norm == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * norm ** -0.2)
@@ -508,7 +493,18 @@ def integrate(field: VectorField, state0, t_end: float,
         raise DomainError("t_eval must lie within [0, t_end]")
 
     core = _Core(field.rate, y0, opts, horizon=t_end)
-    blowup = core.run(t_end, opts.blowup_threshold, record=True, t_eval=eval_arr)
+    if eval_arr is None:
+        core.record()
+        blowup = core.run(t_end, opts.blowup_threshold, record=True)
+    else:
+        # run to each requested time in turn and record there, then on to t_end
+        for t in eval_arr.tolist():
+            blowup = core.run(t, opts.blowup_threshold, record=False)
+            if blowup is not None:
+                break
+            core.record()
+        else:
+            blowup = core.run(t_end, opts.blowup_threshold, record=False)
     samples = [(t, y) for t, y in core.samples if blowup is None or t < blowup.t_low]
     times = np.array([t for t, _ in samples], dtype=float)
     states = np.array([y for _, y in samples], dtype=float).reshape(len(samples), field.dimension)
@@ -628,31 +624,6 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
         if threshold > _THRESHOLD_CAP:
             return None
         refining = True
-
-
-def integrate_multiplicative(coeffs: Sequence[float], state0, t_end: float,
-                             opts: IntegrationOptions | None = None) -> Trajectory:
-    """Integrate ``dE_i/dt = k_i * prod_j(E_j)`` for positive levels.
-
-    Every component shares the common product factor, so the pairwise
-    differences ``E_i/k_i - E_j/k_j`` are conserved exactly; with two
-    factors this is the coupled economy growth system.  A single factor
-    drives itself, ``dE/dt = k * E**2`` (the hyperbolic law): a lone
-    ``k * E`` would grow exponentially forever, falling outside this
-    family, where every member reaches a finite-time blow-up.
-    """
-    k = check_array("coeffs", coeffs, positive=True)
-    names = tuple(f"E{i + 1}" for i in range(len(k)))
-    if len(k) == 1:
-        rate = lambda y: k * y * y
-    else:
-        rate = lambda y: k * np.prod(y)
-    field = VectorField(
-        dimension=len(k),
-        rate=rate,
-        names=names,
-    )
-    return integrate(field, state0, t_end, opts)
 
 
 # --------------------------------------------------------------------------

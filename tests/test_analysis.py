@@ -139,6 +139,17 @@ class TestClassifierVerdicts:
         assert ladder.details["mode"] == "polynomial-truncated"
         assert ladder.details["rungs"] == 21
 
+    @pytest.mark.parametrize("law,truth", [
+        ("A", INFINITE_TIME), ("A^0.5", INFINITE_TIME), ("A^1.01", FINITE_TIME),
+        ("A*ln(A)", INFINITE_TIME), ("A*ln(A)^2", FINITE_TIME), ("A^2", FINITE_TIME),
+        ("exp(A)", FINITE_TIME),
+    ])
+    def test_no_wrong_verdict_near_the_top_of_double_range(self, law, truth):
+        # above 1e300 the shape check still samples upward from A0, and a
+        # ladder of 3 to 5 rungs is fitted over the rungs it has
+        for A0 in np.logspace(280, 307, 60).tolist():
+            assert classify_growth_law(law, A0=A0).verdict in (truth, INCONCLUSIVE), A0
+
     def test_an_overflowing_rate_leaves_an_empty_tail(self):
         # exp(A) overflows to inf, so every rung past the first few is 0
         ladder = classify_growth_law("exp(A)").evidence["quadrature"]

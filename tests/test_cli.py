@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import blowuplab
+import cli_manifest
 from blowuplab import cli
 
 HEADLINE = {
@@ -605,3 +606,27 @@ def test_the_package_and_the_cli_run_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture(scope="module")
+def manifest_runs(tmp_path_factory):
+    return cli_manifest.run_corpus(tmp_path_factory.mktemp("manifest"))
+
+
+class TestManifest:
+    """The committed byte manifest of the CLI (``cli_manifest.py`` regenerates it)."""
+
+    MANIFEST = json.loads(cli_manifest.MANIFEST.read_text())
+
+    def test_every_line_exits_as_recorded(self, manifest_runs):
+        assert list(manifest_runs) == list(self.MANIFEST["lines"])
+        assert {line: run["exit"] for line, run in manifest_runs.items()} == \
+            {line: record["exit"] for line, record in self.MANIFEST["lines"].items()}
+
+    def test_every_line_writes_the_recorded_bytes(self, manifest_runs):
+        made, here = self.MANIFEST["numpy"], cli_manifest.numpy_version()
+        if made != here:
+            pytest.skip(f"byte comparison skipped: the manifest was made with numpy {made}, "
+                        f"this is numpy {here}")
+        assert [line for line, record in self.MANIFEST["lines"].items()
+                if manifest_runs.get(line) != record] == []

@@ -106,8 +106,11 @@ class TestParsing:
             parse(source)
 
     def test_duplicate_state_variable_rejected(self):
-        with pytest.raises(DslSyntaxError, match="more than once"):
+        # the position is that of the repeated d<var>
+        with pytest.raises(DslSyntaxError, match=r"more than once \(line 1, column 9\)$"):
             parse("dA = A; dA = 2*A")
+        with pytest.raises(DslSyntaxError, match=r"more than once \(line 2, column 3\)$"):
+            parse("dA = A;\n  dA = 2")
 
     def test_reserved_words_cannot_be_states(self):
         with pytest.raises(DslSyntaxError):

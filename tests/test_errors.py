@@ -60,7 +60,6 @@ from blowuplab import (
     hyperbolic_sde_model,
     hyperbolic_solution,
     integrate,
-    integrate_multiplicative,
     loglaw_solution,
     parse,
     pathwise_growth_slope,
@@ -149,8 +148,6 @@ ROWS = [
     Row("integrate.t_end", lambda v: integrate(FIELD, [1.0], v), 1, POSITIVE),
     Row("estimate_blowup_time.t_end", lambda v: estimate_blowup_time(FIELD, [1.0], v), 1,
         POSITIVE),
-    Row("integrate_multiplicative.t_end",
-        lambda v: integrate_multiplicative([0.1], [1.0], v), 1, POSITIVE),
     # sde
     Row("em_path.A0", lambda v: em_path(MODEL, v, 0.01, 0.1, seed=0), 1, POSITIVE),
     Row("em_path.dt", lambda v: em_path(MODEL, 1.0, v, 0.1, seed=0), 0.01, POSITIVE),
@@ -226,10 +223,6 @@ ARRAY_ROWS = [
     ArrayRow("integrate.t_eval", lambda v: integrate(FIELD, [1.0], 1.0, t_eval=v), [0.25, 0.5],
              none_ok=True),
     ArrayRow("estimate_blowup_time.state0", lambda v: estimate_blowup_time(FIELD, v, 1.0), [1.0]),
-    ArrayRow("integrate_multiplicative.coeffs",
-             lambda v: integrate_multiplicative(v, [1.0, 1.0], 1.0), [0.1, 0.2]),
-    ArrayRow("integrate_multiplicative.state0",
-             lambda v: integrate_multiplicative([0.1, 0.2], v, 1.0), [1.0, 1.0]),
     # sde
     ArrayRow("simulate_batches.specs", simulate_batches, [SPEC]),
     ArrayRow("run_ensemble.spec", run_ensemble, SPEC),

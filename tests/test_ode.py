@@ -15,9 +15,10 @@ from blowuplab import (
     estimate_blowup_time,
     hyperbolic_solution,
     integrate,
-    integrate_multiplicative,
+    parse,
     powerlaw_blowup_time,
     powerlaw_solution,
+    to_field,
 )
 from blowuplab.ode import fit_line, gauss_kronrod
 
@@ -285,6 +286,15 @@ def multiplicative_systems(draw):
             draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
 
 
+def product_field(coeffs):
+    """``dEi = ki*(E1*E2*...*En)`` as a DSL system; one factor drives
+    itself, ``dE1 = k1*E1*E1``, since ``k1*E1`` never blows up."""
+    names = [f"E{i + 1}" for i in range(len(coeffs))]
+    product = "E1*E1" if len(names) == 1 else f"({'*'.join(names)})"
+    source = "; ".join(f"d{name} = k{i + 1}*{product}" for i, name in enumerate(names))
+    return to_field(parse(source), {f"k{i + 1}": k for i, k in enumerate(coeffs)})
+
+
 def reduced_blowup_time(coeffs, state0):
     """Blow-up time of ``dE_i = k_i * prod(E)`` from the scalar law it reduces to.
 
@@ -302,6 +312,10 @@ def reduced_blowup_time(coeffs, state0):
 
 
 class TestMultiplicative:
+    """The n-factor family ``dEi = ki*prod(E)``: every ``Ei/ki`` moves at
+    the same rate, so their pairwise differences are conserved, and every
+    member blows up in finite time."""
+
     @settings(max_examples=40)
     @given(system=multiplicative_systems())
     # a tail fit that reaches back to low levels, where the offsets
@@ -310,32 +324,27 @@ class TestMultiplicative:
     def test_blowup_time_matches_the_reduced_law(self, system):
         coeffs, state0 = system
         expected = reduced_blowup_time(coeffs, state0)
-        trail = integrate_multiplicative(coeffs, state0, 2.0 * expected)
+        trail = integrate(product_field(coeffs), state0, 2.0 * expected)
         assert trail.blowup is not None
         assert trail.blowup.estimate == pytest.approx(expected, rel=1e-6)
 
     def test_reduces_to_coupled_gdp(self):
         grid = np.linspace(0.0, 19.0, 20)
-        trail = integrate_multiplicative([0.05, 0.1], [0.5, 1.0], 19.0)
-        probe = integrate_multiplicative([0.05, 0.1], [0.5, 1.0], 19.0)
+        trail = integrate(product_field([0.05, 0.1]), [0.5, 1.0], 19.0)
+        probe = integrate(product_field([0.05, 0.1]), [0.5, 1.0], 19.0)
         assert np.array_equal(trail.states, probe.states)
-        sampled = integrate(
-            VectorField(dimension=2,
-                        rate=lambda s: np.array([0.05 * s[0] * s[1],
-                                                 0.1 * s[0] * s[1]]),
-                        names=("E1", "E2")),
-            [0.5, 1.0], 19.0, t_eval=grid)
+        sampled = integrate(product_field([0.05, 0.1]), [0.5, 1.0], 19.0, t_eval=grid)
         for t, state in zip(sampled.times, sampled.states):
             assert state[1] == pytest.approx(coupled_gdp_solution(0.05, float(t)),
                                              rel=1e-7)
 
     def test_single_factor_hyperbolic(self):
-        trail = integrate_multiplicative([0.01], [1.0], 150.0)
+        trail = integrate(product_field([0.01]), [1.0], 150.0)
         assert trail.blowup is not None
         assert trail.blowup.estimate == pytest.approx(100.0, abs=0.1)
 
     def test_three_factor_symmetric(self):
-        trail = integrate_multiplicative([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 1.0)
+        trail = integrate(product_field([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0], 1.0)
         assert trail.blowup is not None
         assert trail.blowup.estimate == pytest.approx(0.5, abs=1e-3)
         spread = np.max(trail.states, axis=1) - np.min(trail.states, axis=1)
@@ -343,19 +352,13 @@ class TestMultiplicative:
 
     def test_conserved_differences(self):
         coeffs = [0.05, 0.1, 0.25]
-        trail = integrate_multiplicative(coeffs, [0.5, 1.0, 2.0], 5.0)
+        trail = integrate(product_field(coeffs), [0.5, 1.0, 2.0], 5.0)
         ratios = trail.states / np.asarray(coeffs)
         for i in range(3):
             for j in range(i + 1, 3):
                 diff = ratios[:, i] - ratios[:, j]
                 assert np.max(np.abs(diff - diff[0])) <= 1e-6 * max(
                     1.0, float(np.max(np.abs(diff))))
-
-    def test_positive_inputs_required(self):
-        with pytest.raises(DomainError):
-            integrate_multiplicative([0.05, -0.1], [1.0, 1.0], 1.0)
-        with pytest.raises(DomainError):
-            integrate_multiplicative([0.05, 0.1], [1.0, 0.0], 1.0)
 
     def test_always_detects_blowup(self):
         cases = [
@@ -365,7 +368,7 @@ class TestMultiplicative:
             ((0.2, 0.7), (3.0, 0.25), 10.0),
         ]
         for coeffs, state0, horizon in cases:
-            trail = integrate_multiplicative(list(coeffs), list(state0), horizon)
+            trail = integrate(product_field(list(coeffs)), list(state0), horizon)
             assert trail.blowup is not None
 
 

@@ -7,6 +7,7 @@ terms in the same order component by component, so the two must agree
 bit for bit, including on which trial steps fail.
 """
 
+import hashlib
 import math
 from unittest import mock
 
@@ -169,6 +170,40 @@ class TestEndToEndOracle:
             assert got.times.tobytes() == expected.times.tobytes()
             assert got.states.tobytes() == expected.states.tobytes()
             assert got.states.dtype == np.float64
+
+    def test_integrate_outputs_are_pinned(self):
+        # times, states and blow-up of 90 runs, pinned: laws that blow up
+        # at a threshold crossing (t = 100), in a stall that tail
+        # extrapolation resolves (t = 0.5) and not at all, and a coupled
+        # and a three-factor system (t = 20 and 4.6287); on no grid, seven
+        # points from 0, points ending before the blow-up, t_end alone, 0
+        # alone and 30 random times.  The rates use only + - * /, which
+        # round the same on every CPU (see test_em_path_outputs_are_pinned);
+        # the tail fits' np.log gives the same digest with numpy's AVX2 and
+        # AVX-512 loops turned off (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4")
+        product = "(E1*E2*E3)"
+        laws = [("dA = 0.01*A*A", [1.0], 150.0, 90.0),
+                ("dA = A*A*A", [1.0], 2.0, 0.45),
+                ("dA = 0.5*A", [1.0], 20.0, 10.0),
+                ("dY = 0.05*Y*A; dA = 0.1*Y*A", [0.5, 1.0], 30.0, 18.0),
+                (f"dE1 = 0.05*{product}; dE2 = 0.1*{product}; dE3 = 0.25*{product}",
+                 [0.5, 1.0, 2.0], 6.0, 4.0)]
+        options = [IntegrationOptions(), IntegrationOptions(rtol=1e-6),
+                   IntegrationOptions(blowup_threshold=1e4)]
+        rng = np.random.default_rng(22)
+        digest = hashlib.sha256()
+        for source, y0, t_end, before in laws:
+            field = dsl.to_field(dsl.parse(source))
+            grids = [None, np.linspace(0.0, t_end, 7), np.linspace(0.25 * before, before, 5),
+                     [t_end], [0.0], np.sort(rng.uniform(0.0, t_end, 30))]
+            for grid in grids:
+                for opts in options:
+                    trail = integrate(field, y0, t_end, opts, t_eval=grid)
+                    for part in (trail.times, trail.states):
+                        digest.update(part.tobytes())
+                    digest.update(repr(trail.blowup).encode())
+        assert digest.hexdigest() == \
+            "47ded8b50f3f2d33bdd2e0c7b4bd8f9a82e7ce8f4eb00a3ae1678792314268d5"
 
 
 class TestStageSafety:
