@@ -137,7 +137,7 @@ def _parse_bindings(args, dest: str) -> dict[str, float]:
 #           level at time t, blow-up time or None, DSL source of simulate's rate)
 _MODELS = {
     "exponential": ("k R I c", "k R I A0", lambda a, t: closedform.exp_phase_solution(
-        _growth_rate(a), a.I, t, 1.0 if a.c is None else a.c), lambda a: None, "dA = r*A"),
+        *_growth_inputs(a), t, 1.0 if a.c is None else a.c), lambda a: None, "dA = r*A"),
     "hyperbolic": ("k! I!", "k! A0", lambda a, t: closedform.hyperbolic_solution(a.k, a.I, t),
                    lambda a: closedform.hyperbolic_blowup_time(a.k, a.I).t_star, "dA = k*A*A"),
     "powerlaw": ("k! I! n!", "k! n! A0", lambda a, t: closedform.powerlaw_solution(
@@ -154,12 +154,13 @@ _DEFAULT_LEVELS = {"A": "1", "Y": "k1/k2"}
 _SOURCE_FLAGS = ("k", "I", "R", "n", "k1", "k2", "c", "sigma", "A0", "Y0", "param", "init")
 
 
-def _growth_rate(args) -> float:
-    """The exponential model's ``k``: ``--k``, else calibrated from ``--R`` and ``--I``."""
+def _growth_inputs(args) -> tuple[float, float]:
+    """The exponential model's ``k`` (``--k``, else from ``--R``) and ``I`` (``--I``, else 1)."""
+    I = 1.0 if args.I is None else args.I
     if args.k is not None:
-        return check_real("k", args.k, above=0.0)
+        return check_real("k", args.k, above=0.0), I
     if args.R is not None:
-        return closedform.calibrate_k(args.R, args.I)
+        return closedform.calibrate_k(args.R, I), I
     raise DomainError("no growth rate available: set k or R")
 
 
@@ -210,8 +211,8 @@ def _model_field(args) -> tuple[ode.VectorField, np.ndarray, str]:
     _check_flags(args, "--model", flags)
     spec = dsl.parse(source)
     if args.model == "exponential":
-        # the calibrated rate: k, or k from R, times I (default 1)
-        r = _growth_rate(args) * (1.0 if args.I is None else args.I)
+        k, I = _growth_inputs(args)
+        r = k * I
         params, label = {"r": r}, f"exponential(k*I={r!r})"
     else:
         # the needed flags are the source's parameters

@@ -6,9 +6,11 @@ per-path random streams derived as
 path can be reproduced bit for bit in isolation or inside a vectorized
 batch beside other ensembles: the draws depend only on the master seed
 and the path's index.  :func:`em_path` steps one path on Python
-floats; :func:`simulate_batches` steps the ensembles of several
-:class:`EnsembleSpec` in one lockstep batch, drawing each shared stream
-once, and returns one :class:`EnsembleStats` per spec.
+floats.  :func:`simulate_batches` steps the ensembles of several
+:class:`EnsembleSpec` in one lockstep batch on numpy arrays, drawing
+each shared stream once, and each spec's last few live lanes alone in
+:func:`em_path`'s loop; :class:`StochasticModel` says which models
+give the same bits on floats as on arrays.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -35,6 +37,7 @@ not.
 
 from __future__ import annotations
 
+import copy
 import math
 import mmap
 import reprlib
@@ -64,7 +67,8 @@ __all__ = [
 ]
 
 _BLOCK_STEPS = 4096
-# the most live lanes a pass steps on Python floats rather than arrays
+# a spec's lanes leave the arrays of a pass, each to finish alone on
+# Python floats, once at most this many of them are live there
 _FEW_LANES = 16
 # the most normal draws one block of the batch kernel holds (16 MiB)
 _DRAW_BUDGET = 1 << 21
@@ -91,12 +95,14 @@ _U_TOL = 1.49e-8
 class StochasticModel:
     """Drift and diffusion of a scalar SDE ``dA = drift dt + diffusion dW``.
 
-    Both callables must accept floats and numpy arrays elementwise: the
-    batch kernel calls them on arrays of live levels, :func:`em_path`
-    on Python floats.  A callable built from ``+``, ``-``, ``*`` and
-    ``/`` gives bitwise the same path either way; numpy's array
-    ``power`` and transcendental functions may round differently from
-    their scalar counterparts in the last ulp.
+    Both callables must accept floats and numpy arrays elementwise:
+    :func:`em_path` calls them on Python floats, and so does
+    :func:`simulate_batches` for the last few live lanes of each spec,
+    which it calls on arrays of live levels before.  A callable built
+    from ``+ - * /`` and numpy ufuncs gives the same bits either way;
+    Python's ``**`` on a float may round differently from numpy's array
+    ``power`` in the last ulp, so a batch row of such a model depends
+    on the step its lane left the arrays.
     """
 
     drift: Callable
@@ -368,24 +374,20 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     numbers, and a lane reads its stream's column.  A stream's draws do
     not depend on how its steps are split into blocks, so every path
     comes out as if simulated alone.  The live lanes of a spec stay in
-    one contiguous slice: each model is called once per step on its own
-    live levels, and a lane that ends is dropped from the state arrays.
+    one contiguous slice of numpy arrays: each model is called once per
+    step on its own live levels, and a lane that ends is dropped.
 
-    A block is one loop over its steps.  Each step has one of two update
-    bodies, chosen by the live-lane count: numpy arrays while the pass
-    has more than ``_FEW_LANES`` live lanes, Python floats once it has
-    at most that many, at the start of a block or when lanes end, since
-    most of an array step on a few lanes is numpy's fixed cost per
-    call.  Both bodies take the drift and diffusion from one helper,
-    which calls each model on its slice of a ``float64`` array of the
-    live levels.  On floats the results become lists, the update and
-    the termination test run in the same order as on arrays, which
-    rounds exactly as numpy does, and the slope terms are added when a
-    lane ends or the block does, for all the steps since at once but
-    summed in step order.  Lanes end, and levels are recorded, in code
-    the two bodies share.  On a 2-vCPU
-    Intel Xeon virtual machine a step on two lanes takes about 6
-    microseconds on floats, against 10 to 17 on arrays.
+    Once a spec has at most ``_FEW_LANES`` live lanes in a pass, at its
+    start or when lanes end, those lanes leave the arrays, where most of
+    a step would be numpy's fixed cost per call.  Each finishes alone in
+    :func:`em_path`'s loop on Python floats, reading the draws left in
+    the block and then a copy of its stream's generator, and shares the
+    bookkeeping of ended lanes, slopes and recorded rows with the
+    arrays.  Models built from ``+ - * /`` and numpy ufuncs give the
+    same bits on floats as on arrays; Python's ``**`` may round
+    differently from numpy's array ``power``.  The switch depends only
+    on the spec's own lanes, so such a model's spec, too, gives the same
+    bits alone as beside others while it fits in one pass either way.
     """
     given, specs = specs, list(specs) if np.iterable(specs) else []
     if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
@@ -432,6 +434,29 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
         series[:, 0] = A0
         first_rec = min(record_stride, n_steps)
 
+    def settle(gone, level, at, y, ty):
+        """Book rows ``gone``, alive up to step ``at``: ``level`` ended each, or is a survivor's."""
+        out = ~((level > 0.0) & (level < threshold))
+        # nan and -inf count as exploded
+        sunk = (level <= 0.0) & (level > -np.inf)
+        outcomes[gone] = np.where(out, np.where(sunk, "absorbed", "exploded"), "survived")
+        event_times[gone] = np.where(out, (at + 1) * dt, np.nan)
+        final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
+        last[gone] = at
+        sy[gone] = y
+        sty[gone] = ty
+
+    def finish_alone(row, model, level, step, normals, y, ty):
+        """Step output ``row`` alone on floats from ``level`` at ``step``, reading ``normals``
+        and then a copy of its stream's generator in this pass, and book it."""
+        values, end_step, end = _float_path(model, level, step, n_steps, dt, threshold,
+                                            normals, copy.deepcopy(rngs[stream[row]]))
+        y, ty = _add_slope_terms(y, ty, values[:, None], step, dt, t_shift)
+        if series is not None:
+            kept = slice(*np.searchsorted(rec_steps, (step, end_step + 1)))
+            series[row, kept] = values[rec_steps[kept] - step]
+        settle([row], values[-1:] if end is None else np.array([end]), end_step, y, ty)
+
     # one buffer holds the draws of every block in turn.  It is mapped
     # rather than taken from the heap, so its pages go back to the system
     # when the call returns: a freed heap block this size stays with the
@@ -445,11 +470,17 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
             part = [(s.model, int(s.master_seed), lo + first, lo + min(count, first + width))
                     for s, count, lo in zip(specs, sizes, bounds) if count > first]
             keys: dict[tuple[int, int], int] = {}
-            lanes = np.concatenate([np.arange(lo, hi) for *_, lo, hi in part])
-            stream[lanes] = [keys.setdefault((master, first + j), len(keys))
-                             for _, master, lo, hi in part for j in range(hi - lo)]
+            for _, master, lo, hi in part:
+                stream[lo:hi] = [keys.setdefault((master, first + j), len(keys))
+                                 for j in range(hi - lo)]
             rngs = [_derive_rng(master, i) for master, i in keys]
-            # the live lanes of each spec with any left, as consecutive slices
+            # a spec with few paths in this pass steps each alone, the others on arrays
+            for model, _, lo, hi in part:
+                if hi - lo <= _FEW_LANES:
+                    for row in range(lo, hi):
+                        finish_alone(row, model, float(A0), 0, [], np.zeros(1), np.zeros(1))
+            part = [p for p in part if p[3] - p[2] > _FEW_LANES]
+            lanes = np.array([row for *_, lo, hi in part for row in range(lo, hi)], dtype=np.intp)
             ends = np.cumsum([hi - lo for *_, lo, hi in part]).tolist()
             slices = [(model, lo, hi) for (model, *_), lo, hi in zip(part, [0] + ends, ends)]
             a = np.full(lanes.size, float(A0))
@@ -469,57 +500,27 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                 cols = np.searchsorted(live_streams, stream[lanes])
                 if np.array_equal(cols, np.arange(lanes.size)):
                     cols = None  # every lane reads its own column, in order
-                # the update runs on arrays, or on Python floats once at most
-                # _FEW_LANES lanes are live.  On floats each step's levels fill
-                # a row of `seen`, whose slope terms are added when lanes end or
-                # the block does, and lane_draws holds the live lanes' columns
-                few = lanes.size <= _FEW_LANES
-                if few:
-                    a = a.tolist()
-                    lane_draws = draws if cols is None else draws[:, cols]
-                    seen = np.empty((block, lanes.size))
-                n_seen = 0
                 for row, z in enumerate(draws):
-                    if few:
-                        levels = seen[n_seen]
-                        levels[:] = a
-                        n_seen += 1
-                        d, b = _live_coefficients(slices, levels, step * dt)
-                        # a model that returns one number broadcasts it
-                        drift = d.tolist() if d.ndim else [d.tolist()] * lanes.size
-                        diffusion = b.tolist() if b.ndim else [b.tolist()] * lanes.size
-                        a_next = [x + d * dt + b * sqdt * w for x, d, b, w
-                                  in zip(a, drift, diffusion, lane_draws[row].tolist())]
-                        ok = [0.0 < x < threshold for x in a_next]
-                        ending = not all(ok)
-                    else:
-                        y = np.log(a)
-                        y_run += y
-                        ty_run += y * (step * dt - t_shift)
-                        drift, diffusion = _live_coefficients(slices, a, step * dt)
-                        a_next = (a + drift * dt
-                                  + diffusion * sqdt * (z if cols is None else z[cols]))
-                        ok = (a_next > 0.0) & (a_next < threshold)
-                        ending = np.count_nonzero(ok) < lanes.size
+                    y = np.log(a)
+                    y_run += y
+                    ty_run += y * (step * dt - t_shift)
+                    drift, diffusion = _live_coefficients(slices, a, step * dt)
+                    a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
+                    ok = (a_next > 0.0) & (a_next < threshold)
                     step += 1
-                    if ending:
-                        if n_seen:
-                            y_run, ty_run = _add_slope_terms(y_run, ty_run, seen[:n_seen],
-                                                             step - n_seen, dt, t_shift)
-                            n_seen = 0
-                        ok = np.asarray(ok)  # lists on floats
-                        a_next = np.asarray(a_next)
+                    if np.count_nonzero(ok) < lanes.size:
                         ended = ~ok
-                        gone = lanes[ended]
-                        level = a_next[ended]
-                        # nan and -inf count as exploded
-                        sunk = (level <= 0.0) & (level > -np.inf)
-                        outcomes[gone] = np.where(sunk, "absorbed", "exploded")
-                        event_times[gone] = step * dt
-                        final_levels[gone] = np.where(np.isfinite(level) & ~sunk, level, np.nan)
-                        last[gone] = step - 1
-                        sy[gone] = y_run[ended]
-                        sty[gone] = ty_run[ended]
+                        settle(lanes[ended], a_next[ended], step - 1, y_run[ended], ty_run[ended])
+                        # a spec left with few live lanes sends them to finish alone
+                        for model, lo, hi in slices:
+                            alone = lo + np.flatnonzero(ok[lo:hi])
+                            if alone.size > _FEW_LANES:
+                                continue
+                            ok[alone] = False
+                            for i in alone.tolist():
+                                left = draws[row + 1:, i if cols is None else cols[i]]
+                                finish_alone(lanes[i], model, float(a_next[i]), step,
+                                             left.tolist(), y_run[i:i + 1], ty_run[i:i + 1])
                         lanes = lanes[ok]
                         a_next = a_next[ok]
                         y_run = y_run[ok]
@@ -528,28 +529,14 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         slices = _compact_slices(slices, ok)
                         if not lanes.size:
                             break
-                        if lanes.size <= _FEW_LANES:  # switch to, or stay on, floats
-                            few = True
-                            a_next = a_next.tolist()
-                            lane_draws = draws[:, cols]
-                            seen = np.empty((block - row - 1, lanes.size))
                     a = a_next
                     if step == next_rec:
                         series[lanes, rec_pos] = a
                         rec_pos += 1
                         next_rec = min(next_rec + record_stride, n_steps)
-                if n_seen:
-                    y_run, ty_run = _add_slope_terms(y_run, ty_run, seen[:n_seen],
-                                                     step - n_seen, dt, t_shift)
-                if few:
-                    a = np.array(a)
             if lanes.size:
                 y = np.log(a)
-                y_run += y
-                ty_run += y * (n_steps * dt - t_shift)
-                sy[lanes] = y_run
-                sty[lanes] = ty_run
-                final_levels[lanes] = a
+                settle(lanes, a, n_steps, y_run + y, ty_run + y * (n_steps * dt - t_shift))
 
         ts = np.arange(n_steps + 1) * dt - t_shift
         cnt = (last + 1).astype(float)
@@ -581,6 +568,44 @@ def _validate_grid(A0: float, dt: float, t_end: float, threshold: float) -> int:
     return n_steps
 
 
+def _float_path(model: StochasticModel, a: float, step: int, n_steps: int, dt: float,
+                threshold: float, normals: list, rng: np.random.Generator):
+    """Step one path on Python floats from level ``a`` at ``step`` to its end.
+
+    It reads ``normals``, then blocks of at most ``_BLOCK_STEPS`` draws of
+    ``rng``.  Returns the levels from ``step`` on while alive, the last
+    step alive, and the level that ended the path (``None`` if it survived).
+    """
+    drift, diffusion = model.drift, model.diffusion
+    sqdt = math.sqrt(dt)
+    values = np.empty(n_steps - step + 1)
+    values[0] = a
+    i = 0  # steps taken
+    while True:
+        for z in normals:
+            try:
+                da, db = drift(a), diffusion(a)
+            except (OverflowError, ZeroDivisionError):
+                # numpy scalars give inf or nan here, as an array step does
+                da, db = _evaluate(model, np.float64(a), (step + i) * dt)
+            except Exception as exc:
+                raise _model_failure(model, (step + i) * dt, exc) from exc
+            try:
+                a_next = a + da * dt + db * sqdt * z
+                if not isinstance(a_next, _ONE_NUMBER):
+                    raise TypeError(f"level is not one number: {a_next!r}")
+                if not 0.0 < a_next < threshold:
+                    return values[:i + 1], step + i, float(a_next)
+            except (TypeError, ValueError) as exc:
+                # a result that is not one number
+                raise _model_failure(model, (step + i) * dt, exc) from exc
+            i += 1
+            values[i] = a = a_next
+        if step + i == n_steps:
+            return values, n_steps, None
+        normals = rng.standard_normal(min(_BLOCK_STEPS, n_steps - step - i)).tolist()
+
+
 def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
             *, threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> PathResult:
     """Simulate one Euler-Maruyama path, reproducibly.
@@ -590,51 +615,25 @@ def em_path(model: StochasticModel, A0: float, dt: float, t_end: float, seed,
     ``round(t_end/dt)`` steps.  The path keeps the level of every step,
     and its termination sample (the threshold crossing if it is finite;
     an absorbed path ends with the last positive level).  The path is
-    stepped on Python floats; a step whose float evaluation overflows
-    or divides by zero is redone on ``np.float64``, so it ends the path
-    as in the batch kernel instead of raising.  A drift or diffusion
-    that still raises, or whose result is not one number, surfaces as
-    :class:`~blowuplab.errors.FieldEvaluationError` naming the model's
-    ``label`` and the time, as it does in the batch kernel.
+    stepped on Python floats, as the last few lanes of each spec in
+    :func:`simulate_batches` are; a step whose float evaluation
+    overflows or divides by zero is redone on ``np.float64``, so it
+    ends the path as an array step would instead of raising.  A drift
+    or diffusion that still raises, or whose result is not one number,
+    surfaces as :class:`~blowuplab.errors.FieldEvaluationError` naming
+    the model's ``label`` and the time, as it does in the batch kernel.
     """
     check_instance("model", model, StochasticModel, "a StochasticModel")
     n_steps = _validate_grid(A0, dt, t_end, threshold)
     master, index = _normalize_seed(seed)
-    rng = _derive_rng(master, index)
-    drift, diffusion = model.drift, model.diffusion
-    sqdt = math.sqrt(dt)
-    values = np.empty(n_steps + 1)
-    values[0] = a = float(A0)
-    step = 0
-    end = None  # the level that ended the path
     with np.errstate(all="ignore"):
-        while end is None and step < n_steps:
-            for z in rng.standard_normal(min(_BLOCK_STEPS, n_steps - step)).tolist():
-                try:
-                    da, db = drift(a), diffusion(a)
-                except (OverflowError, ZeroDivisionError):
-                    # numpy scalars give inf or nan here, as the batch kernel does
-                    da, db = _evaluate(model, np.float64(a), step * dt)
-                except Exception as exc:
-                    raise _model_failure(model, step * dt, exc) from exc
-                try:
-                    a_next = a + da * dt + db * sqdt * z
-                    if not isinstance(a_next, _ONE_NUMBER):
-                        raise TypeError(f"level is not one number: {a_next!r}")
-                    if not 0.0 < a_next < threshold:
-                        end = float(a_next)
-                        break
-                except (TypeError, ValueError) as exc:
-                    # a result that is not one number
-                    raise _model_failure(model, step * dt, exc) from exc
-                step += 1
-                values[step] = a = a_next
-
-    times = np.arange(step + 1) * dt
+        values, last, end = _float_path(model, float(A0), 0, n_steps, dt, threshold, [],
+                                        _derive_rng(master, index))
+    times = np.arange(last + 1) * dt
     if end is None:
         return PathResult(times, values, "survived", None, (master, index))
-    values = values[:step + 1].copy()
-    event = (step + 1) * dt  # the step that ended the path
+    values = values.copy()  # lets go of the steps never taken
+    event = (last + 1) * dt  # the step that ended the path
     if -math.inf < end <= 0.0:
         return PathResult(times, values, "absorbed", event, (master, index))
     if math.isfinite(end):

@@ -9,7 +9,8 @@ and the normal streams may differ between numpy releases.  Usage errors
 are left out: argparse's usage block depends on the terminal width and
 the Python version.
 
-Regenerate the manifest with ``PYTHONPATH=src python tests/cli_manifest.py``.
+Regenerate the manifest with ``PYTHONPATH=src python tests/cli_manifest.py``; it
+prints each command line added, removed or changed against the file it replaces.
 """
 
 import contextlib
@@ -49,6 +50,12 @@ _ENSEMBLE = {
     "hyperbolic-sde": "--k 0.05 --sigma 0.05",
     "gbm": "--k 0.05 --I 1 --sigma 0.1",
 }
+# exponential rows without --I, which they read as 1
+UNSET_I = [
+    "solve --model exponential --k 0.05 --t-max 10",
+    "solve --model exponential --R 1.5 --t-max 10",
+    "simulate --model exponential --R 1.5 --t-max 1",
+]
 # one domain error (exit 3) per command
 _ERRORS = [
     "solve --model hyperbolic --k 0.01 --I 1 --t-max 150",
@@ -79,7 +86,7 @@ def corpus() -> list[str]:
     lines += [f"simulate --model {model} {_SIMULATE[model]} --points 9" for model in cli._MODELS]
     lines += [f"ensemble --model {model} {_ENSEMBLE[model]} --paths 50 --periods 20"
               for model in cli._SDE_MODELS]
-    return lines + _ERRORS
+    return lines + UNSET_I + _ERRORS
 
 
 def _sha(data: bytes) -> str:
@@ -98,6 +105,16 @@ def _call(argv: list[str], directory: Path) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
+def run_line(line: str, directory: Path) -> dict:
+    """The record of ``line`` run in ``directory``: its exit code and digests."""
+    code, out, err = _call(shlex.split(line), directory)
+    return {
+        "exit": code, "stdout": _sha(out), "stderr": _sha(err),
+        "files": {path.name: _sha(path.read_bytes()) for path in sorted(directory.iterdir())
+                  if path.name != SERIES},
+    }
+
+
 def run_corpus(workdir: Path) -> dict[str, dict]:
     """Run every line in a fresh directory under ``workdir``; its record by line."""
     source = workdir / "series"
@@ -109,12 +126,7 @@ def run_corpus(workdir: Path) -> dict[str, dict]:
         directory = workdir / f"line{index}"
         directory.mkdir()
         (directory / SERIES).write_bytes(series)
-        code, out, err = _call(shlex.split(line), directory)
-        records[line] = {
-            "exit": code, "stdout": _sha(out), "stderr": _sha(err),
-            "files": {path.name: _sha(path.read_bytes()) for path in sorted(directory.iterdir())
-                      if path.name != SERIES},
-        }
+        records[line] = run_line(line, directory)
     return records
 
 
@@ -123,5 +135,14 @@ if __name__ == "__main__":
     warnings.simplefilter("error", DeprecationWarning)
     warnings.simplefilter("error", RuntimeWarning)
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = {"numpy": numpy_version(), "lines": run_corpus(Path(tmp))}
-    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
+        lines = run_corpus(Path(tmp))
+    before = json.loads(MANIFEST.read_text())["lines"] if MANIFEST.exists() else {}
+    # what a change to the manifest has to name
+    for line in dict.fromkeys([*before, *lines]):
+        if line not in before:
+            print(f"added: {line}")
+        elif line not in lines:
+            print(f"removed: {line}")
+        elif before[line] != lines[line]:
+            print(f"changed: {line}")
+    MANIFEST.write_text(json.dumps({"numpy": numpy_version(), "lines": lines}, indent=2) + "\n")

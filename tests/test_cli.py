@@ -630,3 +630,8 @@ class TestManifest:
                         f"this is numpy {here}")
         assert [line for line, record in self.MANIFEST["lines"].items()
                 if manifest_runs.get(line) != record] == []
+
+    @pytest.mark.parametrize("line", cli_manifest.UNSET_I)
+    def test_exponential_reads_an_unset_I_as_1(self, manifest_runs, line, tmp_path):
+        assert manifest_runs[line]["exit"] == 0
+        assert cli_manifest.run_line(f"{line} --I 1", tmp_path) == manifest_runs[line]

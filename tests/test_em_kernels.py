@@ -3,7 +3,9 @@
 ``masked_lockstep`` is the earlier batch kernel: every lane, live or
 dead, draws, steps and accumulates masked slope sums on every step.
 The compacted batch kernel and the scalar ``em_path`` loop must
-reproduce it bit for bit on product-form models.
+reproduce it bit for bit on product-form models.  A spec with at most
+``sde._FEW_LANES`` paths steps every lane in ``em_path``'s loop, so it
+reproduces ``em_path`` bit for bit for any model.
 """
 
 import dataclasses
@@ -165,10 +167,20 @@ MODELS = {
 }
 
 
-# the batch kernel steps a pass on arrays while it has more than
-# sde._FEW_LANES live lanes and on Python floats after that: 0 keeps every
-# step on arrays and 10**6 puts every step on floats
+# the batch kernel steps a spec's lanes on arrays while more than
+# sde._FEW_LANES of them are live in a pass, and each alone on Python floats
+# after that: 0 keeps every step on arrays and 10**6 steps every lane alone
 FEW_LANES = [0, sde._FEW_LANES, 10 ** 6]
+
+# models outside product form: Python's ** on a float and numpy's array
+# power may round differently in the last ulp
+POWER_MODELS = st.one_of(
+    st.builds(lambda c, s: StochasticModel(drift=lambda a: c * a ** 1.5,
+                                           diffusion=lambda a: s * a ** 1.2, label="power"),
+              st.floats(0.2, 1.0), st.floats(0.3, 1.5)),
+    st.builds(lambda s: StochasticModel(drift=lambda a: a ** 3, diffusion=lambda a: s * a,
+                                        label="cubic"), st.floats(0.1, 1.0)),
+)
 
 
 class TestBatchMatchesMaskedLockstep:
@@ -219,25 +231,30 @@ class TestBatchMatchesMaskedLockstep:
             assert_batches_identical(want, have)
 
     def test_a_pass_leaves_the_array_step_within_a_block(self):
-        # 40 lanes of three specs on one master seed, so they share streams,
-        # and one model returns one number: lanes end on arrays until at
-        # most sde._FEW_LANES are left, then on floats, all in one block
+        # four specs of more than sde._FEW_LANES paths on one master seed, so
+        # they share streams, and one model returns one number.  The first
+        # three end lanes on arrays until at most sde._FEW_LANES of theirs are
+        # left, inside a block of 64 steps, then finish each alone on floats:
+        # the draws left in the block, then a copy of a generator that the
+        # fourth spec's lanes, on arrays to the horizon, go on drawing from
         constant = StochasticModel(drift=lambda a: -1.0, diffusion=lambda a: 0.5,
                                    label="constant")
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=3.0, n_paths=n_paths,
                               master_seed=5)
-                 for model, n_paths in ((absorbing_model(2.0), 14),
-                                        (absorbing_model(1.0), 13), (constant, 13))]
-        got = simulate_batches(specs, 60)
+                 for model, n_paths in ((absorbing_model(2.0), 20), (absorbing_model(1.0), 24),
+                                        (constant, 22), (gbm_model(0.1, 1.0, 0.3), 30))]
+        with mock.patch.object(sde, "_BLOCK_STEPS", 64):
+            got = simulate_batches(specs, 60)
         for spec, batch in zip(specs, got):
             assert_batches_identical(oracle_batch(spec, 60), batch)
         ends = [np.where(batch.survived, np.inf, batch.event_times) for batch in got]
-        switch = np.sort(np.concatenate(ends))[40 - sde._FEW_LANES - 1]
-        assert 0.0 < switch < 3.0 and sde._BLOCK_STEPS >= 300
-        # every spec still has live lanes after the switch, one survives
-        assert all((end > switch).any() for end in ends)
-        assert got[2].absorbed[ends[2] > switch].all()
-        assert sum(batch.survived.sum() for batch in got) == 1
+        switches = [np.sort(end)[end.size - sde._FEW_LANES - 1] for end in ends]
+        assert all(0 < round(switch / 0.01) % 64 for switch in switches[:3])
+        assert got[3].survived.sum() > sde._FEW_LANES
+        # each leaving spec still has live lanes after its switch, one survives
+        assert all((end > switch).any() for end, switch in zip(ends, switches[:3]))
+        assert got[2].absorbed[ends[2] > switches[2]].all()
+        assert sum(batch.survived.sum() for batch in got[:3]) == 1
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_model_reaches_its_ending(self, name):
@@ -261,6 +278,27 @@ class TestBatchMatchesMaskedLockstep:
             assert batch.exploded.any() and batch.survived.any()
 
 
+def assert_row_is_path(batch, index, path, steps):
+    # the path keeps every step it was alive for, the batch row the
+    # recorded ones among them
+    alive = steps + 1 if batch.survived[index] else round(batch.event_times[index] / 0.01)
+    times = np.arange(alive) * 0.01
+    crossing = batch.final_levels[index]
+    if batch.exploded[index] and np.isfinite(crossing):
+        times = np.append(times, batch.event_times[index])
+        assert path.values[-1] == crossing
+    assert path.times.tobytes() == times.tobytes()
+    row = batch.series[index]
+    kept = batch.rec_steps < alive
+    assert np.array_equal(np.isfinite(row), kept)
+    assert path.values[batch.rec_steps[kept]].tobytes() == row[kept].tobytes()
+    assert path.outcome == batch.outcomes[index]
+    if batch.survived[index]:
+        assert path.event_time is None
+    else:
+        assert path.event_time == batch.event_times[index]
+
+
 class TestScalarPath:
     @settings(max_examples=30)
     @given(model=st.one_of(MODELS["hyperbolic"], MODELS["gbm"]),
@@ -273,24 +311,22 @@ class TestScalarPath:
                             n_paths=index + 1, master_seed=11, threshold=threshold)
         batch = simulate_batches([spec], record_points)[0]
         path = em_path(model, 1.0, 0.01, spec.t_end, seed=(11, index), threshold=threshold)
-        # the path keeps every step it was alive for, the batch row the
-        # recorded ones among them
-        alive = steps + 1 if batch.survived[index] else round(batch.event_times[index] / 0.01)
-        times = np.arange(alive) * 0.01
-        crossing = batch.final_levels[index]
-        if batch.exploded[index] and np.isfinite(crossing):
-            times = np.append(times, batch.event_times[index])
-            assert path.values[-1] == crossing
-        assert path.times.tobytes() == times.tobytes()
-        row = batch.series[index]
-        kept = batch.rec_steps < alive
-        assert np.array_equal(np.isfinite(row), kept)
-        assert path.values[batch.rec_steps[kept]].tobytes() == row[kept].tobytes()
-        assert path.outcome == batch.outcomes[index]
-        if batch.survived[index]:
-            assert path.event_time is None
-        else:
-            assert path.event_time == batch.event_times[index]
+        assert_row_is_path(batch, index, path, steps)
+
+    @settings(max_examples=30)
+    @given(model=POWER_MODELS, n_paths=st.integers(1, sde._FEW_LANES),
+           steps=st.integers(1, 400), master_seed=st.integers(0, 2 ** 32 - 1),
+           threshold=st.sampled_from([3.0, 1e9, 1e300]),
+           record_points=st.integers(1, 400))
+    def test_a_small_ensemble_is_em_path_for_any_model(self, model, n_paths, steps,
+                                                       master_seed, threshold, record_points):
+        spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                            n_paths=n_paths, master_seed=master_seed, threshold=threshold)
+        batch = simulate_batches([spec], record_points)[0]
+        for index in range(n_paths):
+            path = em_path(model, 1.0, 0.01, spec.t_end, seed=(master_seed, index),
+                           threshold=threshold)
+            assert_row_is_path(batch, index, path, steps)
 
     def test_em_path_outputs_are_pinned(self):
         # times, values, outcome and event time of 240 paths, pinned: they

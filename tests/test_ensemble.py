@@ -10,6 +10,7 @@ from blowuplab import (
     DomainError,
     EnsembleSpec,
     EnsembleStats,
+    StochasticModel,
     barometer,
     em_path,
     ensemble,
@@ -172,6 +173,22 @@ class TestSimulateBatch:
                          "slope_mean", "slope_std"):
                 assert getattr(batch, name) == getattr(reference, name), name
             assert np.array_equal(batch.survived, reference.survived)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_power_law_spec_gives_its_own_bits_beside_a_large_one(self, seed):
+        # Python's ** on a float and numpy's array power round differently in
+        # the last ulp, so the spec's 12 lanes must step the same way alone
+        # and beside 200 hyperbolic paths on another seed: on floats, each
+        # alone from the start
+        model = StochasticModel(drift=lambda a: 0.4 * a ** 1.5,
+                                diffusion=lambda a: 0.9 * a ** 1.2, label="power")
+        small = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=5.0, n_paths=12,
+                             master_seed=seed)
+        alone = simulate_batches([small], 50)[0]
+        beside = simulate_batches([small, paper_spec(200, seed + 100, t_end=5.0)], 50)[0]
+        for field in dataclasses.fields(alone):
+            name = field.name
+            assert getattr(beside, name).tobytes() == getattr(alone, name).tobytes(), name
 
     def test_rejects_an_empty_list_and_mismatched_grids(self):
         with pytest.raises(DomainError, match="empty"):
