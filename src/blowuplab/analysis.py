@@ -78,7 +78,6 @@ GrowthLaw = Union[str, dsl.Expr, dsl.SystemSpec, Callable]
 _LADDER_DECADES = 8
 _MAX_LADDER_DECADES = 280
 _EXTENSION_BLOCK = 8
-_GEOMETRIC_RATIO = 0.9
 _EXPONENT_MARGIN = 0.05
 _EXPONENT_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
 _LOG_ORDER_INFINITE = 1.1
@@ -258,12 +257,12 @@ def _quadrature_method(rate, A0: float) -> MethodReading:
             return "geometric"
         if d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
             return "non-decreasing"
-        # true geometric decay keeps the rung ratio constant; polynomial
-        # or log-corrected decay drifts toward 1 and must be order-fitted
+        # true geometric decay keeps the rung ratio constant, to within the
+        # rungs' quadrature error, however close to 1; polynomial or
+        # log-corrected decay drifts toward 1 and must be order-fitted
         tail = d[-min(len(d), 6):]
         ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        if ratios[-1] < _GEOMETRIC_RATIO and \
-                max(ratios) - min(ratios) <= 1e-6 * max(ratios):
+        if ratios[-1] < 1.0 and max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios):
             return "geometric"
         return "polynomial"
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -546,7 +547,9 @@ def as_function(law: Expr | SystemSpec, parameters: Mapping[str, float] | None =
     parameter that names the variable or one the law does not read is a
     :class:`~blowuplab.errors.BindingError`.  The returned callable,
     named by the law's :func:`pretty_print`, takes a Python number
-    (strict arithmetic) or a numpy array or scalar (IEEE semantics).
+    (strict arithmetic) or a numpy array or scalar (IEEE semantics); a
+    value of another type that the law cannot combine with numbers, such
+    as a str or a list, is a :class:`~blowuplab.errors.DomainError`.
     """
     check_instance("law", law, _NODES + (SystemSpec,), "a parsed expression or system")
     params = _bindings("parameters", parameters)
@@ -563,7 +566,11 @@ def as_function(law: Expr | SystemSpec, parameters: Mapping[str, float] | None =
         if isinstance(value, _NUMPY_TYPES):
             with np.errstate(all="ignore"):
                 return ieee((value,))
-        return strict((value,))
+        try:
+            return strict((value,))
+        except TypeError:
+            raise DomainError(f"{fn.__name__!r} takes a real number or a numpy value, "
+                              f"got {reprlib.repr(value)}") from None
 
     fn.__name__ = pretty_print(law)
     fn.__doc__ = f"Evaluate {fn.__name__!r} at {var}."

@@ -66,15 +66,14 @@ __all__ = [
     "pathwise_growth_slope",
 ]
 
-_BLOCK_STEPS = 4096
+# a block of draws is min(_BLOCK_STEPS, steps left) rows of every live
+# stream in the batch kernel, and of its own stream for a path on floats
+_BLOCK_STEPS = 1024
 # a spec's lanes leave the arrays of a pass, each to finish alone on
 # Python floats, once at most this many of them are live there
 _FEW_LANES = 16
-# the most normal draws one block of the batch kernel holds (16 MiB)
-_DRAW_BUDGET = 1 << 21
-# the most random streams one lockstep pass of the batch kernel holds;
-# larger batches run in several passes, so a block keeps at least
-# _DRAW_BUDGET // _PASS_STREAMS rows and few generators are alive at once
+# the paths of each spec in one lockstep pass of the batch kernel, so a
+# block's draws take at most 32 MiB per master seed in the batch
 _PASS_STREAMS = 4096
 # the draw buffer is private anonymous memory (on Windows, whatever
 # mmap.mmap(-1, ...) maps)
@@ -367,13 +366,14 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     level, surfaces as :class:`~blowuplab.errors.FieldEvaluationError`
     naming the model's ``label`` and the time.
 
-    The paths run in passes over consecutive path indices, each holding
-    at most ``_PASS_STREAMS`` streams, so a large ensemble keeps few
-    generators alive and long blocks.  Each block draws every live
-    stream once, at most ``_BLOCK_STEPS`` rows and ``_DRAW_BUDGET``
-    numbers, and a lane reads its stream's column.  A stream's draws do
-    not depend on how its steps are split into blocks, so every path
-    comes out as if simulated alone.  The live lanes of a spec stay in
+    The paths run in passes over consecutive path indices: a pass holds
+    paths ``first .. first + _PASS_STREAMS - 1`` of every spec, whatever
+    the other specs' seeds, so a large ensemble keeps few generators
+    alive.  Each block draws ``min(_BLOCK_STEPS, steps left)`` rows of
+    every live stream once, and a lane reads its stream's column: the
+    draws take at most 32 MiB per master seed in the batch.  A stream's
+    draws do not depend on how its steps are split into blocks, so every
+    path comes out as if simulated alone.  The live lanes of a spec stay in
     one contiguous slice of numpy arrays: each model is called once per
     step on its own live levels, and a lane that ends is dropped.
 
@@ -387,7 +387,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     same bits on floats as on arrays; Python's ``**`` may round
     differently from numpy's array ``power``.  The switch depends only
     on the spec's own lanes, so such a model's spec, too, gives the same
-    bits alone as beside others while it fits in one pass either way.
+    bits alone as beside others.
     """
     given, specs = specs, list(specs) if np.iterable(specs) else []
     if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
@@ -408,8 +408,6 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     sizes = [int(s.n_paths) for s in specs]
     bounds = np.cumsum([0] + sizes).tolist()  # rows of each spec in the output
     n = bounds[-1]
-    n_seeds = len({int(s.master_seed) for s in specs})
-    width = max(1, _PASS_STREAMS // n_seeds)
     stream = np.empty(n, dtype=np.intp)  # generator of each output row in its pass
     sqdt = math.sqrt(dt)
     outcomes = np.full(n, "survived")
@@ -457,23 +455,24 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
             series[row, kept] = values[rec_steps[kept] - step]
         settle([row], values[-1:] if end is None else np.array([end]), end_step, y, ty)
 
-    # one buffer holds the draws of every block in turn.  It is mapped
-    # rather than taken from the heap, so its pages go back to the system
-    # when the call returns: a freed heap block this size stays with the
-    # allocator, and whether the next call reuses it or grows the heap
-    # depends on the small arrays placed around it, so peak memory moved
-    # by a whole buffer between identical runs.
-    buffer = np.frombuffer(mmap.mmap(-1, 8 * max(_DRAW_BUDGET, width * n_seeds), **_MAP_FLAGS))
     with np.errstate(all="ignore"):
-        for first in range(0, max(sizes), width):
-            # paths first..first+width-1 of each spec that has them
-            part = [(s.model, int(s.master_seed), lo + first, lo + min(count, first + width))
+        for first in range(0, max(sizes), _PASS_STREAMS):
+            # paths first..first+_PASS_STREAMS-1 of each spec that has them
+            part = [(s.model, int(s.master_seed), lo + first,
+                     lo + min(count, first + _PASS_STREAMS))
                     for s, count, lo in zip(specs, sizes, bounds) if count > first]
             keys: dict[tuple[int, int], int] = {}
             for _, master, lo, hi in part:
                 stream[lo:hi] = [keys.setdefault((master, first + j), len(keys))
                                  for j in range(hi - lo)]
             rngs = [_derive_rng(master, i) for master, i in keys]
+            if not first:
+                # the draws of every block in turn, sized for the first pass,
+                # which has the most streams.  Mapped, not taken from the heap,
+                # so its pages go back to the system when the call returns: a
+                # freed heap block this size stays with the allocator, and
+                # peak memory moved by a whole buffer between identical runs.
+                buffer = np.frombuffer(mmap.mmap(-1, 8 * _BLOCK_STEPS * len(rngs), **_MAP_FLAGS))
             # a spec with few paths in this pass steps each alone, the others on arrays
             for model, _, lo, hi in part:
                 if hi - lo <= _FEW_LANES:
@@ -491,8 +490,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
             next_rec = first_rec
             while step < n_steps and lanes.size:
                 live_streams = np.unique(stream[lanes])
-                block = min(_BLOCK_STEPS, n_steps - step,
-                            max(1, _DRAW_BUDGET // live_streams.size))
+                block = min(_BLOCK_STEPS, n_steps - step)
                 # one row per step, so each step reads contiguous draws
                 draws = buffer[:block * live_streams.size].reshape(block, live_streams.size)
                 for col, s in enumerate(live_streams.tolist()):

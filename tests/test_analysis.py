@@ -134,10 +134,21 @@ class TestClassifierVerdicts:
 
     def test_the_ladder_stops_at_the_top_of_double_range(self):
         # from 1e285 only 21 rungs fit below 1e306, too few to fit the
-        # slow decay of A^1.01's increments
-        ladder = classify_growth_law("A^1.01", A0=1e285).evidence["quadrature"]
+        # slow decay of A*ln(A)^1.5's increments
+        ladder = classify_growth_law("0.001*A*ln(A)^1.5", A0=1e285).evidence["quadrature"]
         assert ladder.details["mode"] == "polynomial-truncated"
         assert ladder.details["rungs"] == 21
+
+    def test_a_rung_ratio_near_1_is_still_geometric(self):
+        # A^1.01's rungs shrink by the constant ratio 10^-0.01 = 0.977
+        ladder = classify_growth_law("A^1.01", A0=1e285).evidence["quadrature"]
+        assert ladder.details["mode"] == "geometric"
+        assert ladder.details["rungs"] == 8
+
+    @pytest.mark.parametrize("p", [1.001, 1.005, 1.01, 1.02, 1.03, 1.04])
+    @pytest.mark.parametrize("A0", [3.0, 100.0, 1e10])
+    def test_a_power_just_above_1_is_never_infinite_time(self, p, A0):
+        assert classify_growth_law(f"A^{p}", A0=A0).verdict != INFINITE_TIME
 
     @pytest.mark.parametrize("law,truth", [
         ("A", INFINITE_TIME), ("A^0.5", INFINITE_TIME), ("A^1.01", FINITE_TIME),

@@ -8,6 +8,7 @@ reproduce it bit for bit on product-form models.  A spec with at most
 reproduces ``em_path`` bit for bit for any model.
 """
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -211,18 +212,16 @@ class TestBatchMatchesMaskedLockstep:
                             min_size=2, max_size=4),
            steps=st.integers(1, 300),
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
-           block=st.sampled_from([7, 4096]),
-           budget=st.sampled_from([5, 1 << 21]),
+           block=st.sampled_from([1, 7, 4096]),
            width=st.sampled_from([3, 4096]),
            few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
-    def test_bitwise_multi_spec(self, members, steps, threshold, block, budget, width, few,
+    def test_bitwise_multi_spec(self, members, steps, threshold, block, width, few,
                                 record_points):
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                               n_paths=n_paths, master_seed=seed, threshold=threshold)
                  for model, n_paths, seed in members]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
-                mock.patch.object(sde, "_DRAW_BUDGET", budget), \
                 mock.patch.object(sde, "_PASS_STREAMS", width), \
                 mock.patch.object(sde, "_FEW_LANES", few):
             expected = [oracle_batch(spec, record_points) for spec in specs]
@@ -380,6 +379,53 @@ class TestScalarPath:
         assert batch.exploded[0] and path.exploded
         assert path.event_time == batch.event_times[0] == 0.01
         assert path.values.tolist() == [1.0]
+
+
+class CountingGenerator:
+    """A generator that adds the normals it draws, and its copies draw, to ``drawn[0]``."""
+
+    def __init__(self, rng, drawn):
+        self.rng = rng
+        self.drawn = drawn
+
+    def standard_normal(self, size):
+        self.drawn[0] += size
+        return self.rng.standard_normal(size)
+
+    def __deepcopy__(self, memo):
+        return CountingGenerator(copy.deepcopy(self.rng, memo), self.drawn)
+
+
+class TestPassesAndBlocks:
+    def test_a_spec_splits_into_passes_whatever_runs_beside_it(self):
+        # a pass holds the same paths of a spec beside a spec on another
+        # master seed as alone, so its lanes leave the arrays at the same
+        # steps; Python's ** on floats would show any other step in the bits
+        power = StochasticModel(drift=lambda a: 0.4 * a ** 1.5,
+                                diffusion=lambda a: 0.9 * a ** 1.2, label="power")
+        spec = EnsembleSpec(model=power, A0=1.0, dt=0.01, t_end=5.0, n_paths=40,
+                            master_seed=1)
+        other = EnsembleSpec(model=hyperbolic_sde_model(0.05, 0.05), A0=1.0, dt=0.01,
+                             t_end=5.0, n_paths=50, master_seed=2)
+        with mock.patch.object(sde, "_PASS_STREAMS", 40):
+            alone = simulate_batches([spec], 100)[0]
+            beside = simulate_batches([spec, other], 100)[0]
+        assert_batches_identical(alone, beside)
+
+    def test_blocks_draw_little_more_than_the_live_lanes_read(self):
+        # criterion 6's ensemble: most paths end early, and each block
+        # draws every live stream to the block's end
+        spec = EnsembleSpec(model=hyperbolic_sde_model(0.05, 0.05), A0=1.0, dt=0.01,
+                            t_end=200.0, n_paths=1000, master_seed=42)
+        drawn = [0]
+        derive = sde._derive_rng
+        with mock.patch.object(sde, "_derive_rng",
+                               lambda *seed: CountingGenerator(derive(*seed), drawn)):
+            stats = simulate_batches([spec])[0]
+        ended = np.isfinite(stats.event_times)
+        live = int(np.rint(stats.event_times[ended] / spec.dt).sum()) + \
+            spec.steps() * int(np.count_nonzero(~ended))
+        assert drawn[0] <= 1.2 * live, (drawn[0], live)
 
 
 class TestModelFailures:

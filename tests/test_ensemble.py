@@ -138,15 +138,14 @@ class TestSimulateBatch:
                             min_size=1, max_size=4),
            steps=st.integers(1, 250),
            threshold=st.sampled_from([5.0, 1e9]),
-           block=st.sampled_from([3, 64, 4096]),
-           budget=st.sampled_from([1, 4, 17, 1 << 21]),
+           block=st.sampled_from([1, 3, 64, 4096]),
            width=st.sampled_from([1, 2, 5, 4096]),
            few=st.sampled_from([0, sde._FEW_LANES, 10 ** 6]),
            record_points=st.one_of(st.none(), st.integers(1, 150)))
     def test_rows_do_not_depend_on_the_batch_around_them(
-            self, members, steps, threshold, block, budget, width, few, record_points):
+            self, members, steps, threshold, block, width, few, record_points):
         # common master seeds make lanes share streams, which each block
-        # draws once; small blocks and budgets split the draws differently,
+        # draws once; small blocks split the draws differently,
         # a small pass width steps the path indices in several passes, and
         # the lane count at which a pass leaves the array step varies
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
@@ -154,7 +153,6 @@ class TestSimulateBatch:
                  for model, n_paths, seed in members]
         alone = [simulate_batches([spec], record_points)[0] for spec in specs]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
-                mock.patch.object(sde, "_DRAW_BUDGET", budget), \
                 mock.patch.object(sde, "_PASS_STREAMS", width), \
                 mock.patch.object(sde, "_FEW_LANES", few):
             together = simulate_batches(specs, record_points=record_points)

@@ -307,6 +307,13 @@ OBJECT_ROWS = [
     ObjectRow("as_function.law", lambda v: as_function(v, parameters=K), EXPR,
               (None, "k*A", parse("dA = A; dY = Y"))),
     ObjectRow("as_function.parameters", lambda v: as_function(EXPR, parameters=v), K, (1.0, "k")),
+    # the compiled law takes one number: values it cannot combine with numbers
+    ObjectRow("as_function.value", as_function(parse("A*2")), 2.0,
+              ([1.0, 2.0], "ab", None, {})),
+    ObjectRow("as_function.value_of_a_sum", as_function(parse("A + 2")), 2.0,
+              ([1.0, 2.0], "ab", None)),
+    ObjectRow("as_function.value_of_a_log", as_function(parse("ln(A)")), 2.0,
+              ([1.0, 2.0], "ab", None, 1 + 2j)),
     ObjectRow("pretty_print.node", pretty_print, EXPR, (None, "k*A", 1.0)),
     ObjectRow("to_field.spec", lambda v: to_field(v, K), SYSTEM, (None, "dA = k*A", EXPR)),
     ObjectRow("to_field.parameters", lambda v: to_field(SYSTEM, v), K, (1.0, "k")),
