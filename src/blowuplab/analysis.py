@@ -44,8 +44,8 @@ import numpy as np
 
 from . import dsl
 from .closedform import calibrate_k
-from .errors import (DomainError, FieldEvaluationError, InsufficientDataError, check_array,
-                     check_integer, check_real)
+from .errors import (DomainError, FieldEvaluationError, InsufficientDataError,
+                     LevelOverflowError, check_array, check_integer, check_real)
 from .ode import BlowUpEvent, VectorField, estimate_blowup_time, fit_line, gauss_kronrod, integrate
 
 __all__ = [
@@ -178,14 +178,17 @@ def _as_rate(law: GrowthLaw, parameters: Mapping[str, float] | None = None):
 
 
 def _safe_rate(fn: Callable, label: str) -> Callable[[float], float]:
-    """Scalar evaluation that maps overflow to inf; any other failure, a
-    result that is not a number included, is a FieldEvaluationError."""
+    """Scalar evaluation that maps overflow to inf; an undefined value is a
+    DomainError, any other failure, a non-number included, a FieldEvaluationError."""
 
     def call(level: float) -> float:
         try:
             return float(fn(level))
-        except (OverflowError, DomainError):
+        except (OverflowError, LevelOverflowError):
             return math.inf
+        except DomainError as exc:
+            raise DomainError(f"growth law {label!r} is undefined at level {level!r}: "
+                              f"{exc}") from exc
         except Exception as exc:
             raise FieldEvaluationError(
                 f"growth law {label!r} failed at level {level!r}: {exc!r}"
@@ -387,8 +390,10 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
     integral supplies the singularity time measured from ``A0``.
 
     The law must be positive and monotone non-decreasing on
-    ``[A0, inf)``; both are validated by sampling.  ``parameters`` bind
-    the names of a DSL law and must be None for a callable one.
+    ``[A0, inf)``; both are validated by sampling.  A level where it is
+    undefined raises DomainError; one where it overflows reads as an
+    infinite rate.  ``parameters`` bind the names of a DSL law and must
+    be None for a callable one.
     """
     check_real("A0", A0, above=0.0)
     fn, label = _as_rate(law, parameters)
@@ -434,14 +439,8 @@ def barometer(times: Sequence[float], values: Sequence[float], window: int,
     and 1000).  Only the trailing window is read, so only its samples
     must be finite, increasing in time and positive.
     """
-    check_integer("window", window, at_least=8)
-    check_real("z_threshold", z_threshold)
-    try:
-        tw, vw = times[-window:], values[-window:]
-    except (TypeError, IndexError, KeyError):  # not a sequence; check_array names it
-        tw, vw = times, values
-    tw = check_array("window times", tw, min_len=0, increasing=True)
-    vw = check_array("window values", vw, min_len=0, positive=True)
+    tw = _window_times(times, window, z_threshold)
+    vw = check_array("window values", _trailing(values, window), min_len=0, positive=True)
     if len(times) != len(values):
         raise DomainError("times and values must be equally long")
     if len(tw) < window:
@@ -459,13 +458,7 @@ def barometer_batch(times: Sequence[float], series: Sequence[Sequence[float]],
     log-level the independence the t-statistic assumes fails, so longer
     windows flag more.  Only the trailing window of each row is read.
     """
-    check_integer("window", window, at_least=8)
-    check_real("z_threshold", z_threshold)
-    try:
-        tw = times[-window:]
-    except (TypeError, IndexError, KeyError):  # not a sequence; check_array names it
-        tw = times
-    tw = check_array("window times", tw, min_len=0, increasing=True)
+    tw = _window_times(times, window, z_threshold)
     try:
         block = np.asarray(series)
     except (TypeError, ValueError):  # ragged rows
@@ -482,6 +475,20 @@ def barometer_batch(times: Sequence[float], series: Sequence[Sequence[float]],
         row = int(bad.argmax())
         check_array(f"window values of row {row}", block[row], min_len=0, positive=True)
     return _trend_fit(tw, block, z_threshold)
+
+
+def _trailing(seq, window: int):
+    try:
+        return seq[-window:]
+    except (TypeError, IndexError, KeyError):  # not a sequence; check_array names it
+        return seq
+
+
+def _window_times(times, window: int, z_threshold: float) -> np.ndarray:
+    """Check ``window`` and ``z_threshold``, then the trailing ``window`` of ``times``."""
+    check_integer("window", window, at_least=8)
+    check_real("z_threshold", z_threshold)
+    return check_array("window times", _trailing(times, window), min_len=0, increasing=True)
 
 
 def _trend_fit(tw: np.ndarray, block: np.ndarray, z_threshold: float) -> list[BarometerReport]:

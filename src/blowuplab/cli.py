@@ -269,10 +269,9 @@ def cmd_simulate(args) -> int:
         t_eval = np.linspace(0.0, args.t_max, args.points)
     trajectory = ode.integrate(field, state0, args.t_max, opts, t_eval=t_eval)
 
-    names = list(field.component_names())
     rows = (np.concatenate([[t], state])
             for t, state in zip(trajectory.times, trajectory.states))
-    path = _write_table(args, "simulate", ["t"] + names, rows)
+    path = _write_table(args, "simulate", ["t", *field.names], rows)
     summary = {
         "command": "simulate",
         "model": label,

@@ -145,10 +145,8 @@ def hyperbolic_solution(k: float, I: float, t2: float) -> float:
     Evaluation at or beyond ``t2 = 1/(k*I)`` raises
     :class:`~blowuplab.errors.DomainError`.
     """
-    check_real("k", k, above=0.0)
-    check_real("I", I, above=0.0)
+    t_star = hyperbolic_blowup_time(k, I).t_star
     check_real("phase-2 time", t2, at_least=0.0)
-    t_star = 1.0 / (k * I)
     _check_before_blowup(t2, t_star, "hyperbolic level")
     return I / (1.0 - k * I * t2)
 
@@ -181,16 +179,12 @@ def powerlaw_solution(k: float, I: float, n_exp: float, t2: float) -> float:
     here; use :func:`powerlaw_blowup_time` to probe finiteness without
     an exception.  ``n = 2`` reproduces :func:`hyperbolic_solution`.
     """
-    check_real("k", k, above=0.0)
-    check_real("I", I, above=0.0)
     check_real("exponent n", n_exp, above=1.0)
+    t_star = powerlaw_blowup_time(k, I, n_exp).t_star
     check_real("phase-2 time", t2, at_least=0.0)
-    m = n_exp - 1.0
-    head = I ** (-m)
-    t_star = head / (m * k)
     _check_before_blowup(t2, t_star, "power-law level")
-    bracket = head - m * k * t2
-    return bracket ** (-1.0 / m)
+    m = n_exp - 1.0
+    return (I ** (-m) - m * k * t2) ** (-1.0 / m)
 
 
 def powerlaw_blowup_time(k: float, I: float, n_exp: float) -> BlowUpTime:

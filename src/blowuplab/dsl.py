@@ -30,8 +30,9 @@ int or float, where ``inf``, ``-inf`` and ``nan`` are allowed; a str,
 ``None``, a bool, a complex number or a sequence raises
 :class:`~blowuplab.errors.DomainError` naming the parameter.  Python
 numbers get strict arithmetic (``ln`` of a nonpositive value, division
-by zero and the like raise
-:class:`~blowuplab.errors.DomainError`); numpy values, such as the
+by zero and the like raise :class:`~blowuplab.errors.DomainError`, an
+overflowing power or ``ln(inf)`` its subclass
+:class:`~blowuplab.errors.LevelOverflowError`); numpy values, such as the
 components of a state vector, get IEEE semantics, producing
 ``nan``/``inf`` for the integrators to handle.
 
@@ -60,8 +61,8 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import (BindingError, DomainError, DslSyntaxError, as_real, check_instance,
-                     check_real)
+from .errors import (BindingError, DomainError, DslSyntaxError, LevelOverflowError, as_real,
+                     check_instance, check_real)
 
 __all__ = [
     "Num",
@@ -320,7 +321,8 @@ def parse(source: str) -> Expr | SystemSpec:
 
 def _ln(arg):
     if arg <= 0.0 or not math.isfinite(arg):
-        raise ValueError(f"ln of non-positive value {arg!r}")
+        # ln(inf) reads a level that overflowed earlier, not an undefined value
+        raise (OverflowError if arg == math.inf else ValueError)(f"ln of non-positive value {arg!r}")
     return math.log(arg)
 
 
@@ -331,27 +333,21 @@ def _exp(arg):
         return math.inf
 
 
-# operation -> (strict function on Python numbers, IEEE function on numpy values)
-_OPS = {
-    "+": (operator.add, operator.add),
-    "-": (operator.sub, operator.sub),
-    "*": (operator.mul, operator.mul),
-    "/": (operator.truediv, operator.truediv),
-    "^": (operator.pow, operator.pow),
-    "neg": (operator.neg, operator.neg),
-    "ln": (_ln, np.log),
-    "exp": (_exp, np.exp),
-}
+# operation -> its function; numpy values take _IEEE_OPS's in its place, if any
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow, "neg": operator.neg, "ln": _ln, "exp": _exp}
+_IEEE_OPS = {"ln": np.log, "exp": np.exp}
 _NUMPY_TYPES = (np.ndarray, np.generic)
 
 
 def _strict(expr: Expr, apply: Callable) -> Callable:
-    """``apply`` with its failures raised as DomainError naming ``expr``."""
+    """``apply`` raising DomainError, or LevelOverflowError on overflow, naming ``expr``."""
     def op(*args):
         try:
             result = apply(*args)
         except (ArithmeticError, ValueError) as exc:
-            raise DomainError(f"invalid arithmetic in {pretty_print(expr)!r}: {exc}") from None
+            error = LevelOverflowError if isinstance(exc, OverflowError) else DomainError
+            raise error(f"invalid arithmetic in {pretty_print(expr)!r}: {exc}") from None
         if isinstance(result, complex):
             raise DomainError(f"fractional power of a negative base in {pretty_print(expr)!r}")
         return result
@@ -383,14 +379,14 @@ def _compile(expr: Expr, slots: Mapping[str, int], params: Mapping, ieee: bool):
                               f"got {params[expr.ident]!r}")
         return value
     key = expr.op if isinstance(expr, BinOp) else expr.func if isinstance(expr, Call) else "neg"
-    strict = _strict(expr, _OPS[key][0])
+    strict = _strict(expr, _OPS[key])
     parts = [_compile(child, slots, params, ieee) for child in _children(expr)]
     if not any(map(callable, parts)):
         try:
             return strict(*parts)
         except DomainError:
             ieee = False
-    op = _OPS[key][1] if ieee else strict
+    op = _IEEE_OPS.get(key, _OPS[key]) if ieee else strict
     funcs = [_function(part) for part in parts]
     if len(funcs) == 1:
         return lambda v, arg=funcs[0]: op(arg(v))
@@ -402,8 +398,10 @@ def evaluate(expr: Expr, bindings: Mapping[str, float | np.ndarray]):
     """Evaluate an expression tree under the given name bindings.
 
     Python numbers give strict arithmetic: ``ln`` of a nonpositive
-    value, division by zero, an overflowing power or a fractional power
-    of a negative base raise :class:`~blowuplab.errors.DomainError`.
+    value, division by zero or a fractional power of a negative base
+    raise :class:`~blowuplab.errors.DomainError`, and an overflowing
+    power or ``ln(inf)`` its subclass
+    :class:`~blowuplab.errors.LevelOverflowError`.
     Numpy values (arrays and numpy scalars) give IEEE semantics:
     ``nan``/``inf`` propagate silently.  The Python numbers bind as
     parameters at compile time, so what reads only them stays strict.
@@ -563,12 +561,12 @@ def as_function(law: Expr | SystemSpec, parameters: Mapping[str, float] | None =
                     for mode in (False, True))
 
     def fn(value):
-        if isinstance(value, _NUMPY_TYPES):
-            with np.errstate(all="ignore"):
-                return ieee((value,))
         try:
+            if isinstance(value, _NUMPY_TYPES):
+                with np.errstate(all="ignore"):
+                    return ieee((value,))
             return strict((value,))
-        except TypeError:
+        except TypeError:  # numpy's UFuncTypeError included
             raise DomainError(f"{fn.__name__!r} takes a real number or a numpy value, "
                               f"got {reprlib.repr(value)}") from None
 

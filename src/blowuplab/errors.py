@@ -63,11 +63,7 @@ class InsufficientDataError(BlowupLabError, ValueError):
     """A statistical routine received fewer samples than it requires."""
 
 
-class DslError(BlowupLabError, ValueError):
-    """Base class for growth-law DSL failures."""
-
-
-class DslSyntaxError(DslError):
+class DslSyntaxError(BlowupLabError, ValueError):
     """Source text does not match the grammar.
 
     Carries the 1-based ``line`` and ``column`` of the offending token.
@@ -79,7 +75,7 @@ class DslSyntaxError(DslError):
         self.column = column
 
 
-class BindingError(DslError):
+class BindingError(BlowupLabError, ValueError):
     """An expression references a name with no bound value."""
 
 

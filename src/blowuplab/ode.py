@@ -99,7 +99,7 @@ class VectorField:
 
     ``rate`` maps a state vector of length ``dimension`` to the vector
     of derivatives.  ``names``, a tuple of str, labels the components
-    for output; it is padded to ``x1, x2, ...`` when not given.
+    for output; when given it has one name per component.
     """
 
     dimension: int
@@ -115,13 +115,6 @@ class VectorField:
             raise DomainError(
                 f"got {len(self.names)} names for dimension {self.dimension}"
             )
-
-    def component_names(self) -> tuple[str, ...]:
-        if self.names:
-            return self.names
-        if self.dimension == 1:
-            return ("A",)
-        return tuple(f"x{i + 1}" for i in range(self.dimension))
 
 
 @dataclass(frozen=True)
@@ -452,9 +445,9 @@ class _Core:
                            method="threshold-crossing")
 
 
-def _run_arguments(field: VectorField, state0,
+def _run_arguments(field: VectorField, state0, t_end: float,
                    opts: IntegrationOptions | None) -> tuple[np.ndarray, IntegrationOptions]:
-    """The checked initial state and options of a run of ``field``."""
+    """The checked initial state and options of a run of ``field`` to ``t_end``."""
     check_instance("field", field, VectorField, "a VectorField")
     if opts is not None:
         check_instance("opts", opts, IntegrationOptions, "an IntegrationOptions or None")
@@ -463,6 +456,7 @@ def _run_arguments(field: VectorField, state0,
     if y0.shape != (field.dimension,):
         raise DomainError(f"initial state has shape {y0.shape}, "
                           f"field dimension is {field.dimension}")
+    check_real("t_end", t_end, above=0.0)
     return y0, opts or IntegrationOptions()
 
 
@@ -486,8 +480,7 @@ def integrate(field: VectorField, state0, t_end: float,
     resolved by tail extrapolation and reported as a
     ``reciprocal-extrapolation`` event instead of a stiffness error.
     """
-    y0, opts = _run_arguments(field, state0, opts)
-    check_real("t_end", t_end, above=0.0)
+    y0, opts = _run_arguments(field, state0, t_end, opts)
     eval_arr = None if t_eval is None else check_array("t_eval", t_eval, increasing=True)
     if eval_arr is not None and (eval_arr[0] < 0.0 or eval_arr[-1] > t_end):
         raise DomainError("t_eval must lie within [0, t_end]")
@@ -574,20 +567,18 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     for blow-ups whose asymptote cannot be pinned to the requested
     tolerance within double precision.
     """
-    y0, opts = _run_arguments(field, state0, opts)
-    check_real("t_end", t_end, above=0.0)
+    y0, opts = _run_arguments(field, state0, t_end, opts)
     core = _Core(field.rate, y0, opts, horizon=t_end)
 
     threshold = opts.blowup_threshold
     xtol = None
-    refining = False
     plateau = 0
     prev_delta = None
     while True:
         try:
             event = core.run(t_end, threshold, record=False, xtol=xtol)
         except (StiffnessError, FieldEvaluationError):
-            if refining:
+            if threshold > opts.blowup_threshold:
                 # the field stopped being integrable beyond the user's
                 # threshold; no convergent estimate is available
                 return None
@@ -623,7 +614,6 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
         threshold *= _THRESHOLD_BOOST
         if threshold > _THRESHOLD_CAP:
             return None
-        refining = True
 
 
 # --------------------------------------------------------------------------

@@ -496,14 +496,12 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                 for col, s in enumerate(live_streams.tolist()):
                     draws[:, col] = rngs[s].standard_normal(block)
                 cols = np.searchsorted(live_streams, stream[lanes])
-                if np.array_equal(cols, np.arange(lanes.size)):
-                    cols = None  # every lane reads its own column, in order
                 for row, z in enumerate(draws):
                     y = np.log(a)
                     y_run += y
                     ty_run += y * (step * dt - t_shift)
                     drift, diffusion = _live_coefficients(slices, a, step * dt)
-                    a_next = a + drift * dt + diffusion * sqdt * (z if cols is None else z[cols])
+                    a_next = a + drift * dt + diffusion * sqdt * z[cols]
                     ok = (a_next > 0.0) & (a_next < threshold)
                     step += 1
                     if np.count_nonzero(ok) < lanes.size:
@@ -516,14 +514,14 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                                 continue
                             ok[alone] = False
                             for i in alone.tolist():
-                                left = draws[row + 1:, i if cols is None else cols[i]]
+                                left = draws[row + 1:, cols[i]]
                                 finish_alone(lanes[i], model, float(a_next[i]), step,
                                              left.tolist(), y_run[i:i + 1], ty_run[i:i + 1])
                         lanes = lanes[ok]
                         a_next = a_next[ok]
                         y_run = y_run[ok]
                         ty_run = ty_run[ok]
-                        cols = np.flatnonzero(ok) if cols is None else cols[ok]
+                        cols = cols[ok]
                         slices = _compact_slices(slices, ok)
                         if not lanes.size:
                             break

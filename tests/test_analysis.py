@@ -167,6 +167,20 @@ class TestClassifierVerdicts:
         assert ladder.verdict == FINITE_TIME
         assert ladder.details["ratio"] == 0.0 and ladder.details["tail"] == 0.0
 
+    @pytest.mark.parametrize("law", ["(A-3)^0.5*A^2", "ln(A-2)*A^2", "A^2/(A-1)"])
+    def test_a_law_undefined_at_A0_is_rejected(self, law):
+        # only an overflow reads as an infinitely fast rate, so a law
+        # undefined at A0 cannot pass the shape check and get a verdict
+        with pytest.raises(DomainError, match=r"is undefined at level 1\.0: ") as info:
+            classify_growth_law(law, A0=1.0)
+        assert type(info.value) is DomainError
+
+    def test_a_triple_log_law_is_inconclusive(self):
+        # it diverges, since its integral is ln ln ln A, and the ladder
+        # alone reads finite-time over 280 rungs; the exponent probe's
+        # boundary reading keeps the verdict from being wrong
+        assert classify_growth_law("A*ln(A)*ln(ln(A))", A0=20).verdict == INCONCLUSIVE
+
     def test_rejects_rate_vanishing_at_start(self):
         with pytest.raises(DomainError, match="level 1.0"):
             classify_growth_law("ln(A)*A", A0=1.0)

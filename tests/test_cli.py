@@ -128,6 +128,34 @@ def exit_code(argv) -> int:
         return exc.code
 
 
+# a usage error each: exit 2, and the last line of stderr is argparse's error line
+USAGE_ERRORS = {
+    "solve_steps": (["solve", "--model", "hyperbolic", "--k", "0.01", "--I", "1",
+                     "--t-max", "1", "--steps", "1"], "--steps must be at least 2"),
+    "solve_t_max": (["solve", "--model", "hyperbolic", "--k", "0.01", "--I", "1",
+                     "--t-max", "0"], "--t-max must be positive"),
+    "simulate_t_max": (["simulate", "--model", "hyperbolic", "--k", "0.01", "--t-max", "0"],
+                       "--t-max must be positive"),
+    "simulate_points": (["simulate", "--model", "hyperbolic", "--k", "0.01", "--t-max", "1",
+                         "--points", "1"], "--points must be at least 2"),
+    "A0_of_a_system": (["simulate", "--dsl", "dA = A; dY = Y", "--A0", "1", "--t-max", "1"],
+                       "--A0 works only for single-variable systems; use --init"),
+    "missing_init": (["simulate", "--dsl", "dA = A; dY = Y", "--init", "A=1", "--t-max", "1"],
+                     "missing initial levels for: Y (use --init NAME=VALUE)"),
+    "param_without_value": (["simulate", "--dsl", "dA = k*A", "--param", "k", "--init", "A=1",
+                             "--t-max", "1"], "--param expects NAME=VALUE, got 'k'"),
+    "param_not_a_number": (["simulate", "--dsl", "dA = k*A", "--param", "k=x", "--init", "A=1",
+                            "--t-max", "1"], "--param value for 'k' is not a number: 'x'"),
+}
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_a_usage_error_exits_2_naming_its_cause(argv, message, tmp_path, capsys):
+    assert exit_code([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")
+    assert not any(tmp_path.iterdir())
+
+
 # a law with one parameter k and variable A for each command that binds --param
 BINDING_COMMANDS = {
     "simulate": ["simulate", "--dsl", "dA = k*A", "--init", "A=1", "--t-max", "1"],
@@ -544,6 +572,23 @@ class TestBarometerCommand:
         proc = run_cli("barometer", "--csv", str(csv), "--window", "8")
         assert proc.returncode == 3
         assert "'t'" in proc.stderr
+
+    @pytest.mark.parametrize("text,flags,message", [
+        ("", [], "{csv!r} is empty"),
+        ("x,A\n0,1\n", [], "column 't' not found in {csv!r}"),
+        ("t\n0\n1\n", [], "{csv!r} has no value column"),
+        ("t,A\n0,1\n", ["--value-col", "B"], "column 'B' not found in {csv!r}"),
+        ("t,A\n0,1\n1,x\n", [], "{csv!r} line 3: cannot read columns 't'/'A'"),
+        ("t,A\n", [], "{csv!r} contains no data rows"),
+    ], ids=["empty", "no_time_column", "only_time_column", "unknown_value_column",
+            "unreadable_row", "no_data_rows"])
+    def test_a_malformed_table_exits_3(self, text, flags, message, tmp_path, capsys):
+        csv = tmp_path / "series.csv"
+        csv.write_text(text)
+        assert exit_code(["barometer", "--csv", str(csv), *flags, "--window", "8",
+                          "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message.format(csv=str(csv))}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproduceFigures:

@@ -314,6 +314,9 @@ OBJECT_ROWS = [
               ([1.0, 2.0], "ab", None)),
     ObjectRow("as_function.value_of_a_log", as_function(parse("ln(A)")), 2.0,
               ([1.0, 2.0], "ab", None, 1 + 2j)),
+    # numpy values take IEEE arithmetic, which has no loop for these
+    ObjectRow("as_function.numpy_value", as_function(parse("A*2")), np.float64(2.0),
+              (np.str_("x"), np.array(["a"]), np.array([None]))),
     ObjectRow("pretty_print.node", pretty_print, EXPR, (None, "k*A", 1.0)),
     ObjectRow("to_field.spec", lambda v: to_field(v, K), SYSTEM, (None, "dA = k*A", EXPR)),
     ObjectRow("to_field.parameters", lambda v: to_field(SYSTEM, v), K, (1.0, "k")),
