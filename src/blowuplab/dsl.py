@@ -320,10 +320,11 @@ def parse(source: str) -> Expr | SystemSpec:
 
 
 def _ln(arg):
-    if arg <= 0.0 or not math.isfinite(arg):
-        # ln(inf) reads a level that overflowed earlier, not an undefined value
-        raise (OverflowError if arg == math.inf else ValueError)(f"ln of non-positive value {arg!r}")
-    return math.log(arg)
+    if 0.0 < arg < math.inf:
+        return math.log(arg)
+    if arg == math.inf:  # a level that overflowed earlier, not an undefined value
+        raise OverflowError("ln of an overflowed level, inf")
+    raise ValueError(f"ln of non-positive value {arg!r}" if arg <= 0.0 else "ln of nan")
 
 
 def _exp(arg):
@@ -338,6 +339,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
         "^": operator.pow, "neg": operator.neg, "ln": _ln, "exp": _exp}
 _IEEE_OPS = {"ln": np.log, "exp": np.exp}
 _NUMPY_TYPES = (np.ndarray, np.generic)
+# float(), but numpy's complex raises as Python's does (float() takes its real part)
+_as_float = float.__float__
 
 
 def _strict(expr: Expr, apply: Callable) -> Callable:
@@ -582,6 +585,8 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
     :class:`~blowuplab.errors.BindingError` names the equation that reads
     an unbound name, else the parameters that name a state variable or
     that no equation reads.  The field's state order is the equation order.
+    The integrator steps the field on Python floats, through the same IEEE
+    closures as its array rate and with unchanged bits.
     """
     from .ode import VectorField  # deferred: ode does not import dsl
 
@@ -600,4 +605,8 @@ def to_field(spec: SystemSpec, parameters: Mapping[str, float] | None = None):
         state = np.asarray(state, dtype=float)
         return np.array([f(state) for f in rates], dtype=float)
 
-    return VectorField(dimension=len(names), rate=rate, names=names)
+    field = VectorField(dimension=len(names), rate=rate, names=names)
+    # on Python floats, which raise where numpy gives inf or nan (** on
+    # overflow, x/0.0, 0.0**-1): the integrator then takes the array rate
+    object.__setattr__(field, "_float_rate", lambda state: [_as_float(f(state)) for f in rates])
+    return field

@@ -17,10 +17,11 @@ usual is the contract around finite-time blow-up:
   as ``dA = ln(A)*A``, never converges in this sense and is correctly
   reported as having no blow-up.
 
-The step itself runs on lists of Python floats, component by
-component, for every dimension: only the user's rate function sees a
-numpy array, a fresh ``float64`` one per call, and a stage state that
-is not finite never reaches it.
+The step runs on lists of Python floats, component by component, for
+every dimension, through one rate from a float list to a float list:
+a user's rate gets a fresh ``float64`` array, a DSL field is evaluated
+on the floats with the array's bits, and no stage state that is not
+finite reaches either.
 
 Step-size underflow without a threshold crossing raises
 :class:`~blowuplab.errors.StiffnessError`; a field that raises, returns
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,6 +107,8 @@ class VectorField:
     dimension: int
     rate: Callable[[np.ndarray], np.ndarray]
     names: tuple[str, ...] = ()
+    # rate from a float list to a float list; only dsl.to_field sets it
+    _float_rate: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_integer("dimension", self.dimension, at_least=1)
@@ -112,9 +116,7 @@ class VectorField:
         for name in self.names:
             check_instance("names entry", name, str, "a str")
         if self.names and len(self.names) != self.dimension:
-            raise DomainError(
-                f"got {len(self.names)} names for dimension {self.dimension}"
-            )
+            raise DomainError(f"got {len(self.names)} names for dimension {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -190,37 +192,49 @@ class IntegrationOptions:
             check_real("blowup_tol", self.blowup_tol, above=0.0)
 
 
-def _call_rate(rate: Callable, y: np.ndarray, dim: int) -> np.ndarray:
-    try:
-        out = np.asarray(rate(y), dtype=float)
-    except Exception as exc:  # a rate that raises is a malformed field
-        raise FieldEvaluationError(f"field evaluation failed at state {y!r}: {exc}") from exc
-    if out.shape != (dim,):
-        raise FieldEvaluationError(
-            f"field returned shape {out.shape} for state of dimension {dim}"
-        )
-    return out
+def _list_rate(field: VectorField) -> Callable[[list], list]:
+    """``field``'s rate from a float list to a float list: the user's rate
+    on a fresh float64 array, or a ``dsl.to_field`` field's closures on
+    the floats, and on the array where those raise (``**`` on overflow, a
+    complex power, an undefined constant), so bits and errors are the array's."""
+    rate, dim, floats = field.rate, field.dimension, field._float_rate
 
+    def array_rate(y):
+        state = np.array(y)
+        try:
+            out = np.asarray(rate(state), dtype=float)
+        except Exception as exc:  # a rate that raises is a malformed field
+            raise FieldEvaluationError(
+                f"field evaluation failed at state {state!r}: {exc}") from exc
+        if out.shape != (dim,):
+            raise FieldEvaluationError(
+                f"field returned shape {out.shape} for state of dimension {dim}")
+        return out.tolist()
 
-def _all_finite(values) -> bool:
-    return all(map(math.isfinite, values))
+    def float_rate(y):
+        try:
+            return floats(y)
+        except (ArithmeticError, TypeError, ValueError):  # the array's inf, nan or error
+            return array_rate(y)
+
+    return array_rate if floats is None else float_rate
 
 
 def _try_step(rate: Callable, y: list, f0: list, h: float):
     """One trial Dormand-Prince step on lists of Python floats.
 
-    Each stage state is summed component by component, ``c0*k0`` first
-    and then ``+ a_ij*k_j`` for the nonzero ``a_ij`` in stage order,
-    and checked to be finite before the rate function, the only code
-    that sees an ndarray, gets it as a fresh ``float64`` array; the
-    derivatives come back as a list and are checked too.  A stage state
-    that is not finite is summed again as ``y + (h*c0)*k0 + (h*a_ij)*k_j
-    + ...``: with derivatives near the top of the float range an
-    unscaled sum such as ``-25360/2187*k`` overflows although the step
-    does not.  Finite sums keep the first order.  The error estimate is
-    not summed again: its weights add up to 0.16 in absolute value, so
-    its unscaled sum stays finite, and where ``h`` times it overflows a
-    sum with ``h`` folded in would too.
+    Each stage state is summed component by component from that
+    component's stage derivatives, ``c0*k0`` first and then ``+ a_ij*k_j``
+    for the nonzero ``a_ij`` in stage order, and each value is tested to
+    be finite as it is made: no state that is not finite reaches
+    ``rate``, a :func:`_list_rate`.  A stage state that is not finite is
+    summed again as ``y + (h*c0)*k0 + (h*a_ij)*k_j + ...``: with
+    derivatives near the top of the float range an unscaled sum such as
+    ``-25360/2187*k`` overflows although the step does not.  Finite sums
+    keep the first order.  The error estimate is not summed again: its
+    weights add up to 0.16 in absolute value, so its unscaled sum stays
+    finite, and where ``h`` times it overflows a sum with ``h`` folded
+    in would too.
 
     Returns ``(y_new, f_new, err)`` as new lists, or ``None`` when any
     stage went non-finite (the caller treats that as a failed step and
@@ -228,37 +242,43 @@ def _try_step(rate: Callable, y: list, f0: list, h: float):
     :class:`~blowuplab.errors.FieldEvaluationError`.
     """
     dim = len(y)
-    k = [f0]
+    stages = [[f_m] for f_m in f0]  # per component, its stage derivatives
     for c0, terms in _STAGES:
         y_stage = []
-        for y_m, k_m in zip(y, zip(*k)):
+        for y_m, k_m in zip(y, stages):
             increment = c0 * k_m[0]
             for a_ij, j in terms:
                 increment += a_ij * k_m[j]
-            y_stage.append(y_m + h * increment)
-        if not _all_finite(y_stage):
+            value = y_m + h * increment
+            if not isfinite(value):
+                break
+            y_stage.append(value)
+        if len(y_stage) < dim:
             y_stage = []
-            for y_m, k_m in zip(y, zip(*k)):
+            for y_m, k_m in zip(y, stages):
                 increment = (h * c0) * k_m[0]
                 for a_ij, j in terms:
                     increment += (h * a_ij) * k_m[j]
-                y_stage.append(y_m + increment)
-            if not _all_finite(y_stage):
+                value = y_m + increment
+                if not isfinite(value):
+                    return None
+                y_stage.append(value)
+        f_stage = rate(y_stage)
+        for k_m, f_m in zip(stages, f_stage):
+            if not isfinite(f_m):
                 return None
-        f_stage = _call_rate(rate, np.array(y_stage), dim).tolist()
-        if not _all_finite(f_stage):
-            return None
-        k.append(f_stage)
+            k_m.append(f_m)
     err = []
-    for k_m in zip(*k):
+    for k_m in stages:
         total = 0.0
         for e_i, i in _ERR_TERMS:
             total += e_i * k_m[i]
-        err.append(h * total)
-    if not _all_finite(err):
-        return None
+        value = h * total
+        if not isfinite(value):
+            return None
+        err.append(value)
     # stage 7 state is exactly the 5th-order solution (FSAL)
-    return y_stage, k[6], err
+    return y_stage, f_stage, err
 
 
 def _error_norm(err, y_old, y_new, rtol, atol) -> float:
@@ -267,16 +287,6 @@ def _error_norm(err, y_old, y_new, rtol, atol) -> float:
         q = e / (atol + rtol * max(abs(a), abs(b)))
         total += q * q
     return math.sqrt(total / len(err))
-
-
-def _initial_step(y0, f0, t_end, atol: float) -> float:
-    speed = float(np.max(np.abs(f0)))
-    if speed > 0.0:
-        scale = float(np.max(np.abs(y0))) + atol
-        guess = 0.01 * scale / speed
-    else:
-        guess = t_end / 100.0
-    return min(guess, t_end)
 
 
 class _Core:
@@ -288,25 +298,24 @@ class _Core:
     target, or be resumed with a higher threshold after a crossing.
     ``y`` and ``f`` are lists of Python floats that are replaced, never
     mutated, so the tail and the recorded samples hold them without
-    copies.  A run hands back its blow-up event; the core keeps no
-    result of its own.
+    copies; ``rate`` is the field's :func:`_list_rate`.  A run hands back
+    its blow-up event; the core keeps no result of its own.
     """
 
-    def __init__(self, rate, y0: np.ndarray, opts: IntegrationOptions,
+    def __init__(self, field: VectorField, y0: np.ndarray, opts: IntegrationOptions,
                  horizon: float):
-        self.rate = rate
-        self.dim = len(y0)
+        self.rate = _list_rate(field)
         self.opts = opts
         self.t = 0.0
-        with np.errstate(all="ignore"):
-            f0 = _call_rate(rate, y0, self.dim)
-        if not np.all(np.isfinite(f0)):
-            raise FieldEvaluationError(
-                f"field is non-finite at the initial state {y0!r}"
-            )
         self.y = y0.tolist()
-        self.f = f0.tolist()
-        self.h = _initial_step(y0, f0, horizon, opts.atol)
+        with np.errstate(all="ignore"):
+            self.f = self.rate(self.y)
+        if not all(map(isfinite, self.f)):
+            raise FieldEvaluationError(f"field is non-finite at the initial state {y0!r}")
+        speed = max(map(abs, self.f))
+        guess = 0.01 * (max(map(abs, self.y)) + opts.atol) / speed if speed > 0.0 \
+            else horizon / 100.0
+        self.h = min(guess, horizon)
         self.h_min = _H_MIN_REL * horizon
         self.tail: deque = deque(maxlen=_TAIL_CAPACITY)
         self.tail.append((self.t, self.y, self.f))
@@ -346,13 +355,11 @@ class _Core:
                     if rejects > 200:
                         return self._stall()
                     continue
-                y_new, f_new, _ = attempt
                 rejects = 0
-                if max(y_new) >= threshold:
+                if max(attempt[0]) >= threshold:
                     return self._bisect_crossing(h, threshold, xtol)
                 self.t = t_end if hit_target else self.t + h
-                self.y = y_new
-                self.f = f_new
+                self.y, self.f, _ = attempt
                 self.tail.append((self.t, self.y, self.f))
                 if record:
                     self.record()
@@ -372,32 +379,21 @@ class _Core:
         inside :meth:`run`'s ``np.errstate``.
         """
         probe = [y_m + self.h_min * f_m for y_m, f_m in zip(self.y, self.f)]
-        f_probe = _call_rate(self.rate, np.array(probe), self.dim)
-        if not np.all(np.isfinite(f_probe)):
+        if not all(map(isfinite, self.rate(probe))):
             raise FieldEvaluationError(
                 f"field becomes non-finite adjacent to t={self.t!r}, "
                 f"state {np.array(self.y)!r}; the derivative left the "
                 "representable range"
             )
-        event = self._pole_event()
-        if event is not None:
-            return event
-        raise StiffnessError(
-            f"step size underflowed at t={self.t!r} without a threshold "
-            "crossing; the system is too stiff for this integrator"
-        )
-
-    def _pole_event(self) -> "BlowUpEvent | None":
         t_hat = _tail_asymptote(self.tail, self.y)
-        if t_hat is None:
-            return None
         # the extrapolated asymptote must sit inside the stalled step's
         # neighborhood, up to the accumulated time drift of the tracker
-        drift = abs(t_hat - self.t)
-        slop = max(100.0 * self.h_min,
-                   1e3 * self.opts.rtol * max(self.t, self.h_min))
-        if drift > slop:
-            return None
+        drift = math.inf if t_hat is None else abs(t_hat - self.t)
+        if drift > max(100.0 * self.h_min, 1e3 * self.opts.rtol * max(self.t, self.h_min)):
+            raise StiffnessError(
+                f"step size underflowed at t={self.t!r} without a threshold "
+                "crossing; the system is too stiff for this integrator"
+            )
         estimate = max(float(t_hat), float(np.nextafter(self.t, math.inf)))
         # bracket padding covers global integration error, which
         # dominates both the drift and the stalled step size
@@ -428,16 +424,11 @@ class _Core:
                 break
             half = rem / 2.0
             attempt = _try_step(self.rate, self.y, self.f, half)
-            if attempt is None:
-                rem = half
-                continue
-            y_mid, f_mid, _ = attempt
-            if max(y_mid) >= threshold:
+            if attempt is None or max(attempt[0]) >= threshold:
                 rem = half
                 continue
             self.t += half
-            self.y = y_mid
-            self.f = f_mid
+            self.y, self.f, _ = attempt
             self.tail.append((self.t, self.y, self.f))
             rem -= half
         t_high = self.t + rem
@@ -485,7 +476,7 @@ def integrate(field: VectorField, state0, t_end: float,
     if eval_arr is not None and (eval_arr[0] < 0.0 or eval_arr[-1] > t_end):
         raise DomainError("t_eval must lie within [0, t_end]")
 
-    core = _Core(field.rate, y0, opts, horizon=t_end)
+    core = _Core(field, y0, opts, horizon=t_end)
     if eval_arr is None:
         core.record()
         blowup = core.run(t_end, opts.blowup_threshold, record=True)
@@ -568,7 +559,7 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     tolerance within double precision.
     """
     y0, opts = _run_arguments(field, state0, t_end, opts)
-    core = _Core(field.rate, y0, opts, horizon=t_end)
+    core = _Core(field, y0, opts, horizon=t_end)
 
     threshold = opts.blowup_threshold
     xtol = None

@@ -39,6 +39,7 @@ from blowuplab import (
     FieldEvaluationError,
     InsufficientDataError,
     IntegrationOptions,
+    LevelOverflowError,
     StochasticModel,
     VectorField,
     as_function,
@@ -431,6 +432,27 @@ def test_values_pass_unchanged():
 def test_an_int_too_large_for_a_double_is_not_finite():
     with pytest.raises(DomainError):
         check_real("k", 10 ** 400, above=0.0)
+
+
+# ln's refusals on a Python number: the level, the exact error type, and
+# the message, which says whether the level was non-positive, nan, or an
+# overflow carried in from an earlier step
+LN_ROWS = [
+    (-1.0, DomainError, "ln of non-positive value -1.0"),
+    (0.0, DomainError, "ln of non-positive value 0.0"),
+    (-inf, DomainError, "ln of non-positive value -inf"),
+    (math.nan, DomainError, "ln of nan"),
+    (inf, LevelOverflowError, "ln of an overflowed level, inf"),
+]
+
+
+@pytest.mark.parametrize("level, error, message", LN_ROWS,
+                         ids=[repr(row[0]) for row in LN_ROWS])
+def test_ln_says_why_it_refuses_a_level(level, error, message):
+    with pytest.raises(error) as info:
+        evaluate(parse("ln(A)"), {"A": level})
+    assert type(info.value) is error
+    assert str(info.value) == f"invalid arithmetic in 'ln(A)': {message}"
 
 
 class TestArrayRegressions:

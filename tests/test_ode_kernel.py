@@ -5,10 +5,21 @@ state, the stages and the error estimate are float64 arrays and every
 stage sum is an array expression.  The float kernel sums the same
 terms in the same order component by component, so the two must agree
 bit for bit, including on which trial steps fail.
+
+The float kernel calls a field's rate through ``ode._list_rate``, a
+list of floats in and a list out.  For a field the user builds that is
+the array rate on a fresh float64 array; the oracle steps call the same
+array rate.  A ``dsl.to_field`` field is evaluated on the floats
+themselves; the oracle runs it rebuilt as ``VectorField(dimension,
+rate, names)``, which has only the array rate, and so does the
+benchmark's traced run.  ``TestFloatRate`` checks that the two
+evaluations agree bit for bit.
 """
 
+import dataclasses
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -33,6 +44,7 @@ _E = _B5 - _B4
 
 
 def numpy_try_step(rate, y, f0, h):
+    """The array step; ``rate`` is a list rate, as ``ode._list_rate`` gives."""
     k = [f0]
     with np.errstate(all="ignore"):
         for i in range(1, 7):
@@ -44,7 +56,7 @@ def numpy_try_step(rate, y, f0, h):
             y_stage = y + h * increment
             if not np.all(np.isfinite(y_stage)):
                 return None
-            k.append(ode._call_rate(rate, y_stage, len(y)))
+            k.append(np.array(rate(y_stage.tolist())))
             if not np.all(np.isfinite(k[-1])):
                 return None
         y_new = y_stage
@@ -103,11 +115,12 @@ class TestStepOracle:
            atol=st.sampled_from([1e-10, 1e-3]))
     def test_bitwise(self, case, rtol, atol):
         rate, y, h = case
+        rate = ode._list_rate(VectorField(len(y), rate))
         with np.errstate(all="ignore"):
-            f0 = ode._call_rate(rate, y, len(y))
+            f0 = rate(y.tolist())
             assert np.all(np.isfinite(f0))
-            expected = numpy_try_step(rate, y, f0, h)
-            got = ode._try_step(rate, y.tolist(), f0.tolist(), h)
+            expected = numpy_try_step(rate, y, np.array(f0), h)
+            got = ode._try_step(rate, y.tolist(), f0, h)
         if expected is None:
             assert got is None
             return
@@ -150,26 +163,37 @@ def corpus_laws():
     return cases
 
 
+def array_only(field):
+    """``field`` rebuilt from its public parts, so it keeps only the array rate."""
+    return VectorField(field.dimension, field.rate, field.names)
+
+
+def run_all(field, y0, t_end, opts):
+    event = estimate_blowup_time(field, y0, t_end, opts)
+    trail = integrate(field, y0, t_end)
+    grid = np.linspace(0.0, 0.5 * t_end, 11)
+    sampled = integrate(field, y0, 0.5 * t_end, t_eval=grid)
+    return event, trail, sampled
+
+
+def assert_same_runs(new, old):
+    assert repr(new[0]) == repr(old[0])
+    for got, expected in zip(new[1:], old[1:]):
+        assert repr(got.blowup) == repr(expected.blowup)
+        assert got.times.tobytes() == expected.times.tobytes()
+        assert got.states.tobytes() == expected.states.tobytes()
+        assert got.states.dtype == np.float64
+
+
 class TestEndToEndOracle:
     @pytest.mark.parametrize("field, y0, t_end, opts", corpus_laws())
     def test_same_results_as_a_core_on_the_numpy_step(self, field, y0, t_end, opts):
-        def run_all():
-            event = estimate_blowup_time(field, y0, t_end, opts)
-            trail = integrate(field, y0, t_end)
-            grid = np.linspace(0.0, 0.5 * t_end, 11)
-            sampled = integrate(field, y0, 0.5 * t_end, t_eval=grid)
-            return event, trail, sampled
-
-        new = run_all()
+        new = run_all(field, y0, t_end, opts)
+        # the numpy step on the array rate alone
         with mock.patch.object(ode, "_try_step", numpy_step_on_lists), \
                 mock.patch.object(ode, "_error_norm", numpy_norm_on_lists):
-            old = run_all()
-        assert repr(new[0]) == repr(old[0])
-        for got, expected in zip(new[1:], old[1:]):
-            assert repr(got.blowup) == repr(expected.blowup)
-            assert got.times.tobytes() == expected.times.tobytes()
-            assert got.states.tobytes() == expected.states.tobytes()
-            assert got.states.dtype == np.float64
+            old = run_all(array_only(field), y0, t_end, opts)
+        assert_same_runs(new, old)
 
     def test_integrate_outputs_are_pinned(self):
         # times, states and blow-up of 90 runs, pinned: laws that blow up
@@ -277,3 +301,79 @@ class TestStageSafety:
         with pytest.raises(FieldEvaluationError,
                            match=r"adjacent to t=0\.0, state array\(\[1\.e\+100\]\)"):
             integrate(VectorField(1, lambda y: 1e-10 * y ** 3), [1e100], 10.0)
+        # a DSL law whose constant part is undefined fails on every call,
+        # on the floats as on the array
+        with pytest.raises(FieldEvaluationError,
+                           match=r"failed at state array\(\[1\.\]\): invalid arithmetic in '1 / 0'"):
+            integrate(dsl.to_field(dsl.parse("dA = A + 1/0")), [1.0], 1.0)
+
+
+@st.composite
+def float_rate_cases(draw):
+    """A DSL field and a state, often one where Python's arithmetic raises:
+    ``**`` past the double range, ``x/0.0``, ``0.0**-1`` and a fractional
+    power of a negative base."""
+    k = draw(st.floats(1e-3, 10.0))
+    n = draw(st.floats(-2.0, 3.0))
+    x = draw(st.floats(0.5, 5.0))
+    source, params = draw(st.sampled_from([
+        ("dA = k*A^n", {"k": k, "n": n}),
+        ("dA = c*A*ln(A)^q", {"c": k, "q": n}),
+        ("dA = exp(A)", {}),
+        ("dA = k*A/(A-x)", {"k": k, "x": x}),
+        ("dA = (A-x)^0.5", {"x": x}),
+        ("dY = k*Y*A^n; dA = c*Y*A", {"k": k, "n": n, "c": x}),
+    ]))
+    field = dsl.to_field(dsl.parse(source), params)
+    level = st.one_of(st.floats(-1e3, 1e3), st.floats(1e100, 1e300),
+                      st.sampled_from([0.0, -0.0, x, -x, 1.0, 1e308]))
+    return field, draw(st.lists(level, min_size=field.dimension, max_size=field.dimension))
+
+
+class TestFloatRate:
+    """A DSL field steps on floats with the bits of its array rate."""
+
+    @settings(max_examples=500)
+    @given(case=float_rate_cases())
+    def test_bitwise_with_the_array_rate(self, case):
+        field, y = case
+        with np.errstate(all="ignore"):
+            got = ode._list_rate(field)(y)
+            expected = field.rate(np.array(y))
+        assert all(type(value) is float for value in got)
+        assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize("source, params, y", [
+        ("dA = k*A^n", {"k": 2.0, "n": 3.0}, [1e200]),
+        ("dA = k*A^n", {"k": 2.0, "n": -1.0}, [0.0]),
+        ("dA = k*A/(A-x)", {"k": 2.0, "x": 1.5}, [1.5]),
+        ("dA = (A-x)^0.5", {"x": 1.5}, [1.0]),
+        # np.log of Python's complex is numpy's complex, which float() would take
+        ("dA = ln((A-x)^0.5)", {"x": 1.5}, [1.0]),
+    ])
+    def test_arithmetic_python_refuses_is_done_on_an_array(self, source, params, y):
+        field = dsl.to_field(dsl.parse(source), params)
+        # warnings ignored, as outside this suite, where float() would take
+        # numpy's complex with a warning instead of raising
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises((ArithmeticError, TypeError)):
+                field._float_rate(y)
+            got = ode._list_rate(field)(y)
+            expected = field.rate(np.array(y))
+        assert bits(got) == bits(expected)
+        assert not all(map(math.isfinite, got))
+
+    def test_the_float_rate_is_not_part_of_the_value(self):
+        field = dsl.to_field(dsl.parse("dA = 2*A"))
+        assert field._float_rate is not None
+        assert array_only(field) == field and hash(array_only(field)) == hash(field)
+        assert repr(array_only(field)) == repr(field)
+        # a field rebuilt, or given another rate, steps through its array rate
+        assert array_only(field)._float_rate is None
+        assert dataclasses.replace(field, rate=lambda y: 3.0 * y)._float_rate is None
+
+    @pytest.mark.parametrize("field, y0, t_end, opts", corpus_laws())
+    def test_a_rebuilt_field_gives_the_same_runs(self, field, y0, t_end, opts):
+        assert_same_runs(run_all(field, y0, t_end, opts),
+                         run_all(array_only(field), y0, t_end, opts))
