@@ -17,11 +17,12 @@ usual is the contract around finite-time blow-up:
   as ``dA = ln(A)*A``, never converges in this sense and is correctly
   reported as having no blow-up.
 
-The step runs on lists of Python floats, component by component, for
-every dimension, through one rate from a float list to a float list:
-a user's rate gets a fresh ``float64`` array, a DSL field is evaluated
-on the floats with the array's bits, and no stage state that is not
-finite reaches either.
+The step is straight-line code on Python floats, compiled once per
+dimension from the tableau, with one local per component and stage.
+It calls one rate from a float list to a float list: a user's rate
+gets a fresh ``float64`` array, a DSL field is evaluated on the floats
+with the array's bits, and no stage state that is not finite reaches
+either.
 
 Step-size underflow without a threshold crossing raises
 :class:`~blowuplab.errors.StiffnessError`; a field that raises, returns
@@ -220,65 +221,64 @@ def _list_rate(field: VectorField) -> Callable[[list], list]:
     return array_rate if floats is None else float_rate
 
 
+_STEPS: dict[int, Callable] = {}  # per dimension, the step _build_step compiled
+
+
 def _try_step(rate: Callable, y: list, f0: list, h: float):
     """One trial Dormand-Prince step on lists of Python floats.
 
-    Each stage state is summed component by component from that
-    component's stage derivatives, ``c0*k0`` first and then ``+ a_ij*k_j``
-    for the nonzero ``a_ij`` in stage order, and each value is tested to
-    be finite as it is made: no state that is not finite reaches
-    ``rate``, a :func:`_list_rate`.  A stage state that is not finite is
-    summed again as ``y + (h*c0)*k0 + (h*a_ij)*k_j + ...``: with
-    derivatives near the top of the float range an unscaled sum such as
-    ``-25360/2187*k`` overflows although the step does not.  Finite sums
-    keep the first order.  The error estimate is not summed again: its
-    weights add up to 0.16 in absolute value, so its unscaled sum stays
-    finite, and where ``h`` times it overflows a sum with ``h`` folded
-    in would too.
+    The step for ``len(y)`` components is compiled once, by
+    :func:`_build_step`, into straight-line code.  Each component of a
+    stage state is summed left to right from that component's stage
+    derivatives, ``y + h*(c0*k0 + a_ij*k_j + ...)`` over the nonzero
+    ``a_ij`` in stage order, and every component is tested to be finite
+    before the stage calls ``rate``, a :func:`_list_rate`: no state that
+    is not finite reaches it.  When any component is not finite, every
+    component of the stage is summed again as
+    ``y + ((h*c0)*k0 + (h*a_ij)*k_j + ...)``: with derivatives near the
+    top of the float range an unscaled sum such as ``-25360/2187*k``
+    overflows although the step does not.  The error estimate,
+    ``h*(0.0 + e_i*k_i + ...)``, is not summed again: its weights add up
+    to 0.16 in absolute value, so its unscaled sum stays finite, and
+    where ``h`` times it overflows a sum with ``h`` folded in would too.
 
     Returns ``(y_new, f_new, err)`` as new lists, or ``None`` when any
     stage went non-finite (the caller treats that as a failed step and
     shrinks).  A stage rate that raises or has the wrong shape raises
     :class:`~blowuplab.errors.FieldEvaluationError`.
     """
-    dim = len(y)
-    stages = [[f_m] for f_m in f0]  # per component, its stage derivatives
-    for c0, terms in _STAGES:
-        y_stage = []
-        for y_m, k_m in zip(y, stages):
-            increment = c0 * k_m[0]
-            for a_ij, j in terms:
-                increment += a_ij * k_m[j]
-            value = y_m + h * increment
-            if not isfinite(value):
-                break
-            y_stage.append(value)
-        if len(y_stage) < dim:
-            y_stage = []
-            for y_m, k_m in zip(y, stages):
-                increment = (h * c0) * k_m[0]
-                for a_ij, j in terms:
-                    increment += (h * a_ij) * k_m[j]
-                value = y_m + increment
-                if not isfinite(value):
-                    return None
-                y_stage.append(value)
-        f_stage = rate(y_stage)
-        for k_m, f_m in zip(stages, f_stage):
-            if not isfinite(f_m):
-                return None
-            k_m.append(f_m)
-    err = []
-    for k_m in stages:
-        total = 0.0
-        for e_i, i in _ERR_TERMS:
-            total += e_i * k_m[i]
-        value = h * total
-        if not isfinite(value):
-            return None
-        err.append(value)
-    # stage 7 state is exactly the 5th-order solution (FSAL)
-    return y_stage, f_stage, err
+    step = _STEPS.get(len(y))
+    if step is None:
+        step = _STEPS[len(y)] = _build_step(len(y))
+    return step(rate, y, f0, h)
+
+
+def _build_step(dim: int) -> Callable:
+    """:func:`_try_step` for ``dim`` components, compiled from ``_STAGES``
+    and ``_ERR_TERMS``: one local per component and stage, the weights
+    inlined by ``repr``, which round-trips.  The last stage state is the
+    5th-order solution (FSAL)."""
+    def each(template, sep=", "):
+        return sep.join(template.format(m=m) for m in range(dim))
+
+    def finite(name):
+        return each(f"isfinite({name}{{m}})", " and ")
+    lines = ["def step(rate, y, f0, h):", f"    {each('y{m}')}, = y", f"    {each('k0_{m}')}, = f0"]
+    for i, (c0, terms) in enumerate(_STAGES, 1):
+        plain = " + ".join(f"{a!r}*k{j}_{{m}}" for a, j in ((c0, 0), *terms))
+        folded = " + ".join(f"(h*{a!r})*k{j}_{{m}}" for a, j in ((c0, 0), *terms))
+        lines += [each(f"    s{{m}} = y{{m}} + h*({plain})", "\n"),
+                  f"    if not ({finite('s')}):",
+                  each(f"        s{{m}} = y{{m}} + ({folded})", "\n"),
+                  f"        if not ({finite('s')}):", "            return None",
+                  f"    s = [{each('s{m}')}]", f"    {each(f'k{i}_{{m}}')}, = f = rate(s)",
+                  f"    if not ({finite(f'k{i}_')}):", "        return None"]
+    err = " + ".join(f"{e!r}*k{i}_{{m}}" for e, i in _ERR_TERMS)
+    lines += [each(f"    e{{m}} = h*(0.0 + {err})", "\n"), f"    if not ({finite('e')}):",
+              "        return None", f"    return s, f, [{each('e{m}')}]"]
+    namespace = {"isfinite": isfinite}
+    exec(compile("\n".join(lines), f"<dopri5 step, dimension {dim}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _error_norm(err, y_old, y_new, rtol, atol) -> float:

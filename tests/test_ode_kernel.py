@@ -2,9 +2,12 @@
 
 ``numpy_try_step`` and ``numpy_error_norm`` are the earlier kernel: the
 state, the stages and the error estimate are float64 arrays and every
-stage sum is an array expression.  The float kernel sums the same
-terms in the same order component by component, so the two must agree
-bit for bit, including on which trial steps fail.
+stage sum is an array expression.  The float kernel is straight-line
+code that ``ode._build_step`` compiles once per dimension, one local
+per component and stage; it sums the same terms in the same order, left
+to right, so the two must agree bit for bit, including on which trial
+steps fail.  The oracle has no stage re-sum with ``h`` folded in;
+``TestStageSafety`` covers that path.
 
 The float kernel calls a field's rate through ``ode._list_rate``, a
 list of floats in and a list out.  For a field the user builds that is
@@ -95,7 +98,7 @@ FIELDS = {
 
 @st.composite
 def step_cases(draw):
-    dim = draw(st.sampled_from([1, 2, 3, 7]))
+    dim = draw(st.sampled_from([1, 2, 3, 7, 12]))
     kind = draw(st.sampled_from(sorted(FIELDS)))
     # growing and decaying fields, so either the old or the new state
     # can be the larger one in the error scale
@@ -133,6 +136,15 @@ class TestStepOracle:
         with np.errstate(over="ignore"):
             old_norm = numpy_error_norm(expected[2], y, expected[0], rtol, atol)
         assert bits([norm]) == bits([old_norm])
+
+    def test_a_traceback_names_the_compiled_step(self):
+        def rate(y):
+            raise ZeroDivisionError("rate")
+
+        with pytest.raises(ZeroDivisionError) as info:
+            ode._try_step(rate, [1.0, 2.0], [1.0, 1.0], 0.1)
+        assert "<dopri5 step, dimension 2>" in [entry.frame.code.raw.co_filename
+                                                for entry in info.traceback]
 
 
 def corpus_laws():
@@ -284,6 +296,18 @@ class TestStageSafety:
                       IntegrationOptions(blowup_threshold=1e308))
         assert max(float(y[0]) for y in seen) > 8e307
         assert all(np.all(np.isfinite(y)) for y in seen)
+
+    def test_a_stage_is_summed_again_in_every_component(self):
+        # only Y's stage sums overflow; A's are finite but are summed
+        # again with h folded in too, and must stay on exp(0.5*t)
+        rate, seen = self.recording(lambda y: np.array([2.0, 0.5]) * y)
+        trail = integrate(VectorField(2, rate), [1e300, 1.0], 30.0,
+                          IntegrationOptions(blowup_threshold=5e307))
+        assert max(float(y[0]) for y in seen) > 1.55e307
+        assert all(np.all(np.isfinite(y)) for y in seen)
+        # Y = 1e300 * exp(2t) reaches 5e307 at t = 8.8638
+        assert trail.blowup.t_low < 8.8638 < trail.blowup.t_high
+        assert trail.states[-1, 1] == pytest.approx(math.exp(0.5 * trail.times[-1]), rel=1e-6)
 
     def test_log_overshoot_is_a_field_error_showing_the_array(self):
         rate, seen = self.recording(lambda y: np.array([math.log(y[0] - 0.5) * y[0]]))
