@@ -5,13 +5,15 @@ from ``A0`` is ``integral dA / F(A)``.  :func:`classify_growth_law`
 decides whether that integral converges using two independent routes
 and only commits to a verdict when both agree:
 
-1. a quadrature ladder: the integral is accumulated over the segments
-   ``[A0*10^(j-1), A0*10^j]``, eight at a time in one call of
+1. a quadrature ladder: the integral is accumulated over the decades
+   ``[A0*10^j, A0*10^(j+1)]``, eight at a time in one call of
    :func:`~blowuplab.ode.gauss_kronrod` (in ``x = ln A``, the law
-   evaluated node by node); geometrically shrinking increments mean
-   convergence (with a geometric tail estimate), non-decreasing ones
-   mean divergence, and the polynomial middle ground is decided by the
-   decay order of the increments (summable only above order 1);
+   evaluated node by node), for at most 280 decades and not past 1e306.
+   Geometrically shrinking increments mean convergence (with a geometric
+   tail estimate) and non-decreasing ones divergence.  Between them, from
+   24 increments on, a fitted decay order of at most 1.1 reads as
+   divergence, although orders in (1, 1.1] are summable; a ladder that
+   meets its cap first reads finite above order 1.05;
 2. a tail exponent probe: ``p(A) = ln(F(e*A)/F(A))`` measures the local
    power ``F ~ A**p``.  Clearly above 1 means finite time, at or below
    1 means infinite time.  The delicate strip just above 1 is resolved
@@ -72,12 +74,12 @@ INCONCLUSIVE = "inconclusive"
 GrowthLaw = Union[str, dsl.Expr, dsl.SystemSpec, Callable]
 
 
-# Classifier settings.  The quadrature ladder starts with eight decades
-# and extends in blocks while slowly decaying increments need it; the
-# 280-decade bound keeps it inside double range.
+# Classifier settings.  The quadrature ladder adds eight decades a pass
+# while slowly decaying increments need them, up to 280 decades and 1e306
+# (inside double range); from 24 rungs on, a decay order of at most
+# _LOG_ORDER_INFINITE reads as divergence.
 _LADDER_DECADES = 8
 _MAX_LADDER_DECADES = 280
-_EXTENSION_BLOCK = 8
 _EXPONENT_MARGIN = 0.05
 _EXPONENT_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
 _LOG_ORDER_INFINITE = 1.1
@@ -217,103 +219,61 @@ def _ladder_integrand(rate):
     return lambda nodes: np.fromiter(map(integrand, nodes.tolist()), float, len(nodes))
 
 
-def _fit_decay_order(increments: Sequence[float]) -> float:
-    """Least-squares order of ``d_j ~ j**(-alpha)`` over the tail rungs."""
-    count = len(increments)
-    take = min(count, max(6, min(16, count // 2)))
-    idx = np.arange(count - take + 1, count + 1, dtype=float)
-    # distinct rung indices: the fit always exists
-    slope, _, _ = fit_line(np.log(idx), np.log(np.array(increments[-take:])))
-    return -slope
-
-
 def _quadrature_method(rate, A0: float) -> MethodReading:
+    """Osgood's integral over rungs ``d``, rung j the decade ``[A0*10^j, A0*10^(j+1)]``."""
     log10 = math.log(10.0)
     x0 = math.log(A0)
+    x_top = math.log(1e306)
     integrand = _ladder_integrand(rate)
-    increments: list[float] = []
-    x_top_limit = math.log(1e306)
+    d: list[float] = []
+    while True:
+        n = len(d)
+        top = min(n + _LADDER_DECADES, _MAX_LADDER_DECADES)
+        edges = [x for j in range(n, top + 1) if (x := x0 + j * log10) <= x_top]
+        if len(edges) > 1:
+            d.extend(gauss_kronrod(integrand, edges, _QUAD_RTOL).tolist())
+        elif d:
+            # no rung fits: the last pass's alpha, total and tail stand
+            details = {"mode": "polynomial-truncated", "decay_order": alpha, "rungs": n}
+            if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
+                return MethodReading(FINITE_TIME, total + tail, {**details, "tail": tail})
+            return MethodReading(INCONCLUSIVE, None, details)
+        if len(d) < 3 or not all(map(math.isfinite, d[n:])):
+            return MethodReading(INCONCLUSIVE, None,
+                                 {"reason": "ladder not computable", "rungs": len(d)})
 
-    def add_rungs(count: int) -> bool:
-        """Add up to ``count`` rungs; false when none fits in double range.
-
-        Rung j spans ``[x0 + j*log10, x0 + (j+1)*log10]``.
-        """
-        first = len(increments)
-        edges = [x0 + j * log10 for j in range(first, first + count + 1)]
-        while len(edges) > 1 and edges[-1] > x_top_limit:
-            edges.pop()
-        if len(edges) == 1:
-            return False
-        increments.extend(gauss_kronrod(integrand, edges, _QUAD_RTOL).tolist())
-        return True
-
-    add_rungs(_LADDER_DECADES)
-    if len(increments) < 3 or not all(map(math.isfinite, increments)):
-        return MethodReading(INCONCLUSIVE, None,
-                             {"reason": "ladder not computable", "rungs": len(increments)})
-
-    def tail_state() -> str:
-        d = increments
         if d[-1] <= 0.0:
-            # the integrand vanished: nothing left beyond this rung
-            return "geometric"
-        if d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
-            return "non-decreasing"
-        # true geometric decay keeps the rung ratio constant, to within the
-        # rungs' quadrature error, however close to 1; polynomial or
-        # log-corrected decay drifts toward 1 and must be order-fitted
-        tail = d[-min(len(d), 6):]
-        ratios = [tail[i + 1] / tail[i] for i in range(len(tail) - 1)]
-        if ratios[-1] < 1.0 and max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios):
-            return "geometric"
-        return "polynomial"
-
-    state = tail_state()
-    while state == "polynomial":
-        alpha = _fit_decay_order(increments)
-        total = math.fsum(increments)
-        tail = increments[-1] * len(increments) / (alpha - 1.0) if alpha > 1.0 else math.inf
-        deep_enough = len(increments) >= 3 * _LADDER_DECADES
-        if deep_enough and alpha <= _LOG_ORDER_INFINITE:
+            ratio = 0.0  # the integrand vanished: nothing left beyond this rung
+        elif d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
             return MethodReading(INFINITE_TIME, None, {
-                "mode": "polynomial", "decay_order": alpha,
-                "rungs": len(increments),
-            })
-        if deep_enough and alpha > _LOG_ORDER_INFINITE and tail <= _TAIL_TARGET * total:
+                "mode": "non-decreasing", "rungs": len(d), "last_ratio": d[-1] / d[-2]})
+        else:
+            # true geometric decay keeps the rung ratio constant, to within the
+            # rungs' quadrature error, however close to 1; polynomial or
+            # log-corrected decay drifts toward 1 and must be order-fitted
+            last = d[-6:]
+            ratios = [b / a for a, b in zip(last, last[1:])]
+            constant = max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios)
+            ratio = ratios[-1] if ratios[-1] < 1.0 and constant else None
+        if ratio is not None:
+            # the tail left is a geometric series, empty once the integrand vanished
+            total = math.fsum(d)
+            tail = d[-1] * ratio / (1.0 - ratio)
             return MethodReading(FINITE_TIME, total + tail, {
-                "mode": "polynomial", "decay_order": alpha,
-                "rungs": len(increments), "tail": tail,
-            })
-        if len(increments) < _MAX_LADDER_DECADES and add_rungs(_EXTENSION_BLOCK):
-            state = tail_state()
-            continue
-        # could not push the tail below target inside double range
-        if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
-            return MethodReading(FINITE_TIME, total + tail, {
-                "mode": "polynomial-truncated", "decay_order": alpha,
-                "rungs": len(increments), "tail": tail,
-            })
-        return MethodReading(INCONCLUSIVE, None, {
-            "mode": "polynomial-truncated", "decay_order": alpha,
-            "rungs": len(increments),
-        })
+                "mode": "geometric", "ratio": ratio, "rungs": len(d), "tail": tail})
 
-    if state == "non-decreasing":
-        return MethodReading(INFINITE_TIME, None, {
-            "mode": "non-decreasing", "rungs": len(increments),
-            "last_ratio": increments[-1] / increments[-2],
-        })
-
-    # geometric decay: the remaining tail is a convergent geometric series,
-    # empty once the integrand vanished
-    ratio = increments[-1] / increments[-2] if increments[-1] > 0.0 else 0.0
-    total = math.fsum(increments)
-    tail = increments[-1] * ratio / (1.0 - ratio)
-    return MethodReading(FINITE_TIME, total + tail, {
-        "mode": "geometric", "ratio": ratio,
-        "rungs": len(increments), "tail": tail,
-    })
+        # polynomial decay: the least-squares order of d_j ~ j**(-alpha) over
+        # the tail rungs, whose distinct indices make the fit exist
+        take = min(len(d), max(6, min(16, len(d) // 2)))
+        idx = np.arange(len(d) - take + 1, len(d) + 1, dtype=float)
+        alpha = -fit_line(np.log(idx), np.log(np.array(d[-take:])))[0]
+        total = math.fsum(d)
+        tail = d[-1] * len(d) / (alpha - 1.0) if alpha > 1.0 else math.inf
+        details = {"mode": "polynomial", "decay_order": alpha, "rungs": len(d)}
+        if len(d) >= 3 * _LADDER_DECADES and alpha <= _LOG_ORDER_INFINITE:
+            return MethodReading(INFINITE_TIME, None, details)
+        if len(d) >= 3 * _LADDER_DECADES and tail <= _TAIL_TARGET * total:
+            return MethodReading(FINITE_TIME, total + tail, {**details, "tail": tail})
 
 
 # --------------------------------------------------------------------------

@@ -145,6 +145,27 @@ class TestClassifierVerdicts:
         assert ladder.details["mode"] == "geometric"
         assert ladder.details["rungs"] == 8
 
+    @pytest.mark.parametrize("law,A0,verdict,mode,rungs", [
+        ("A", 1.0, INFINITE_TIME, "non-decreasing", 8),
+        ("A^2", 1.0, FINITE_TIME, "geometric", 8),
+        ("exp(A)", 1.0, FINITE_TIME, "geometric", 8),  # a zero last rung
+        ("A*ln(A)", E, INFINITE_TIME, "polynomial", 24),
+        ("A*ln(A)^2", E, FINITE_TIME, "polynomial", 24),
+        ("A*ln(A)*ln(ln(A))", 20.0, FINITE_TIME, "polynomial-truncated", 280),
+        ("A*ln(A)", 1e290, INCONCLUSIVE, "polynomial-truncated", 16),
+        ("A^2", 1e306, INCONCLUSIVE, "ladder not computable", 0),
+        # the rate reaches 0 at 1e30, above the shape check's top of 3e12:
+        # the fourth block holds a rung that is not finite
+        ("A*ln(A)^1.5*(1e30-A)", 3.0, INCONCLUSIVE, "ladder not computable", 32),
+    ])
+    def test_each_ladder_exit(self, law, A0, verdict, mode, rungs):
+        # no float is pinned: the order fit's matrix product goes through
+        # BLAS, whose last bits may differ between CPUs
+        ladder = classify_growth_law(law, A0=A0).evidence["quadrature"]
+        details = ladder.details
+        assert (ladder.verdict, details.get("mode", details.get("reason")),
+                details["rungs"]) == (verdict, mode, rungs)
+
     @pytest.mark.parametrize("p", [1.001, 1.005, 1.01, 1.02, 1.03, 1.04])
     @pytest.mark.parametrize("A0", [3.0, 100.0, 1e10])
     def test_a_power_just_above_1_is_never_infinite_time(self, p, A0):
