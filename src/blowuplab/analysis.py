@@ -13,7 +13,9 @@ and only commits to a verdict when both agree:
    tail estimate) and non-decreasing ones divergence.  Between them, from
    24 increments on, a fitted decay order of at most 1.1 reads as
    divergence, although orders in (1, 1.1] are summable; a ladder that
-   meets its cap first reads finite above order 1.05;
+   meets its cap first reads finite above order 1.05.  A rung where the
+   law overflows or is not positive, or ``A/F(A)`` underflows, makes the
+   ladder not computable;
 2. a tail exponent probe: ``p(A) = ln(F(e*A)/F(A))`` measures the local
    power ``F ~ A**p``.  Clearly above 1 means finite time, at or below
    1 means infinite time.  The delicate strip just above 1 is resolved
@@ -203,28 +205,18 @@ def _safe_rate(fn: Callable, label: str) -> Callable[[float], float]:
 # method 1: quadrature ladder
 
 
-def _ladder_integrand(rate):
-    """``dA/F(A)`` in ``x = ln A``, which tames the huge range, node by
-    node: a growth law maps one float to one float."""
-
-    def integrand(x: float) -> float:
-        level = math.exp(x)
-        f = rate(level)
-        if not f > 0.0:
-            return math.inf
-        if math.isinf(f):
-            return 0.0
-        return level / f
-
-    return lambda nodes: np.fromiter(map(integrand, nodes.tolist()), float, len(nodes))
-
-
 def _quadrature_method(rate, A0: float) -> MethodReading:
     """Osgood's integral over rungs ``d``, rung j the decade ``[A0*10^j, A0*10^(j+1)]``."""
+
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        # dA/F(A) in x = ln A, which tames the huge range, node by node: a
+        # growth law maps one float to one float; inf where F is not finite and > 0
+        levels = [math.exp(x) for x in nodes.tolist()]
+        return np.array([a / f if 0.0 < (f := rate(a)) < math.inf else math.inf for a in levels])
+
     log10 = math.log(10.0)
     x0 = math.log(A0)
     x_top = math.log(1e306)
-    integrand = _ladder_integrand(rate)
     d: list[float] = []
     while True:
         n = len(d)
@@ -238,25 +230,22 @@ def _quadrature_method(rate, A0: float) -> MethodReading:
             if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
                 return MethodReading(FINITE_TIME, total + tail, {**details, "tail": tail})
             return MethodReading(INCONCLUSIVE, None, details)
-        if len(d) < 3 or not all(map(math.isfinite, d[n:])):
+        # a rung counts only where it is finite and positive
+        if len(d) < 3 or not all(0.0 < r < math.inf for r in d[n:]):
             return MethodReading(INCONCLUSIVE, None,
                                  {"reason": "ladder not computable", "rungs": len(d)})
 
-        if d[-1] <= 0.0:
-            ratio = 0.0  # the integrand vanished: nothing left beyond this rung
-        elif d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
+        if d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
             return MethodReading(INFINITE_TIME, None, {
                 "mode": "non-decreasing", "rungs": len(d), "last_ratio": d[-1] / d[-2]})
-        else:
-            # true geometric decay keeps the rung ratio constant, to within the
-            # rungs' quadrature error, however close to 1; polynomial or
-            # log-corrected decay drifts toward 1 and must be order-fitted
-            last = d[-6:]
-            ratios = [b / a for a, b in zip(last, last[1:])]
-            constant = max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios)
-            ratio = ratios[-1] if ratios[-1] < 1.0 and constant else None
-        if ratio is not None:
-            # the tail left is a geometric series, empty once the integrand vanished
+        # true geometric decay keeps the rung ratio constant, to within the
+        # rungs' quadrature error, however close to 1; polynomial or
+        # log-corrected decay drifts toward 1 and must be order-fitted
+        last = d[-6:]
+        ratios = [b / a for a, b in zip(last, last[1:])]
+        if ratios[-1] < 1.0 and max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios):
+            # the tail left is a geometric series
+            ratio = ratios[-1]
             total = math.fsum(d)
             tail = d[-1] * ratio / (1.0 - ratio)
             return MethodReading(FINITE_TIME, total + tail, {
@@ -351,9 +340,10 @@ def classify_growth_law(law: GrowthLaw, A0: float = 1.0,
 
     The law must be positive and monotone non-decreasing on
     ``[A0, inf)``; both are validated by sampling.  A level where it is
-    undefined raises DomainError; one where it overflows reads as an
-    infinite rate.  ``parameters`` bind the names of a DSL law and must
-    be None for a callable one.
+    undefined raises DomainError; one where it overflows, or is not
+    positive above the sampled levels, makes the ladder not computable
+    and the verdict inconclusive.  ``parameters`` bind the names of a
+    DSL law and must be None for a callable one.
     """
     check_real("A0", A0, above=0.0)
     fn, label = _as_rate(law, parameters)

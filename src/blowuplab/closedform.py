@@ -26,7 +26,10 @@ and raises :class:`~blowuplab.errors.DomainError` on violations rather
 than returning junk.  A phase-1 rate given as an annual growth factor
 ``R`` becomes ``k`` through :func:`calibrate_k`.  Evaluation within a relative guard band of ``1e-12``
 around a blow-up time is rejected: so close to the pole the closed form
-has no float accuracy left.
+has no float accuracy left.  No function returns inf: a level past
+double range raises :class:`~blowuplab.errors.LevelOverflowError`, and a
+blow-up time past it (``1/(k*I)`` where ``k*I`` underflows, for
+instance) raises DomainError.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ def _check_before_blowup(t: float, t_star: float, what: str) -> None:
         )
 
 
+def _in_range(level: float, what: str, t: float) -> float:
+    if not level < math.inf:  # inf, or nan from k*I overflowing times t = 0
+        raise LevelOverflowError(f"{what} exceeds double range at t={t!r}")
+    return level
+
+
 def calibrate_k(R: float, I: float) -> float:
     """Growth coefficient matching an observed annual growth factor.
 
@@ -116,11 +125,12 @@ def exp_phase_solution(k: float, I: float, t1: float, c: float = 1.0) -> float:
     k = check_real("k", k, above=0.0)
     I = check_real("I", I, above=0.0)
     exponent = k * I * t1
-    if exponent > 709.0:
-        raise LevelOverflowError(
-            f"exp-phase level exceeds double range at t1={t1!r} (k*I*t1={exponent!r})"
-        )
-    return c * math.exp(exponent)
+    try:
+        # past 709, e**exponent may leave double range where c * e**exponent does not
+        level = c * math.exp(exponent) if exponent <= 709.0 else math.exp(exponent + math.log(c))
+    except OverflowError:
+        level = math.inf
+    return _in_range(level, "exp-phase level", t1)
 
 
 def phase1_duration(R: float, I: float) -> float:
@@ -148,14 +158,15 @@ def hyperbolic_solution(k: float, I: float, t2: float) -> float:
     t_star = hyperbolic_blowup_time(k, I).t_star
     check_real("phase-2 time", t2, at_least=0.0)
     _check_before_blowup(t2, t_star, "hyperbolic level")
-    return I / (1.0 - k * I * t2)
+    return _in_range(I / (1.0 - k * I * t2), "hyperbolic level", t2)
 
 
 def hyperbolic_blowup_time(k: float, I: float) -> BlowUpTime:
     """Blow-up time ``1/(k*I)`` of the hyperbolic phase."""
     check_real("k", k, above=0.0)
     check_real("I", I, above=0.0)
-    return BlowUpTime.at(1.0 / (k * I))
+    rate = k * I  # 0 where it underflows: the blow-up time is past double range
+    return BlowUpTime.at(1.0 / rate if rate > 0.0 else math.inf)
 
 
 def total_singularity_time(R: float, I: float) -> float:
@@ -184,7 +195,11 @@ def powerlaw_solution(k: float, I: float, n_exp: float, t2: float) -> float:
     check_real("phase-2 time", t2, at_least=0.0)
     _check_before_blowup(t2, t_star, "power-law level")
     m = n_exp - 1.0
-    return (I ** (-m) - m * k * t2) ** (-1.0 / m)
+    try:
+        level = (I ** (-m) - m * k * t2) ** (-1.0 / m)
+    except (OverflowError, ZeroDivisionError):  # a bracket rounded to 0 included
+        level = math.inf
+    return _in_range(level, "power-law level", t2)
 
 
 def powerlaw_blowup_time(k: float, I: float, n_exp: float) -> BlowUpTime:
@@ -200,7 +215,11 @@ def powerlaw_blowup_time(k: float, I: float, n_exp: float) -> BlowUpTime:
     if check_real("exponent n", n_exp) <= 1.0:
         return BlowUpTime.never()
     m = n_exp - 1.0
-    return BlowUpTime.at(I ** (-m) / (m * k))
+    try:
+        t_star = I ** (-m) / (m * k)
+    except (OverflowError, ZeroDivisionError):  # past double range, or m*k underflowed
+        t_star = math.inf
+    return BlowUpTime.at(t_star)
 
 
 def loglaw_solution(c: float, k: float, t: float) -> float:

@@ -56,9 +56,10 @@ UNSET_I = [
     "solve --model exponential --R 1.5 --t-max 10",
     "simulate --model exponential --R 1.5 --t-max 1",
 ]
-# one domain error (exit 3) per command
+# one domain error (exit 3) per command, and a solve level past double range
 _ERRORS = [
     "solve --model hyperbolic --k 0.01 --I 1 --t-max 150",
+    "solve --model powerlaw --k 1 --I 1 --n 1.01 --t-max 99.99",
     "simulate --dsl 'dA = A' --A0 -1 --t-max 1",
     "ensemble --model gbm --k 0.05 --I 1 --sigma -0.1 --paths 50 --periods 20",
     "classify --dsl A^2 --A0 -1",

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowuplab import (
@@ -148,11 +148,17 @@ class TestClassifierVerdicts:
     @pytest.mark.parametrize("law,A0,verdict,mode,rungs", [
         ("A", 1.0, INFINITE_TIME, "non-decreasing", 8),
         ("A^2", 1.0, FINITE_TIME, "geometric", 8),
-        ("exp(A)", 1.0, FINITE_TIME, "geometric", 8),  # a zero last rung
+        # exp(A) overflows from 710 on, inside the first block
+        ("exp(A)", 1.0, INCONCLUSIVE, "ladder not computable", 8),
         ("A*ln(A)", E, INFINITE_TIME, "polynomial", 24),
         ("A*ln(A)^2", E, FINITE_TIME, "polynomial", 24),
         ("A*ln(A)*ln(ln(A))", 20.0, FINITE_TIME, "polynomial-truncated", 280),
-        ("A*ln(A)", 1e290, INCONCLUSIVE, "polynomial-truncated", 16),
+        # A*ln(A) overflows below 1e306, 0.01*A*ln(A) does not
+        ("A*ln(A)", 1e290, INCONCLUSIVE, "ladder not computable", 16),
+        ("0.01*A*ln(A)", 1e290, INCONCLUSIVE, "polynomial-truncated", 16),
+        ("A*ln(A)^2", 1e285, INCONCLUSIVE, "ladder not computable", 21),
+        # the integrand 1e-300/1e150 underflows to 0 in the first rung
+        ("1e300*A^0.5", 1e-300, INCONCLUSIVE, "ladder not computable", 8),
         ("A^2", 1e306, INCONCLUSIVE, "ladder not computable", 0),
         # the rate reaches 0 at 1e30, above the shape check's top of 3e12:
         # the fourth block holds a rung that is not finite
@@ -182,11 +188,44 @@ class TestClassifierVerdicts:
         for A0 in np.logspace(280, 307, 60).tolist():
             assert classify_growth_law(law, A0=A0).verdict in (truth, INCONCLUSIVE), A0
 
-    def test_an_overflowing_rate_leaves_an_empty_tail(self):
-        # exp(A) overflows to inf, so every rung past the first few is 0
-        ladder = classify_growth_law("exp(A)").evidence["quadrature"]
-        assert ladder.verdict == FINITE_TIME
-        assert ladder.details["ratio"] == 0.0 and ladder.details["tail"] == 0.0
+    def test_an_overflowing_rate_makes_the_ladder_not_computable(self):
+        # exp(A) overflows to inf past 709.8: a rung there has no finite
+        # integrand to read, not an empty one
+        verdict = classify_growth_law("exp(A)")
+        assert verdict.evidence["quadrature"].details == {
+            "reason": "ladder not computable", "rungs": 8}
+        assert verdict.verdict == INCONCLUSIVE
+
+    @pytest.mark.parametrize("law", [
+        lambda a: math.inf if 1e18 < a < 1e20 else a * math.log(a) ** 2,
+        lambda a: math.inf if 1e5 < a < 1e7 else a * a,
+    ], ids=["log-squared", "square"])
+    def test_a_band_of_overflow_is_inconclusive(self, law):
+        # the rate is inf on a band of levels and finite again above it; the
+        # shape check stops at the first inf, and no rung may read it as zero
+        verdict = classify_growth_law(law, A0=E)
+        assert verdict.verdict == INCONCLUSIVE
+        assert verdict.evidence["quadrature"].details["reason"] == "ladder not computable"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.tuples(st.just("power"), st.floats(1.05, 4.0)),
+                     st.tuples(st.just("log"), st.floats(1.05, 3.0))),
+           st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+           st.floats(1.0, math.log(1e300)).map(math.exp))
+    @example(("log", 2.0), 1.0, 1e285)
+    @example(("log", 2.495496605048383), 11.59831615597424, 2.691314743226855e+22)
+    def test_a_finite_time_estimate_is_the_osgood_integral(self, law, k, A0):
+        # k*A^p and k*A*ln(A)^q have the exact Osgood integrals below;
+        # a finite-time verdict must carry that time, whatever else it reads
+        kind, power = law
+        if kind == "power":
+            source, log_exact = f"{k!r}*A^{power!r}", (1.0 - power) * math.log(A0)
+        else:
+            source, log_exact = f"{k!r}*A*ln(A)^{power!r}", (1.0 - power) * math.log(math.log(A0))
+        verdict = classify_growth_law(source, A0=A0)
+        if verdict.verdict == FINITE_TIME:
+            exact = math.exp(log_exact - math.log(k * (power - 1.0)))
+            assert verdict.singularity_time_estimate == pytest.approx(exact, rel=0.01)
 
     @pytest.mark.parametrize("law", ["(A-3)^0.5*A^2", "ln(A-2)*A^2", "A^2/(A-1)"])
     def test_a_law_undefined_at_A0_is_rejected(self, law):

@@ -61,6 +61,13 @@ class TestExitCodes:
         assert proc.stderr.startswith("error:")
         assert "2.1645021645021645" in proc.stderr
 
+    def test_a_level_past_double_range_exits_3(self, tmp_path):
+        # (1 - 0.01*99.99)**-100 is 1e400: an overflow, not a traceback
+        proc = run_cli("solve", "--model", "powerlaw", "--k", "1", "--I", "1", "--n", "1.01",
+                       "--t-max", "99.99", "--out", str(tmp_path))
+        assert proc.returncode == 3
+        assert proc.stderr == "error: power-law level exceeds double range at t=99.99\n"
+
     def test_coupled_model_with_zero_rate_exits_3(self, tmp_path):
         proc = run_cli("solve", "--model", "coupled-gdp", "--k1", "0",
                        "--t-max", "1", "--out", str(tmp_path))

@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blowuplab import (
+    BlowupLabError,
+    BlowUpTime,
     DomainError,
     LevelOverflowError,
     calibrate_k,
@@ -235,3 +239,69 @@ class TestCoupledGdp:
 
     def test_grows_without_bound_near_pole(self):
         assert coupled_gdp_solution(0.05, 19.99) > 1e3
+
+
+# log-uniform over the double range, and exponents n log-uniformly above 1
+_POSITIVE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_TIME = st.one_of(st.just(0.0), _POSITIVE)
+_EXPONENT = st.floats(-10.0, 2.0).map(lambda e: 1.0 + 10.0 ** e)
+_REAL = st.one_of(_POSITIVE, _POSITIVE.map(lambda x: -x))
+_CALLS = st.one_of(
+    st.tuples(st.just(exp_phase_solution), st.tuples(_POSITIVE, _POSITIVE, _TIME, _POSITIVE)),
+    st.tuples(st.just(hyperbolic_solution), st.tuples(_POSITIVE, _POSITIVE, _TIME)),
+    st.tuples(st.just(hyperbolic_blowup_time), st.tuples(_POSITIVE, _POSITIVE)),
+    st.tuples(st.just(powerlaw_solution), st.tuples(_POSITIVE, _POSITIVE, _EXPONENT, _TIME)),
+    st.tuples(st.just(powerlaw_blowup_time), st.tuples(_POSITIVE, _POSITIVE, _EXPONENT)),
+    st.tuples(st.just(loglaw_solution), st.tuples(_REAL, _REAL, _REAL)),
+    st.tuples(st.just(coupled_gdp_solution), st.tuples(_POSITIVE, _TIME)),
+    st.tuples(st.just(total_singularity_time), st.tuples(_EXPONENT, _POSITIVE)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CALLS)
+@example((powerlaw_solution, (1, 1, 1.01, 99.99)))
+@example((powerlaw_blowup_time, (1, 1e-10, 100)))
+@example((hyperbolic_blowup_time, (1e-200, 1e-200)))
+@example((hyperbolic_solution, (1e-200, 1e-200, 0)))
+@example((exp_phase_solution, (1, 1, 709, 10)))
+@example((hyperbolic_solution, (1e-300, 1e300, 1 - 1e-11)))
+@example((exp_phase_solution, (1, 1, 709.5, 1e-10)))
+def test_a_closed_form_is_finite_and_positive_or_raises(call):
+    # no ArithmeticError leaks and no inf comes back: a level past double
+    # range is a LevelOverflowError, a blow-up time past it a DomainError
+    fn, args = call
+    try:
+        result = fn(*args)
+    except BlowupLabError:
+        return
+    if isinstance(result, BlowUpTime):
+        if not result.finite:
+            return
+        result = result.t_star
+    assert 0.0 < result < math.inf
+
+
+_LEVEL_PAST_RANGE = (LevelOverflowError, "level exceeds double range")
+_TIME_PAST_RANGE = (DomainError, r"t_star of a finite blow-up must be a finite real number > 0, "
+                                  r"got inf")
+
+
+@pytest.mark.parametrize("call,expected", [
+    (lambda: powerlaw_solution(1, 1, 1.01, 99.99), _LEVEL_PAST_RANGE),
+    (lambda: hyperbolic_solution(1e-300, 1e300, 1 - 1e-11), _LEVEL_PAST_RANGE),
+    (lambda: exp_phase_solution(1, 1, 709, c=10), _LEVEL_PAST_RANGE),
+    (lambda: powerlaw_blowup_time(1, 1e-10, 100), _TIME_PAST_RANGE),
+    (lambda: hyperbolic_blowup_time(1e-200, 1e-200), _TIME_PAST_RANGE),
+], ids=["powerlaw", "hyperbolic", "exp-phase", "powerlaw-time", "hyperbolic-time"])
+def test_past_double_range_is_an_error_of_its_kind(call, expected):
+    error, message = expected
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_small_c_keeps_an_exp_phase_level_in_range():
+    # e**709.5 is 1.35e308 and e**720 is past double range; times 1e-10 neither is
+    assert exp_phase_solution(1, 1, 709.5, c=1e-10) == pytest.approx(1.3549e298, rel=1e-4)
+    assert exp_phase_solution(1, 1, 720, c=1e-10) == pytest.approx(
+        math.exp(720 - 10 * math.log(10)), rel=1e-12)
