@@ -35,6 +35,7 @@ instance) raises DomainError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, LevelOverflowError, check_real
@@ -96,7 +97,7 @@ def _check_before_blowup(t: float, t_star: float, what: str) -> None:
 
 
 def _in_range(level: float, what: str, t: float) -> float:
-    if not level < math.inf:  # inf, or nan from k*I overflowing times t = 0
+    if not level < math.inf:  # inf or nan
         raise LevelOverflowError(f"{what} exceeds double range at t={t!r}")
     return level
 
@@ -107,11 +108,16 @@ def calibrate_k(R: float, I: float) -> float:
     Solves ``exp(k*I) = R`` for ``k``, i.e. ``k = ln(R)/I``: the rate at
     which a driver of capability ``I`` must improve the level per unit
     of its own capability so the level grows by factor ``R`` a year.
-    Requires ``R > 1`` and ``I > 0``.
+    Requires ``R > 1`` and ``I > 0``, and a quotient that does not
+    underflow to 0.
     """
     check_real("I", I, above=0.0)
     check_real("growth factor R", R, above=1.0)
-    return math.log(R) / I
+    k = math.log(R) / I
+    if k == 0.0:
+        raise DomainError(f"growth coefficient ln(R)/I underflows to 0 for growth factor "
+                          f"R={R!r} and I={I!r}")
+    return k
 
 
 def exp_phase_solution(k: float, I: float, t1: float, c: float = 1.0) -> float:
@@ -124,7 +130,9 @@ def exp_phase_solution(k: float, I: float, t1: float, c: float = 1.0) -> float:
     c = check_real("c", c, above=0.0)
     k = check_real("k", k, above=0.0)
     I = check_real("I", I, above=0.0)
-    exponent = k * I * t1
+    # k*I may pass double range where the exponent does not (t1 is 0, or
+    # tiny): t1 then scales the larger factor first
+    exponent = k * I * t1 if k * I <= sys.float_info.max else max(k, I) * t1 * min(k, I)
     try:
         # past 709, e**exponent may leave double range where c * e**exponent does not
         level = c * math.exp(exponent) if exponent <= 709.0 else math.exp(exponent + math.log(c))

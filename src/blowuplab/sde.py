@@ -38,10 +38,11 @@ not.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import mmap
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,6 +89,9 @@ _REL_DERIVATIVE_STEP = 1e-6
 _CONSTANCY_TOLERANCE = 1e-6
 # relative and absolute tolerance of each segment of u(A), QUADPACK's default
 _U_TOL = 1.49e-8
+# the built-in models' laws, in their callables' operation order
+_LAWS = {"gbm": lambda a, mu, vol: (mu * a, vol * a),
+         "hyperbolic-sde": lambda a, k, sigma: (k * a * a, sigma * a * a)}
 
 
 @dataclass(frozen=True)
@@ -101,12 +105,14 @@ class StochasticModel:
     from ``+ - * /`` and numpy ufuncs gives the same bits either way;
     Python's ``**`` on a float may round differently from numpy's array
     ``power`` in the last ulp, so a batch row of such a model depends
-    on the step its lane left the arrays.
+    on the step its lane left the arrays.  A built-in model also carries its
+    law for :func:`simulate_batches`; a ``dataclasses.replace`` copy drops it.
     """
 
     drift: Callable
     diffusion: Callable
     label: str = "custom"
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,16 +322,27 @@ def _evaluate(model: StochasticModel, a: np.ndarray, t: float):
     return _coefficient(model, model.drift, a, t), _coefficient(model, model.diffusion, a, t)
 
 
-def _live_coefficients(slices: list, levels: np.ndarray, t: float):
-    """Drift and diffusion at the live ``levels``, each ``(model, lo, hi)`` slice by its model."""
-    if len(slices) == 1:
-        # no assembly: about 10% of ensemble-lockstep's time
-        # (core_ms_p50 589 -> 524 ms, side 641 -> 586 ms)
-        return _evaluate(slices[0][0], levels, t)
-    drift = np.empty(levels.size)
-    diffusion = np.empty(levels.size)
-    for model, lo, hi in slices:
-        drift[lo:hi], diffusion[lo:hi] = _evaluate(model, levels[lo:hi], t)
+def _groups(slices: list) -> list:
+    """The ``(model, lo, hi)`` slices as ``(model, lo, hi, columns)`` groups: a run of models
+    of one law is one, ``columns`` holding each parameter per lane; another model is one alone."""
+    groups = []
+    for _, run in itertools.groupby(slices, lambda s: s[0]._columns and s[0]._columns[0] or s[1]):
+        models, los, his = zip(*run)
+        columns = models[0]._columns and tuple(np.repeat(p, np.subtract(his, los))
+                                               for p in zip(*(m._columns[1] for m in models)))
+        groups.append((models[0], los[0], his[-1], columns))
+    return groups
+
+
+def _live_coefficients(groups: list, levels: np.ndarray, t: float):
+    """Drift and diffusion at the live ``levels``, one call per :func:`_groups` group."""
+    if len(groups) == 1:
+        model, _, _, columns = groups[0]
+        return model._columns[0](levels, *columns) if columns else _evaluate(model, levels, t)
+    drift, diffusion = np.empty((2, levels.size))
+    for group in groups:
+        lo, hi = group[1:3]
+        drift[lo:hi], diffusion[lo:hi] = _live_coefficients([group], levels[lo:hi], t)
     return drift, diffusion
 
 
@@ -374,8 +391,10 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     draws take at most 32 MiB per master seed in the batch.  A stream's
     draws do not depend on how its steps are split into blocks, so every
     path comes out as if simulated alone.  The live lanes of a spec stay in
-    one contiguous slice of numpy arrays: each model is called once per
-    step on its own live levels, and a lane that ends is dropped.
+    one contiguous slice of numpy arrays, and a lane that ends is dropped.
+    A step makes one call for each run of consecutive specs whose models
+    carry one law (the built-in models do), on per-lane parameters, and
+    one for each other model, on its own live levels.
 
     Once a spec has at most ``_FEW_LANES`` live lanes in a pass, at its
     start or when lanes end, those lanes leave the arrays, where most of
@@ -482,6 +501,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
             lanes = np.array([row for *_, lo, hi in part for row in range(lo, hi)], dtype=np.intp)
             ends = np.cumsum([hi - lo for *_, lo, hi in part]).tolist()
             slices = [(model, lo, hi) for (model, *_), lo, hi in zip(part, [0] + ends, ends)]
+            groups = _groups(slices)
             a = np.full(lanes.size, float(A0))
             y_run = np.zeros(lanes.size)
             ty_run = np.zeros(lanes.size)
@@ -500,7 +520,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                     y = np.log(a)
                     y_run += y
                     ty_run += y * (step * dt - t_shift)
-                    drift, diffusion = _live_coefficients(slices, a, step * dt)
+                    drift, diffusion = _live_coefficients(groups, a, step * dt)
                     a_next = a + drift * dt + diffusion * sqdt * z[cols]
                     ok = (a_next > 0.0) & (a_next < threshold)
                     step += 1
@@ -523,6 +543,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         ty_run = ty_run[ok]
                         cols = cols[ok]
                         slices = _compact_slices(slices, ok)
+                        groups = _groups(slices)
                         if not lanes.size:
                             break
                     a = a_next
@@ -666,6 +687,15 @@ def pathwise_growth_slope(path: PathResult) -> float:
     return line[0]
 
 
+def _built_in(label: str, drift: Callable, diffusion: Callable, *params) -> StochasticModel:
+    """A model that carries the law of ``label`` if all ``params`` are floats, which
+    per-lane float64 columns hold exactly (a long double or a Fraction they do not)."""
+    model = StochasticModel(drift, diffusion, label)
+    if all(isinstance(p, float) for p in params):
+        object.__setattr__(model, "_columns", (_LAWS[label], params))
+    return model
+
+
 def gbm_model(k: float, I: float, sigma: float) -> StochasticModel:
     """Geometric growth with proportional noise.
 
@@ -678,11 +708,7 @@ def gbm_model(k: float, I: float, sigma: float) -> StochasticModel:
     check_real("sigma", sigma, at_least=0.0)
     mu = k * I
     vol = sigma * I
-    return StochasticModel(
-        drift=lambda a: mu * a,
-        diffusion=lambda a: vol * a,
-        label="gbm",
-    )
+    return _built_in("gbm", lambda a: mu * a, lambda a: vol * a, mu, vol)
 
 
 def gbm_time_average_exponent(k: float, I: float, sigma: float) -> float:
@@ -713,11 +739,7 @@ def hyperbolic_sde_model(k: float, sigma: float) -> StochasticModel:
     """
     check_real("k", k, above=0.0)
     check_real("sigma", sigma, at_least=0.0)
-    return StochasticModel(
-        drift=lambda a: k * a * a,
-        diffusion=lambda a: sigma * a * a,
-        label="hyperbolic-sde",
-    )
+    return _built_in("hyperbolic-sde", lambda a: k * a * a, lambda a: sigma * a * a, k, sigma)
 
 
 def _central_derivative(fn, levels: np.ndarray) -> np.ndarray:

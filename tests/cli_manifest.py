@@ -56,10 +56,12 @@ UNSET_I = [
     "solve --model exponential --R 1.5 --t-max 10",
     "simulate --model exponential --R 1.5 --t-max 1",
 ]
-# one domain error (exit 3) per command, and a solve level past double range
+# one domain error (exit 3) per command, a solve level past double range and
+# a growth coefficient ln(R)/I that underflows to 0
 _ERRORS = [
     "solve --model hyperbolic --k 0.01 --I 1 --t-max 150",
     "solve --model powerlaw --k 1 --I 1 --n 1.01 --t-max 99.99",
+    "solve --model exponential --R 1.0000000000000002 --I 1e308 --t-max 1",
     "simulate --dsl 'dA = A' --A0 -1 --t-max 1",
     "ensemble --model gbm --k 0.05 --I 1 --sigma -0.1 --paths 50 --periods 20",
     "classify --dsl A^2 --A0 -1",

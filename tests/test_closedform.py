@@ -42,6 +42,11 @@ class TestCalibrateK:
         with pytest.raises(DomainError):
             calibrate_k(R, I)
 
+    def test_a_quotient_that_underflows_is_a_domain_error(self):
+        # ln(R) is 2.2e-16 and ln(R)/I underflows to 0, which is no k > 0
+        with pytest.raises(DomainError, match=r"R=1\.0000000000000002 and I=1e\+308"):
+            calibrate_k(1.0000000000000002, 1e308)
+
 
 class TestExpPhase:
     K_DEFAULT = calibrate_k(R_DEFAULT, I_DEFAULT)
@@ -64,6 +69,13 @@ class TestExpPhase:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             exp_phase_solution(calibrate_k(2.0, 10.0), 10.0, -0.1)
+
+    def test_k_times_I_past_double_range_need_not_overflow(self):
+        # k*I is inf, the exponent k*I*t1 is 0 and 1e-3
+        assert exp_phase_solution(1e200, 1e200, 0.0) == 1.0
+        assert exp_phase_solution(1e160, 1e160, 1e-323) == pytest.approx(1.001, rel=1e-3)
+        with pytest.raises(LevelOverflowError):
+            exp_phase_solution(1e200, 1e200, 1e-100)
 
     def test_overflow_is_a_level_overflow(self):
         # e**800 is past the double range
@@ -267,6 +279,8 @@ _CALLS = st.one_of(
 @example((exp_phase_solution, (1, 1, 709, 10)))
 @example((hyperbolic_solution, (1e-300, 1e300, 1 - 1e-11)))
 @example((exp_phase_solution, (1, 1, 709.5, 1e-10)))
+@example((exp_phase_solution, (1e200, 1e200, 0.0, 1.0)))
+@example((exp_phase_solution, (1e160, 1e160, 1e-323, 1.0)))
 def test_a_closed_form_is_finite_and_positive_or_raises(call):
     # no ArithmeticError leaks and no inf comes back: a level past double
     # range is a LevelOverflowError, a blow-up time past it a DomainError

@@ -229,6 +229,60 @@ class TestBatchMatchesMaskedLockstep:
         for want, have in zip(expected, got, strict=True):
             assert_batches_identical(want, have)
 
+    # hyperbolic specs of different k and sigma, a gbm spec and a user's model
+    # that splits the run of hyperbolic specs: the built-in models carry their
+    # law, a run of one law steps with one call on per-lane parameters, and
+    # each must give the bits of the callables that a replace copy steps by
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(),
+           hyperbolic=st.lists(MODELS["hyperbolic"], min_size=2, max_size=4),
+           gbm=MODELS["gbm"], user=st.one_of(MODELS["absorbing"], MODELS["cliff"]),
+           steps=st.integers(1, 300),
+           threshold=st.sampled_from([2.0, 5.0, 1e9]),
+           block=st.sampled_from([1, 7, 1024]),
+           few=st.sampled_from([0, 3, 16]),
+           record_points=st.sampled_from([None, 7]))
+    def test_a_run_of_one_law_steps_as_its_models_alone(self, data, hyperbolic, gbm, user, steps,
+                                                         threshold, block, few, record_points):
+        split = data.draw(st.integers(1, len(hyperbolic) - 1))
+        models = hyperbolic[:split] + [user] + hyperbolic[split:]
+        models.insert(data.draw(st.integers(0, len(models))), gbm)
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                              n_paths=data.draw(st.integers(1, 40)),
+                              master_seed=data.draw(st.sampled_from([0, 1])), threshold=threshold)
+                 for model in models]
+        copies = [dataclasses.replace(s, model=dataclasses.replace(s.model, label=s.model.label))
+                  for s in specs]
+        assert all(copy.model._columns is None for copy in copies)
+        assert sum(spec.model._columns is not None for spec in specs) == len(specs) - 1
+        with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_FEW_LANES", few):
+            got = simulate_batches(specs, record_points)
+            by_callables = simulate_batches(copies, record_points)
+            alone = [simulate_batches([spec], record_points)[0] for spec in specs]
+        for have, want, single in zip(got, by_callables, alone, strict=True):
+            assert_batches_identical(want, have)
+            assert_batches_identical(single, have)
+
+    def test_a_replace_copy_is_called_through_its_callables(self):
+        # a copy has no law, so a wrapper around its drift (as a tracer's) is
+        # called once per array step, even beside specs of the model's law
+        model = hyperbolic_sde_model(0.05, 0.05)
+        sizes = []
+
+        def drift(a):
+            sizes.append(np.size(a))
+            return model.drift(a)
+
+        specs = [EnsembleSpec(model=m, A0=1.0, dt=0.01, t_end=1.0, n_paths=40, master_seed=3)
+                 for m in (model, dataclasses.replace(model, drift=drift), model)]
+        with mock.patch.object(sde, "_FEW_LANES", 0):
+            got = simulate_batches(specs)
+        assert got[1].survived.all()
+        assert sizes == [40] * 100
+        for batch in got[1:]:
+            assert_batches_identical(got[0], batch)
+
     def test_a_pass_leaves_the_array_step_within_a_block(self):
         # four specs of more than sde._FEW_LANES paths on one master seed, so
         # they share streams, and one model returns one number.  The first
