@@ -1,8 +1,11 @@
 """Show the adaptive integrator finding a pole it can never reach.
 
-A finite-time blow-up cannot be integrated through; the solver instead
-notices the threshold crossing (or the step size collapsing against the
-pole), brackets the asymptote, and reports an estimate with its method.
+A finite-time blow-up cannot be integrated through.  ``integrate``
+stops where the level crosses a threshold; ``estimate_blowup_time``
+steps on a log-level clock, on which the pole sits at infinity, and
+reads the time the rest of the climb adds from the shrinking time each
+decade of the clock takes, then brackets the asymptote and reports an
+estimate with its method.
 """
 
 import numpy as np
@@ -40,8 +43,8 @@ def main() -> None:
     print()
 
     print("cubic law dA/dt = A^3 from A0 = 1 (pole at t = 0.5):")
-    print("  the level passes any finite threshold within one representable")
-    print("  step of the pole, so the event comes from extrapolating 1/A^2:")
+    print("  each decade of A takes a hundredth of the time the one before,")
+    print("  so the time left rounds to 0 after a few decades of the clock:")
     show(estimate_blowup_time(scalar_field(lambda a: a ** 3), [1.0], 2.0), 0.5)
     print()
 

@@ -50,7 +50,8 @@ from . import dsl
 from .closedform import calibrate_k
 from .errors import (DomainError, FieldEvaluationError, InsufficientDataError,
                      LevelOverflowError, check_array, check_integer, check_real)
-from .ode import BlowUpEvent, VectorField, estimate_blowup_time, fit_line, gauss_kronrod, integrate
+from .ode import (LOG_ORDER_INFINITE, BlowUpEvent, VectorField, estimate_blowup_time,
+                  fit_line, gauss_kronrod, integrate, tail_rule)
 
 __all__ = [
     "FINITE_TIME",
@@ -78,16 +79,15 @@ GrowthLaw = Union[str, dsl.Expr, dsl.SystemSpec, Callable]
 
 # Classifier settings.  The quadrature ladder adds eight decades a pass
 # while slowly decaying increments need them, up to 280 decades and 1e306
-# (inside double range); from 24 rungs on, a decay order of at most
-# _LOG_ORDER_INFINITE reads as divergence.
+# (inside double range), and ode.tail_rule reads them, a polynomial tail
+# from three passes on.  A log order of at most LOG_ORDER_INFINITE reads
+# as divergence, in the exponent probe as in tail_rule's polynomial rule.
 _LADDER_DECADES = 8
 _MAX_LADDER_DECADES = 280
 _EXPONENT_MARGIN = 0.05
 _EXPONENT_GRID = (1e4, 1e5, 1e6, 1e7, 1e8)
-_LOG_ORDER_INFINITE = 1.1
 _LOG_ORDER_FINITE = 1.5
 _INTERCEPT_SLACK = 0.01
-_TAIL_TARGET = 0.02
 _QUAD_RTOL = 1e-10
 # relative floor under the barometer's curvature, in standardized units
 _CURVATURE_FLOOR = 1e-12
@@ -225,44 +225,21 @@ def _quadrature_method(rate, A0: float) -> MethodReading:
         if len(edges) > 1:
             d.extend(gauss_kronrod(integrand, edges, _QUAD_RTOL).tolist())
         elif d:
-            # no rung fits: the last pass's alpha, total and tail stand
-            details = {"mode": "polynomial-truncated", "decay_order": alpha, "rungs": n}
-            if alpha > 1.0 + (_LOG_ORDER_INFINITE - 1.0) / 2.0:
-                return MethodReading(FINITE_TIME, total + tail, {**details, "tail": tail})
-            return MethodReading(INCONCLUSIVE, None, details)
+            # no rung fits: the last pass's polynomial order and tail stand
+            alpha, tail = details["decay_order"], details["tail"]
+            truncated = {"mode": "polynomial-truncated", "decay_order": alpha, "rungs": n}
+            if alpha > 1.0 + (LOG_ORDER_INFINITE - 1.0) / 2.0:
+                return MethodReading(FINITE_TIME, math.fsum(d) + tail, {**truncated, "tail": tail})
+            return MethodReading(INCONCLUSIVE, None, truncated)
         # a rung counts only where it is finite and positive
         if len(d) < 3 or not all(0.0 < r < math.inf for r in d[n:]):
             return MethodReading(INCONCLUSIVE, None,
                                  {"reason": "ladder not computable", "rungs": len(d)})
-
-        if d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
-            return MethodReading(INFINITE_TIME, None, {
-                "mode": "non-decreasing", "rungs": len(d), "last_ratio": d[-1] / d[-2]})
-        # true geometric decay keeps the rung ratio constant, to within the
-        # rungs' quadrature error, however close to 1; polynomial or
-        # log-corrected decay drifts toward 1 and must be order-fitted
-        last = d[-6:]
-        ratios = [b / a for a, b in zip(last, last[1:])]
-        if ratios[-1] < 1.0 and max(ratios) - min(ratios) <= 100 * _QUAD_RTOL * max(ratios):
-            # the tail left is a geometric series
-            ratio = ratios[-1]
-            total = math.fsum(d)
-            tail = d[-1] * ratio / (1.0 - ratio)
-            return MethodReading(FINITE_TIME, total + tail, {
-                "mode": "geometric", "ratio": ratio, "rungs": len(d), "tail": tail})
-
-        # polynomial decay: the least-squares order of d_j ~ j**(-alpha) over
-        # the tail rungs, whose distinct indices make the fit exist
-        take = min(len(d), max(6, min(16, len(d) // 2)))
-        idx = np.arange(len(d) - take + 1, len(d) + 1, dtype=float)
-        alpha = -fit_line(np.log(idx), np.log(np.array(d[-take:])))[0]
-        total = math.fsum(d)
-        tail = d[-1] * len(d) / (alpha - 1.0) if alpha > 1.0 else math.inf
-        details = {"mode": "polynomial", "decay_order": alpha, "rungs": len(d)}
-        if len(d) >= 3 * _LADDER_DECADES and alpha <= _LOG_ORDER_INFINITE:
+        tail, details = tail_rule(d, 100 * _QUAD_RTOL, 3 * _LADDER_DECADES)
+        if tail == math.inf:
             return MethodReading(INFINITE_TIME, None, details)
-        if len(d) >= 3 * _LADDER_DECADES and tail <= _TAIL_TARGET * total:
-            return MethodReading(FINITE_TIME, total + tail, {**details, "tail": tail})
+        if tail is not None:
+            return MethodReading(FINITE_TIME, math.fsum(d) + tail, details)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +278,7 @@ def _exponent_method(rate, A0: float) -> MethodReading:
     if abs(intercept) < _INTERCEPT_SLACK:
         if slope >= _LOG_ORDER_FINITE:
             return MethodReading(FINITE_TIME, None, {**details, "mode": "log-corrected"})
-        if slope <= _LOG_ORDER_INFINITE:
+        if slope <= LOG_ORDER_INFINITE:
             return MethodReading(INFINITE_TIME, None, {**details, "mode": "log-corrected"})
     return MethodReading(INCONCLUSIVE, None, {**details, "mode": "boundary"})
 

@@ -98,7 +98,7 @@ def _write_table(args, basename: str, columns: list[str], rows) -> str:
             return name
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(",".join(map(repr, np.asarray(row, dtype=float).tolist())) + "\n")
     return name
 
 

@@ -9,13 +9,14 @@ usual is the contract around finite-time blow-up:
 * the crossing time is located by bisecting the final step, giving a
   bracket ``[t_low, t_high]``;
 * :func:`estimate_blowup_time` goes further and estimates the actual
-  asymptote: it fits the local rate exponent ``p`` from the trajectory
-  tail (``ln rate`` against ``ln state``), extrapolates the transformed
-  level ``A**(1-p)`` linearly to zero, and keeps raising the threshold
-  until consecutive estimates converge within tolerance.  Growth that
-  crosses any fixed threshold yet has no finite-time singularity, such
-  as ``dA = ln(A)*A``, never converges in this sense and is correctly
-  reported as having no blow-up.
+  asymptote.  It integrates on a log-level clock ``s`` (Sundman time),
+  on which the fastest growing component gains one e-fold per unit, so
+  a pole at ``t*`` sits at ``s = inf`` and ``t(s)`` climbs toward
+  ``t*`` without ever passing it.  The time each decade of ``s`` adds
+  is a rung; the classifier's tail rules read the time the rungs still
+  to come add up to.  Growth that crosses any fixed threshold yet has
+  no finite-time singularity, such as ``dA = ln(A)*A``, leaves rungs
+  that shrink too slowly to sum and is reported as having no blow-up.
 
 The step is straight-line code on Python floats, compiled once per
 dimension from the tableau, with one local per component and stage.
@@ -32,16 +33,18 @@ raises :class:`~blowuplab.errors.FieldEvaluationError`.
 The package's shared numerics live here too.  :func:`gauss_kronrod`
 is its quadrature: QUADPACK's 21-point rule on many intervals at once,
 for the classifier's ladder and the ergodicity transform.
-:func:`fit_line` is its least-squares line, for the tail extrapolation
-above, the classifier's decay order and tail exponent, and the
-pathwise growth slope.
+:func:`tail_rule` reads the tail of a ladder of rungs, the classifier's or
+the clock's.  :func:`fit_line` is its least-squares line, for the
+integrator's stall extrapolation, the classifier's decay order and
+tail exponent, and the pathwise growth slope.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import isfinite
 from typing import Callable, Sequence
 
@@ -90,10 +93,22 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _H_MIN_REL = 1e-14  # of the integration horizon
 _TAIL_CAPACITY = 4096
-# estimate_blowup_time raises the threshold by this factor per round
-# and gives up once it passes the cap
-_THRESHOLD_BOOST = 1e12
-_THRESHOLD_CAP = 1e250
+# The log-level clock: its s spans the log-levels of doubles, and its step
+# floor is _H_MIN_REL of that; a rung is a decade of s, the tail rules take
+# its rungs' ratios as constant within _CLOCK_RTOL and sum a polynomial tail
+# from _CLOCK_RUNGS rungs on.  The estimate comes from a clock at tolerances
+# _CLOCK_REFINE times tighter than the options', whose difference from a
+# clock at the options' tolerances measures its integration error.
+_LOG_SPAN = math.log(sys.float_info.max) - math.log(math.ulp(0.0))
+_LN10 = math.log(10.0)
+_CLOCK_RTOL = 1e-6
+_CLOCK_RUNGS = 24
+_CLOCK_REFINE = 10.0
+# tail_rule's polynomial rule: the decay order that reads as divergence
+# (the classifier's exponent probe reads it so too), and the share of the
+# sum a summed tail may be
+LOG_ORDER_INFINITE = 1.1
+_TAIL_TARGET = 0.02
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,9 @@ class BlowUpEvent:
     inside the bracket.  ``method`` records how the estimate was made:
     ``"threshold-crossing"`` brackets the moment the state reached the
     integration threshold (a lower bound on the true asymptote), while
-    ``"reciprocal-extrapolation"`` brackets the asymptote itself.
+    ``"reciprocal-extrapolation"`` covers any estimate of the asymptote
+    itself: a stall resolved by extrapolating the reciprocal level, or
+    :func:`estimate_blowup_time`'s tail past its log-level clock.
     """
 
     t_low: float
@@ -290,16 +307,16 @@ def _error_norm(err, y_old, y_new, rtol, atol) -> float:
 
 
 class _Core:
-    """Stepping loop shared by :func:`integrate` and the blow-up refiner.
+    """Stepping loop of :func:`integrate`, and of :class:`_Clock`.
 
     Keeps the current ``(t, y, f)`` triple and a bounded tail of recent
     accepted samples for exponent fitting.  A run advances to one target
     time and lands on it exactly; the core can then run on to a later
-    target, or be resumed with a higher threshold after a crossing.
-    ``y`` and ``f`` are lists of Python floats that are replaced, never
-    mutated, so the tail and the recorded samples hold them without
-    copies; ``rate`` is the field's :func:`_list_rate`.  A run hands back
-    its blow-up event; the core keeps no result of its own.
+    target.  ``y`` and ``f`` are lists of Python floats that are
+    replaced, never mutated, so the tail and the recorded samples hold
+    them without copies; ``rate`` is the field's :func:`_list_rate`.  A
+    run hands back its blow-up event; the core keeps no result of its
+    own.
     """
 
     def __init__(self, field: VectorField, y0: np.ndarray, opts: IntegrationOptions,
@@ -324,15 +341,14 @@ class _Core:
     def record(self) -> None:
         self.samples.append((self.t, self.y))
 
-    def run(self, t_end: float, threshold: float, *, record: bool,
-            xtol: float | None = None) -> BlowUpEvent | None:
+    def run(self, t_end: float, threshold: float, *, record: bool) -> BlowUpEvent | None:
         """Advance to ``t_end``, landing on it exactly, or to a blow-up.
 
         Returns ``None`` at ``t_end``; with ``record`` every accepted
         step is recorded.  At a threshold crossing it returns the
-        ``threshold-crossing`` event, whose bracket is at most ``xtol``
-        wide (default: ``opts.blowup_tol``, else ``1e-3`` of the time
-        the crossing step ends), and the core sits at the last
+        ``threshold-crossing`` event, whose bracket is at most
+        ``opts.blowup_tol`` wide (default ``1e-3`` of the time the
+        crossing step ends), and the core sits at the last
         sub-threshold point, ``t_low``.  A stall that the tail resolves
         returns the ``reciprocal-extrapolation`` event.
         """
@@ -357,7 +373,7 @@ class _Core:
                     continue
                 rejects = 0
                 if max(attempt[0]) >= threshold:
-                    return self._bisect_crossing(h, threshold, xtol)
+                    return self._bisect_crossing(h, threshold)
                 self.t = t_end if hit_target else self.t + h
                 self.y, self.f, _ = attempt
                 self.tail.append((self.t, self.y, self.f))
@@ -375,14 +391,15 @@ class _Core:
         and the asymptote can shrink below the smallest usable step, so
         the threshold is never formally crossed.  When the tail shows
         that structure the stall is resolved as a blow-up and its event
-        returned; otherwise it is a genuine failure and raises.  Runs
-        inside :meth:`run`'s ``np.errstate``.
+        returned; otherwise it is a genuine failure and raises, naming
+        :meth:`position`.  Runs inside :meth:`run`'s ``np.errstate``.
         """
         probe = [y_m + self.h_min * f_m for y_m, f_m in zip(self.y, self.f)]
         if not all(map(isfinite, self.rate(probe))):
+            t, state = self.position()
             raise FieldEvaluationError(
-                f"field becomes non-finite adjacent to t={self.t!r}, "
-                f"state {np.array(self.y)!r}; the derivative left the "
+                f"field becomes non-finite adjacent to t={t!r}, "
+                f"state {state!r}; the derivative left the "
                 "representable range"
             )
         t_hat = _tail_asymptote(self.tail, self.y)
@@ -391,8 +408,8 @@ class _Core:
         drift = math.inf if t_hat is None else abs(t_hat - self.t)
         if drift > max(100.0 * self.h_min, 1e3 * self.opts.rtol * max(self.t, self.h_min)):
             raise StiffnessError(
-                f"step size underflowed at t={self.t!r} without a threshold "
-                "crossing; the system is too stiff for this integrator"
+                f"step size underflowed at t={self.position()[0]!r} without a "
+                "threshold crossing; the system is too stiff for this integrator"
             )
         estimate = max(float(t_hat), float(np.nextafter(self.t, math.inf)))
         # bracket padding covers global integration error, which
@@ -406,16 +423,18 @@ class _Core:
             method="reciprocal-extrapolation",
         )
 
-    def _bisect_crossing(self, h: float, threshold: float,
-                         xtol: float | None) -> BlowUpEvent:
+    def position(self) -> tuple[float, np.ndarray]:
+        """The time and the state that the core's errors name."""
+        return self.t, np.array(self.y)
+
+    def _bisect_crossing(self, h: float, threshold: float) -> BlowUpEvent:
         """Shrink the crossing bracket by bisecting the final step.
 
         Advances ``(t, y, f)`` along sub-threshold midpoints, so the
         core ends at the last known point below the threshold, and
         returns the event bracketing the crossing by ``(t, t + rem]``.
         """
-        if xtol is None:
-            xtol = self.opts.blowup_tol
+        xtol = self.opts.blowup_tol
         if xtol is None:
             xtol = 1e-3 * max(self.t + h, 1e-300)
         rem = h
@@ -434,6 +453,62 @@ class _Core:
         t_high = self.t + rem
         return BlowUpEvent(t_low=self.t, t_high=t_high, estimate=0.5 * (self.t + t_high),
                            method="threshold-crossing")
+
+
+class _Clock(_Core):
+    """The core on log-level Sundman time ``s`` (Stuart & Floater 1990,
+    *On the computation of blow-up*).
+
+    The state is ``[ln y_1, ..., ln y_d, t/tau]``, with ``d ln y_i/ds =
+    (F_i/y_i)/M`` and ``dt/ds = 1/M`` for ``M = max(max_i F_i/y_i, 1/(t +
+    tau))``: the fastest growing component gains one e-fold per unit of
+    ``s``, so a pole at ``t*`` sits at ``s = inf`` and ``t(s) < t*``.  The
+    floor on ``M``, ``1/tau`` being ``M`` at the start with a floor of
+    ``1/t_end``, keeps decaying, constant and stiff fields moving in
+    ``t``, at most exponentially in ``s``; ``1/t_end`` alone leaves ``t =
+    inf`` at a finite ``s`` where the log-rates decay exponentially.  Time
+    is counted in units of ``tau``, so that ``opts.atol`` bounds its error
+    relative to the field's own time scale.  A stage whose level leaves
+    double range fails, so the field sees only finite levels; a level
+    that underflowed to 0 stays there.  The clock keeps no tail, so a
+    stall raises, naming ``t`` and the levels.
+    """
+
+    def __init__(self, field: VectorField, y0: np.ndarray, opts: IntegrationOptions,
+                 t_end: float):
+        super().__init__(field, y0, opts, horizon=t_end)
+        level_rate = self.rate
+        start = max(1.0 / t_end, *(f_m / y_m for f_m, y_m in zip(self.f, self.y)))
+        self.tau = tau = 1.0 / min(start, sys.float_info.max)
+
+        def clock(y, f, theta):
+            logs = [f_m / y_m if y_m else 0.0 for f_m, y_m in zip(f, y)]
+            m = max(1.0 / (tau * (theta + 1.0)), *logs)
+            if not m > 0.0:  # t + tau left double range
+                return [math.inf] * (len(logs) + 1)
+            return [g / m for g in logs] + [1.0 / (m * tau)]
+
+        def rate(w):
+            try:
+                y = [math.exp(z) for z in w[:-1]]
+            except OverflowError:
+                return [math.inf] * len(w)
+            return clock(y, level_rate(y), w[-1])
+
+        self.rate = rate
+        self.f = clock(self.y, self.f, 0.0)
+        self.y = [math.log(y_m) for y_m in self.y] + [0.0]
+        # a hundredth of the s in which the fastest component moves by one
+        # e-fold; t/tau moves by at most t/tau + 1 per unit
+        self.h = 0.01 / max(1.0, *map(abs, self.f[:-1]))
+        self.h_min = _H_MIN_REL * _LOG_SPAN
+        self.tail = deque(maxlen=0)
+
+    def time(self) -> float:
+        return self.y[-1] * self.tau
+
+    def position(self) -> tuple[float, np.ndarray]:
+        return self.time(), np.array([math.exp(z) for z in self.y[:-1]])
 
 
 def _run_arguments(field: VectorField, state0, t_end: float,
@@ -541,70 +616,96 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
                          opts: IntegrationOptions | None = None) -> BlowUpEvent | None:
     """Estimate the finite-time blow-up of a growth system, if any.
 
-    Integrates until the blow-up threshold is crossed, fits the local
-    rate exponent ``p`` over the trajectory tail, and extrapolates
-    ``A**(1-p)`` to zero.  The threshold is then raised by a factor of
-    ``1e12`` and the process repeated until the modeled remaining time
-    drops below a quarter of the bracket tolerance.
+    Integrates on the log-level clock of :class:`_Clock`, on which a
+    pole sits at ``s = inf``, and records the time each decade of ``s``
+    adds as a rung: in one dimension, the time each decade of the level
+    takes.  From the third rung on, :func:`tail_rule` reads the time the
+    rungs to come add up to; a rung whose time rounds to 0 leaves none.
+    The estimate is the last rung's time ``t`` plus that tail, read on a
+    clock at a tenth of ``opts``' tolerances, with ``u`` the spread a
+    geometric ratio may have, or the change the last rung made to a
+    polynomial reading times the rung count.  ``pad``, the integration
+    error, is the difference from the reading of a clock at ``opts``'
+    tolerances, stepped alongside.  The first bracket ``[max(t, estimate
+    - u) - pad, estimate + u + pad]`` at most ``opts.blowup_tol`` wide
+    (default ``1e-3`` of the estimate) makes a
+    ``reciprocal-extrapolation`` event.
 
-    Returns ``None`` when no crossing happens before ``t_end``, and
-    also when the estimates never converge: the threshold passes
-    ``1e250``, the modeled remaining time plateaus across threshold
-    decades, the refinement runs past ``t_end``, or the field fails (a
-    stiffness stall or a field evaluation error) while the threshold is
-    being raised past the first one.  That is the honest answer for
-    super-exponential growth without a finite singularity (``dA =
-    ln(A)*A`` crosses any threshold but blows up only at infinity), and
-    for blow-ups whose asymptote cannot be pinned to the requested
-    tolerance within double precision.
+    Returns ``None`` when the clock passes ``t_end``, or the estimate
+    does, since ``t`` never passes the pole; when the tail rules read a
+    divergent tail, as for super-exponential growth without a finite
+    singularity (``dA = ln(A)*A`` crosses any threshold but blows up only
+    at infinity); and when the ladder ends before a bracket is narrow
+    enough.  The ladder ends at its last complete rung where the field
+    fails (a stiffness stall or a field evaluation error, a level past
+    double range included) after a component reached
+    ``opts.blowup_threshold``.  A failure below it is left to
+    :func:`integrate`'s stepping in ``t``, whose ``None`` at ``t_end``,
+    stall resolved as a pole, or error stands; where that crosses the
+    threshold instead, the clock's failure raises, naming ``t``.
     """
     y0, opts = _run_arguments(field, state0, t_end, opts)
-    core = _Core(field, y0, opts, horizon=t_end)
-
-    threshold = opts.blowup_threshold
-    xtol = None
-    plateau = 0
-    prev_delta = None
+    fine = replace(opts, rtol=opts.rtol / _CLOCK_REFINE, atol=opts.atol / _CLOCK_REFINE)
+    clocks = (_Clock(field, y0, opts, t_end), _Clock(field, y0, fine, t_end))
+    top = math.log(opts.blowup_threshold)
+    rungs: list[float] = []
+    coarse: list[float] = []
+    t = t_coarse = reading = 0.0
     while True:
         try:
-            event = core.run(t_end, threshold, record=False, xtol=xtol)
+            for clock in clocks:
+                clock.run((len(rungs) + 1) * _LN10, math.inf, record=False)
         except (StiffnessError, FieldEvaluationError):
-            if threshold > opts.blowup_threshold:
-                # the field stopped being integrable beyond the user's
-                # threshold; no convergent estimate is available
-                return None
+            if max(clock.y[:-1]) >= top:
+                return None  # the ladder ends at its last complete rung
+            event = _Core(field, y0, opts, horizon=t_end).run(
+                t_end, opts.blowup_threshold, record=False)
+            if event is None or event.method == "reciprocal-extrapolation":
+                return event
             raise
-        if event is None or event.method != "threshold-crossing":
-            # no blow-up before t_end; or a pole: the asymptote sits
-            # closer than one representable step, which is as converged
-            # as double precision allows
-            return event
-        t_hat = _tail_asymptote(core.tail, core.y)
-        if t_hat is not None and t_hat > core.t:
-            delta = t_hat - core.t
-            tol = opts.blowup_tol if opts.blowup_tol is not None \
-                else 1e-3 * t_hat
-            # later crossings must be located finer than the
-            # convergence test below requires
-            xtol = tol / 16.0
-            if delta <= tol / 4.0:
-                return BlowUpEvent(
-                    t_low=float(core.t),
-                    t_high=float(t_hat + 3.0 * delta),
-                    estimate=float(t_hat),
-                    method="reciprocal-extrapolation",
-                )
-            if prev_delta is not None and \
-                    abs(delta - prev_delta) < 0.05 * prev_delta:
-                plateau += 1
-                if plateau >= 3:
-                    return None
-            else:
-                plateau = 0
-            prev_delta = delta
-        threshold *= _THRESHOLD_BOOST
-        if threshold > _THRESHOLD_CAP:
+        last_coarse, last = t_coarse, t
+        t_coarse, t = (clock.time() for clock in clocks)
+        if t > t_end:
             return None
+        coarse.append(t_coarse - last_coarse)
+        rungs.append(t - last)
+        if not rungs[-1] > 0.0:
+            reading, u = t, 0.0  # the rungs left round to 0
+        elif len(rungs) < 3:
+            continue
+        else:
+            tail, details = tail_rule(rungs, _CLOCK_RTOL, _CLOCK_RUNGS)
+            if tail == math.inf:
+                return None
+            reading, previous = t + details["tail"], reading
+            if tail is None:
+                continue
+            # a ratio constant within _CLOCK_RTOL; a polynomial tail's error
+            # falls as a power of the rung count, so the change one rung
+            # made, times the count, exceeds it
+            u = tail * _CLOCK_RTOL / (1.0 - details["ratio"]) \
+                if details["mode"] == "geometric" else len(rungs) * abs(reading - previous)
+        tol = opts.blowup_tol if opts.blowup_tol is not None else 1e-3 * reading
+        if max(t, reading - u) < reading + u - tol:
+            continue  # too wide before any pad
+        # pad: the integration error, at least _Core._stall's guess
+        pad = max(100.0 * opts.rtol * reading, abs(reading - _clock_reading(coarse, t_coarse)))
+        t_low, t_high = max(0.0, max(t, reading - u) - pad), reading + u + pad
+        if t_high - t_low <= tol:
+            if not 0.0 < reading <= t_end:
+                return None
+            return BlowUpEvent(t_low=t_low, t_high=t_high, estimate=reading,
+                               method="reciprocal-extrapolation")
+
+
+def _clock_reading(rungs: list, t: float) -> float:
+    """The pole time a clock's ladder that ends at ``t`` reads, ``inf``
+    where its tail is divergent or it has too few rungs for one."""
+    if not rungs[-1] > 0.0:
+        return t
+    if len(rungs) < 3:
+        return math.inf
+    return t + tail_rule(rungs, _CLOCK_RTOL, _CLOCK_RUNGS)[1].get("tail", math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -719,6 +820,51 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], edges, rtol: float,
             owner = np.concatenate((owner, owner))
             value, excess, values = _kronrod21(f, lo, hi)
             error, floor = _dqk21_error(value, excess, values, lo, hi)
+
+
+def tail_rule(d: list, rtol: float, min_rungs: int) -> tuple[float | None, dict]:
+    """What a ladder's rungs ``d``, at least three, finite and positive,
+    add up to past the last one, by the first of three rules that decides.
+
+    * *non-decreasing*: the last three rungs do not shrink, the tail is
+      divergent;
+    * *geometric*: the ratios of the last six rungs are below 1 and
+      constant within ``rtol``, the tail is a geometric series;
+    * *polynomial*: ``d_j ~ j**(-alpha)``, the least-squares order over
+      the tail rungs, with tail ``d[-1]*len(d)/(alpha - 1)``; from
+      ``min_rungs`` rungs on it is divergent at an order of at most
+      :data:`LOG_ORDER_INFINITE`, and summed where it is at most 2% of
+      ``fsum(d)``.
+
+    Returns ``(tail, details)``: ``tail`` is ``inf`` for a divergent
+    ladder and ``None`` while undecided; ``details`` names the rule's
+    ``"mode"`` with its numbers, and a summed or undecided ``"tail"``.
+    """
+    if d[-1] >= d[-2] * (1.0 - 1e-12) and d[-2] >= d[-3] * (1.0 - 1e-12):
+        return math.inf, {"mode": "non-decreasing", "rungs": len(d), "last_ratio": d[-1] / d[-2]}
+    # true geometric decay keeps the rung ratio constant, to within the
+    # rungs' error, however close to 1; polynomial or log-corrected decay
+    # drifts toward 1 and must be order-fitted
+    last = d[-6:]
+    ratios = [b / a for a, b in zip(last, last[1:])]
+    if ratios[-1] < 1.0 and max(ratios) - min(ratios) <= rtol * max(ratios):
+        ratio = ratios[-1]
+        tail = d[-1] * ratio / (1.0 - ratio)
+        return tail, {"mode": "geometric", "ratio": ratio, "rungs": len(d), "tail": tail}
+
+    # the order of d_j ~ j**(-alpha) over the tail rungs, whose distinct
+    # indices make the fit exist
+    take = min(len(d), max(6, min(16, len(d) // 2)))
+    idx = np.arange(len(d) - take + 1, len(d) + 1, dtype=float)
+    alpha = -fit_line(np.log(idx), np.log(np.array(d[-take:])))[0]
+    tail = d[-1] * len(d) / (alpha - 1.0) if alpha > 1.0 else math.inf
+    details = {"mode": "polynomial", "decay_order": alpha, "rungs": len(d)}
+    if len(d) >= min_rungs and alpha <= LOG_ORDER_INFINITE:
+        return math.inf, details
+    details["tail"] = tail
+    if len(d) >= min_rungs and tail <= _TAIL_TARGET * math.fsum(d):
+        return tail, details
+    return None, details
 
 
 def fit_line(x, y) -> tuple[float, float, float] | None:

@@ -242,14 +242,75 @@ class TestEstimateBlowupTime:
 
         opts = IntegrationOptions(blowup_tol=0.01)
         whole = estimate_blowup_time(VectorField(1, law), [math.e], 10.0, opts)
-        assert whole.estimate == pytest.approx(1.9975396277135449, rel=1e-12)
-        # the first threshold, 1e9, is crossed; raising it meets the failure
+        assert whole.estimate == pytest.approx(2.0005271180174296, rel=1e-12)
+        # the clock passes the threshold, 1e9, and its ladder ends at the
+        # failure, 20 rungs, before the polynomial tail rule may read it
         assert estimate_blowup_time(VectorField(1, failing), [math.e], 10.0, opts) is None
 
+    def test_a_field_failing_below_the_threshold_raises(self):
+        def failing(y):
+            if y[0] > 1e5:
+                raise ValueError("no rate above 1e5")
+            return np.array([0.5 * y[0] * math.log(y[0]) ** 2])
+
+        with pytest.raises(FieldEvaluationError, match="no rate above 1e5"):
+            estimate_blowup_time(VectorField(1, failing), [math.e], 10.0)
+
+    @pytest.mark.parametrize("T", [3.0, 10.0, 100.0])
+    def test_log_squared_law_from_e(self, T):
+        # the remaining time at level A is 2/ln(A), still 0.0035 at 1e250:
+        # the clock's rungs decay polynomially and the tail rule sums them
+        fields = [scalar_field(lambda A: 0.5 * A * math.log(A) ** 2),
+                  to_field(parse("dA = 0.5*A*ln(A)^2"))]
+        for field in fields:
+            event = estimate_blowup_time(field, [math.e], T)
+            assert event is not None
+            assert event.method == "reciprocal-extrapolation"
+            assert abs(event.estimate - 2.0) <= 1e-3
+            assert event.t_low <= 2.0 <= event.t_high
+            assert event.t_high - event.t_low <= 1e-3 * event.estimate
+
+    @pytest.mark.parametrize("k1, k2, Y0, A0", [
+        (0.05, 0.1, 1.0, 1.0), (0.3, 0.2, 2.0, 1.0), (0.02, 0.07, 0.5, 3.0),
+        (0.1, 0.1, 0.3, 2.0), (0.5, 0.05, 1.0, 4.0)])
+    def test_unbalanced_coupled_systems(self, k1, k2, Y0, A0):
+        # Y - (k1/k2)*A = C is conserved, so dA = k2*(C + (k1/k2)*A)*A
+        C = Y0 - k1 / k2 * A0
+        expected = math.log(1.0 + k2 * C / (k1 * A0)) / (k2 * C)
+        field = to_field(parse("dY = k1*Y*A; dA = k2*Y*A"), {"k1": k1, "k2": k2})
+        event = estimate_blowup_time(field, [Y0, A0], 2.0 * expected)
+        assert event.estimate == pytest.approx(expected, rel=1e-6)
+        assert event.t_low <= expected <= event.t_high
+
+    @pytest.mark.parametrize("Y0, A0", [(0.5, 4.0), (2.0, 1.0), (1.0, 1.25), (1.0, 1.0001),
+                                        (0.5, 2.0), (0.9, 1.0), (0.25, 2.0)])
+    def test_a_decaying_factor(self, Y0, A0):
+        # u = Y*A has du/dt = u*(u - 1): A blows up where u starts above 1;
+        # near the balance u = 1 the pole time amplifies integration error
+        # by 1/(u - 1), and the bracket must still hold it
+        field = to_field(parse("dY = -Y; dA = Y*A^2"))
+        event = estimate_blowup_time(field, [Y0, A0], 50.0)
+        if Y0 * A0 <= 1.0:
+            assert event is None
+            # the log-rate Y*A decays like exp(-t); a clock floor of 1/t_end
+            # alone would leave t = inf at a finite s, and stall before it
+            assert estimate_blowup_time(field, [Y0, A0], 1e12) is None
+        else:
+            expected = -math.log(1.0 - 1.0 / (Y0 * A0))
+            assert event.estimate == pytest.approx(expected, rel=1e-6)
+            assert event.t_low <= expected <= event.t_high
+
+    def test_horizons_at_the_ends_of_double_range(self):
+        field = to_field(parse("dA = A^2"))
+        for t_end in (5e-324, 1e-310):
+            assert estimate_blowup_time(field, [1.0], t_end) is None
+        # the clock's t + tau leaves double range before t passes t_end: its
+        # stages fail, and the stepping in t reaches t_end instead
+        assert estimate_blowup_time(to_field(parse("dA = 0*A")), [1.0], 1.7e308) is None
+
     def test_cubic_pole_resolution(self):
-        # the crossing time of any finite threshold sits within one
-        # representable step of the asymptote here, so the event comes
-        # from extrapolation at the step-size floor
+        # each decade of A takes a hundredth of the time the one before,
+        # so the time left rounds to 0 after a few decades of the clock
         event = estimate_blowup_time(scalar_field(lambda A: A ** 3), [1.0], 2.0)
         assert event is not None
         assert event.method == "reciprocal-extrapolation"

@@ -276,6 +276,20 @@ class TestStageSafety:
         assert any(failed)
         assert seen and all(np.all(np.isfinite(y)) for y in seen)
 
+    def test_levels_past_double_range_fail_the_clock_stage(self):
+        # the polynomial tail of A*ln(A)^1.5 stays above 2% of the sum, so
+        # the clock climbs until exp(ln A) overflows, with the rate below A
+        rate, seen = self.recording(lambda y: 1e-5 * y * np.log(y) ** 1.5)
+        field = VectorField(1, rate)
+        assert estimate_blowup_time(field, [math.e], 1e7) is None
+        assert max(float(y[0]) for y in seen) > 1e307
+        assert all(np.all(np.isfinite(y)) for y in seen)
+        # with no threshold to pass, the failure is left to the stepping in
+        # t, which raises as integrate does
+        unbounded = IntegrationOptions(blowup_threshold=math.inf)
+        with pytest.raises(FieldEvaluationError, match="t=192492.98"):
+            estimate_blowup_time(field, [math.e], 1e7, unbounded)
+
     def test_overflowing_stage_states_never_reach_the_rate(self):
         # once the derivative 2*y passes 1.55e307, a stage increment
         # such as -25360/2187 * k overflows before h scales it down; the
