@@ -18,7 +18,8 @@ with the grammar
 
 ``^`` binds tighter than unary minus, which binds tighter than ``*``
 and ``/``, which bind tighter than ``+`` and ``-``; ``^`` associates to
-the right (``A^2^3`` is ``A^(2^3)``).  ``ln`` and ``exp`` are reserved
+the right (``A^2^3`` is ``A^(2^3)``).  The parser and the printer read
+these rules from one operator table.  ``ln`` and ``exp`` are reserved
 words and cannot name parameters or state variables.  NUMBER is an
 unsigned decimal literal with optional exponent; a leading minus is
 parsed as unary negation.
@@ -194,6 +195,17 @@ def _tokenize(source: str) -> list[_Token]:
 # --------------------------------------------------------------------------
 # parser
 
+# The operator table, read by the parser and the printer alike.
+# op -> (level, left floor, right floor): an operand slot takes what binds
+# at its floor or tighter, and a looser operand goes in parentheses.
+# ``+ -`` and ``* /`` associate to the left, their right floor one above
+# their level; ``^`` takes an atom for its base and a negation or a power
+# for its exponent, so it associates to the right.
+_BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": (4, 5, 3)}
+# a negation binds at 3, its operand at the level of ``^``; atoms at 5
+_NEG_LEVEL, _NEG_FLOOR = 3, 4
+_ATOM_LEVEL = 5
+
 
 class _Parser:
     def __init__(self, source: str):
@@ -255,28 +267,18 @@ class _Parser:
         self.expect_op("=", f"after 'd{var}'")
         return var, self.expr()
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while (op := self.match_op("+", "-")) is not None:
-            node = BinOp(op.text, node, self.term())
+    def expr(self, floor: int = 1) -> Expr:
+        """An expression binding at ``floor`` or tighter, by precedence
+        climbing over :data:`_BINARY`.  The left floors are the printer's:
+        an operand this loop has built always meets them."""
+        if floor <= _NEG_LEVEL and self.match_op("-"):
+            node = Neg(self.expr(_NEG_FLOOR))
+        else:
+            node = self.atom()
+        while (token := self.current).text in _BINARY and _BINARY[token.text][0] >= floor:
+            self.advance()
+            node = BinOp(token.text, node, self.expr(_BINARY[token.text][2]))
         return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while (op := self.match_op("*", "/")) is not None:
-            node = BinOp(op.text, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        if self.match_op("-"):
-            return Neg(self.power())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.match_op("^"):
-            return BinOp("^", base, self.factor())
-        return base
 
     def atom(self) -> Expr:
         token = self.current
@@ -453,70 +455,37 @@ def level_variable(expr: Expr, parameters: Mapping[str, float]) -> str:
 # --------------------------------------------------------------------------
 # pretty printer
 
-# Precedence levels for rendering; parenthesization below follows the
-# grammar slots exactly so that parse(pretty_print(e)) == e.
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
+
+def _operand(expr: Expr, floor: int) -> str:
+    """``expr``'s text, in parentheses where it binds below ``floor``."""
+    text, level = _render(expr)
+    return f"({text})" if level < floor else text
 
 
-def _prec(expr: Expr) -> int:
+def _render(expr: Expr) -> tuple[str, int]:
+    """``expr``'s text and the level it binds at."""
     if isinstance(expr, BinOp):
-        if expr.op in "+-":
-            return _PREC_ADD
-        if expr.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
+        level, left, right = _BINARY[expr.op]
+        op = "^" if expr.op == "^" else f" {expr.op} "
+        return f"{_operand(expr.left, left)}{op}{_operand(expr.right, right)}", level
     if isinstance(expr, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def _render(expr: Expr) -> str:
-    if isinstance(expr, Num):
-        value = expr.value
-        if value == int(value) and abs(value) < 1e16:
-            return repr(int(value))
-        return repr(value)
-    if isinstance(expr, Name):
-        return expr.ident
+        return f"-{_operand(expr.operand, _NEG_FLOOR)}", _NEG_LEVEL
     if isinstance(expr, Call):
-        return f"{expr.func}({_render(expr.arg)})"
-    if isinstance(expr, Neg):
-        # operand slot is `power`: anything below needs parentheses
-        inner = _render(expr.operand)
-        if _prec(expr.operand) < _PREC_POW:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if expr.op == "^":
-        # left slot is `atom`, right slot is `factor` (right-associative)
-        left = _render(expr.left)
-        if _prec(expr.left) < _PREC_ATOM:
-            left = f"({left})"
-        right = _render(expr.right)
-        if _prec(expr.right) < _PREC_NEG:
-            right = f"({right})"
-        return f"{left}^{right}"
-    own = _prec(expr)
-    left = _render(expr.left)
-    if _prec(expr.left) < own:
-        left = f"({left})"
-    right = _render(expr.right)
-    # + - * / parse left-associative: an equal-precedence right child
-    # would reassociate into a different tree without parentheses
-    if _prec(expr.right) <= own:
-        right = f"({right})"
-    return f"{left} {expr.op} {right}"
+        return f"{expr.func}({_render(expr.arg)[0]})", _ATOM_LEVEL
+    if isinstance(expr, Name):
+        return expr.ident, _ATOM_LEVEL
+    value = expr.value
+    if value == int(value) and abs(value) < 1e16:
+        value = int(value)
+    return repr(value), _ATOM_LEVEL
 
 
 def pretty_print(node: Expr | SystemSpec) -> str:
     """Render a tree back to source text that reparses to an equal tree."""
     check_instance("node", node, _NODES + (SystemSpec,), "a parsed expression or system")
     if isinstance(node, SystemSpec):
-        return "; ".join(f"d{var} = {_render(rhs)}" for var, rhs in node.equations)
-    return _render(node)
+        return "; ".join(f"d{var} = {_render(rhs)[0]}" for var, rhs in node.equations)
+    return _render(node)[0]
 
 
 # --------------------------------------------------------------------------

@@ -395,7 +395,8 @@ class _Core:
         :meth:`position`.  Runs inside :meth:`run`'s ``np.errstate``.
         """
         probe = [y_m + self.h_min * f_m for y_m, f_m in zip(self.y, self.f)]
-        if not all(map(isfinite, self.rate(probe))):
+        # a probe that is not finite fails as a stage does, before the rate
+        if not (all(map(isfinite, probe)) and all(map(isfinite, self.rate(probe)))):
             t, state = self.position()
             raise FieldEvaluationError(
                 f"field becomes non-finite adjacent to t={t!r}, "
@@ -648,13 +649,13 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
     fine = replace(opts, rtol=opts.rtol / _CLOCK_REFINE, atol=opts.atol / _CLOCK_REFINE)
     clocks = (_Clock(field, y0, opts, t_end), _Clock(field, y0, fine, t_end))
     top = math.log(opts.blowup_threshold)
-    rungs: list[float] = []
-    coarse: list[float] = []
-    t = t_coarse = reading = 0.0
+    ladders = ([], [])  # the rungs of the clock at opts' tolerances, and of the fine one
+    times = (0.0, 0.0)
+    reading = 0.0
     while True:
         try:
             for clock in clocks:
-                clock.run((len(rungs) + 1) * _LN10, math.inf, record=False)
+                clock.run((len(ladders[0]) + 1) * _LN10, math.inf, record=False)
         except (StiffnessError, FieldEvaluationError):
             if max(clock.y[:-1]) >= top:
                 return None  # the ladder ends at its last complete rung
@@ -663,33 +664,29 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
             if event is None or event.method == "reciprocal-extrapolation":
                 return event
             raise
-        last_coarse, last = t_coarse, t
-        t_coarse, t = (clock.time() for clock in clocks)
+        last, times = times, tuple(clock.time() for clock in clocks)
+        t = times[1]
         if t > t_end:
             return None
-        coarse.append(t_coarse - last_coarse)
-        rungs.append(t - last)
-        if not rungs[-1] > 0.0:
-            reading, u = t, 0.0  # the rungs left round to 0
-        elif len(rungs) < 3:
+        for rungs, now, before in zip(ladders, times, last):
+            rungs.append(now - before)
+        value, tail, details = _clock_reading(ladders[1], t)
+        if tail == math.inf:
+            return None
+        if "tail" in details:  # from the third rung on
+            reading, previous = value, reading
+        if tail is None:
             continue
-        else:
-            tail, details = tail_rule(rungs, _CLOCK_RTOL, _CLOCK_RUNGS)
-            if tail == math.inf:
-                return None
-            reading, previous = t + details["tail"], reading
-            if tail is None:
-                continue
-            # a ratio constant within _CLOCK_RTOL; a polynomial tail's error
-            # falls as a power of the rung count, so the change one rung
-            # made, times the count, exceeds it
-            u = tail * _CLOCK_RTOL / (1.0 - details["ratio"]) \
-                if details["mode"] == "geometric" else len(rungs) * abs(reading - previous)
+        # a ratio constant within _CLOCK_RTOL; a polynomial tail's error
+        # falls as a power of the rung count, so the change one rung
+        # made, times the count, exceeds it
+        u = tail * _CLOCK_RTOL / (1.0 - details["ratio"]) \
+            if details["mode"] == "geometric" else len(ladders[1]) * abs(reading - previous)
         tol = opts.blowup_tol if opts.blowup_tol is not None else 1e-3 * reading
         if max(t, reading - u) < reading + u - tol:
             continue  # too wide before any pad
         # pad: the integration error, at least _Core._stall's guess
-        pad = max(100.0 * opts.rtol * reading, abs(reading - _clock_reading(coarse, t_coarse)))
+        pad = max(100.0 * opts.rtol * reading, abs(reading - _clock_reading(ladders[0], times[0])[0]))
         t_low, t_high = max(0.0, max(t, reading - u) - pad), reading + u + pad
         if t_high - t_low <= tol:
             if not 0.0 < reading <= t_end:
@@ -698,14 +695,17 @@ def estimate_blowup_time(field: VectorField, state0, t_end: float,
                                method="reciprocal-extrapolation")
 
 
-def _clock_reading(rungs: list, t: float) -> float:
-    """The pole time a clock's ladder that ends at ``t`` reads, ``inf``
-    where its tail is divergent or it has too few rungs for one."""
+def _clock_reading(rungs: list, t: float) -> tuple[float, float | None, dict]:
+    """The pole time a clock's ladder that ends at ``t`` reads, with
+    :func:`tail_rule`'s ``(tail, details)``.  Rungs that round to 0 leave
+    no time, a geometric tail of ratio 0; below three rungs the reading
+    is ``inf``, undecided, and the details are empty."""
     if not rungs[-1] > 0.0:
-        return t
+        return t, 0.0, {"mode": "geometric", "ratio": 0.0, "tail": 0.0}
     if len(rungs) < 3:
-        return math.inf
-    return t + tail_rule(rungs, _CLOCK_RTOL, _CLOCK_RUNGS)[1].get("tail", math.inf)
+        return math.inf, None, {}
+    tail, details = tail_rule(rungs, _CLOCK_RTOL, _CLOCK_RUNGS)
+    return t + details.get("tail", math.inf), tail, details
 
 
 # --------------------------------------------------------------------------

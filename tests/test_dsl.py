@@ -39,6 +39,8 @@ from blowuplab.dsl import (
     to_field,
 )
 
+_A, _B, _C = Name("A"), Name("B"), Name("C")
+
 ROUND_TRIP_CORPUS = [
     "1",
     "0.5",
@@ -83,6 +85,10 @@ class TestParsing:
         assert parse("a + b*c") == parse("a + (b*c)")
         assert parse("a - b + c") == parse("(a - b) + c")
         assert parse("a/b/c") == parse("(a/b)/c")
+        assert parse("2*-A") == BinOp("*", Num(2.0), Neg(_A))
+        assert parse("A - -B") == BinOp("-", _A, Neg(_B))
+        assert parse("-A*B") == BinOp("*", Neg(_A), _B)
+        assert parse("A^-B^C") == BinOp("^", _A, Neg(BinOp("^", _B, _C)))
 
     def test_power_is_right_associative(self):
         assert parse("A^2^3") == BinOp("^", Name("A"),
@@ -100,6 +106,7 @@ class TestParsing:
         ("(A + 2", r"expected '\)' .*found 'end of input' \(line 1, column 7\)"),
         ("x = A", r"form 'd<var> = <expr>', found 'x' \(line 1, column 1\)"),
         ("A 2", r"unparsed input after expression, found '2' \(line 1, column 3\)"),
+        ("--A", r"expected a number, name, function call, or '\(', found '-' \(line 1, column 2\)"),
     ])
     def test_malformed_source_rejected_at_its_position(self, source, message):
         with pytest.raises(DslSyntaxError, match=message):
@@ -151,6 +158,21 @@ _trees = st.recursive(
 
 
 class TestRoundTripProperty:
+    @pytest.mark.parametrize("tree,text", [
+        (Neg(BinOp("*", _A, _B)), "-(A * B)"),
+        (BinOp("^", Neg(_A), Num(2.0)), "(-A)^2"),
+        (BinOp("^", _A, Neg(Num(2.0))), "A^-2"),
+        (BinOp("-", _A, Neg(_B)), "A - -B"),
+        (BinOp("*", Neg(_A), _B), "-A * B"),
+        (BinOp("^", BinOp("^", _A, Num(2.0)), Num(3.0)), "(A^2)^3"),
+        (BinOp("/", _A, BinOp("*", _B, _C)), "A / (B * C)"),
+        (BinOp("^", _A, BinOp("*", _B, _C)), "A^(B * C)"),
+        (Neg(Neg(_A)), "-(-A)"),
+    ])
+    def test_parentheses_only_where_the_tree_needs_them(self, tree, text):
+        assert pretty_print(tree) == text
+        assert parse(text) == tree
+
     @given(_trees)
     def test_printed_tree_reparses_equal(self, tree):
         assert parse(pretty_print(tree)) == tree

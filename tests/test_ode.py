@@ -256,6 +256,21 @@ class TestEstimateBlowupTime:
         with pytest.raises(FieldEvaluationError, match="no rate above 1e5"):
             estimate_blowup_time(VectorField(1, failing), [math.e], 10.0)
 
+    def test_a_clock_failing_below_the_threshold_re_raises_where_t_crosses_it(self):
+        # one call raises, a stage of the clocks; the stepping in t then
+        # crosses the threshold, so the clock's failure stands
+        calls = []
+
+        def transient(y):
+            calls.append(None)
+            if len(calls) == 20:
+                raise ValueError("transient")
+            return np.array([0.05 * y[0] ** 2])
+
+        with pytest.raises(FieldEvaluationError, match="transient"):
+            estimate_blowup_time(VectorField(1, transient), [1.0], 100.0)
+        assert len(calls) == 2025
+
     @pytest.mark.parametrize("T", [3.0, 10.0, 100.0])
     def test_log_squared_law_from_e(self, T):
         # the remaining time at level A is 2/ln(A), still 0.0035 at 1e250:

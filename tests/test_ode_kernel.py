@@ -290,6 +290,16 @@ class TestStageSafety:
         with pytest.raises(FieldEvaluationError, match="t=192492.98"):
             estimate_blowup_time(field, [math.e], 1e7, unbounded)
 
+    def test_the_stall_probe_never_reaches_the_rate_past_double_range(self):
+        # integrate stalls next to double max, where the probe y + h_min*f
+        # overflows: it fails as a stage does, without calling the rate
+        rate, seen = self.recording(lambda y: 1e-5 * y * np.log(y) ** 1.5)
+        with pytest.raises(FieldEvaluationError, match="t=192492.98"):
+            integrate(VectorField(1, rate), [math.e], 1e7,
+                      IntegrationOptions(blowup_threshold=math.inf))
+        assert max(float(y[0]) for y in seen) > 1e307
+        assert all(np.all(np.isfinite(y)) for y in seen)
+
     def test_overflowing_stage_states_never_reach_the_rate(self):
         # once the derivative 2*y passes 1.55e307, a stage increment
         # such as -25360/2187 * k overflows before h scales it down; the
