@@ -205,12 +205,16 @@ _BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": 
 # a negation binds at 3, its operand at the level of ``^``; atoms at 5
 _NEG_LEVEL, _NEG_FLOOR = 3, 4
 _ATOM_LEVEL = 5
+# how deep expressions may nest, in parentheses, calls, negations and
+# exponents: deeper input is a syntax error, not Python's RecursionError
+_MAX_NESTING = 200
 
 
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # of the expressions being parsed
 
     @property
     def current(self) -> _Token:
@@ -271,6 +275,9 @@ class _Parser:
         """An expression binding at ``floor`` or tighter, by precedence
         climbing over :data:`_BINARY`.  The left floors are the printer's:
         an operand this loop has built always meets them."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise self.fail(f"expression nests more than {_MAX_NESTING} deep")
         if floor <= _NEG_LEVEL and self.match_op("-"):
             node = Neg(self.expr(_NEG_FLOOR))
         else:
@@ -278,6 +285,7 @@ class _Parser:
         while (token := self.current).text in _BINARY and _BINARY[token.text][0] >= floor:
             self.advance()
             node = BinOp(token.text, node, self.expr(_BINARY[token.text][2]))
+        self.depth -= 1
         return node
 
     def atom(self) -> Expr:
@@ -308,7 +316,12 @@ class _Parser:
 
 
 def parse(source: str) -> Expr | SystemSpec:
-    """Parse source as a system if it contains ``=``, else as an expression."""
+    """Parse source as a system if it contains ``=``, else as an expression.
+
+    Source off the grammar, or nested more than 200 expressions deep,
+    raises :class:`~blowuplab.errors.DslSyntaxError` at the line and
+    column of the token where parsing stopped.
+    """
     parser = _Parser(source)
     if any(tok.kind == "OP" and tok.text == "=" for tok in parser.tokens):
         return parser.system()

@@ -10,7 +10,9 @@ floats.  :func:`simulate_batches` steps the ensembles of several
 :class:`EnsembleSpec` in one lockstep batch on numpy arrays, drawing
 each shared stream once, and each spec's last few live lanes alone in
 :func:`em_path`'s loop; :class:`StochasticModel` says which models
-give the same bits on floats as on arrays.
+give the same bits on floats as on arrays.  The arrays step in chunks
+of up to 64 steps, and the lanes that end are found, settled, recorded
+and dropped, and their slope terms added, once per chunk.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -73,6 +75,10 @@ _BLOCK_STEPS = 1024
 # a spec's lanes leave the arrays of a pass, each to finish alone on
 # Python floats, once at most this many of them are live there
 _FEW_LANES = 16
+# the batch kernel steps a block's rows in chunks of at most this many, and
+# tests, settles, records, adds the slope terms of and compacts its lanes
+# once per chunk
+_CHUNK_STEPS = 64
 # the paths of each spec in one lockstep pass of the batch kernel, so a
 # block's draws take at most 32 MiB per master seed in the batch
 _PASS_STREAMS = 4096
@@ -352,19 +358,29 @@ def _compact_slices(slices: list, ok) -> list:
     return [(model, lo, hi) for (model, _, _), lo, hi in zip(slices, [0] + ends, ends) if hi > lo]
 
 
-def _add_slope_terms(y_run: np.ndarray, ty_run: np.ndarray, levels: np.ndarray, first: int,
-                     dt: float, t_shift: float) -> tuple[np.ndarray, np.ndarray]:
+def _add_slope_terms(terms: np.ndarray, y_run: np.ndarray, ty_run: np.ndarray, first: int,
+                     dt: float, t_shift: float, cut=None) -> tuple[np.ndarray, np.ndarray]:
     """The slope sums with the terms of steps ``first, first+1, ...`` added.
 
-    Row ``i`` of ``levels`` holds the lanes' levels at step ``first + i``;
-    its terms are ``y = ln(level)`` and ``y * (t - t_shift)``.  The rows
-    are added one after another with ``np.add.accumulate``, so each sum
-    comes out as if the terms were added step by step.
+    Row ``1 + i`` of ``terms`` holds the lanes' levels at step
+    ``first + i``; its terms are ``y = ln(level)`` and
+    ``y * (t - t_shift)``, worked out in place.  With ``cut``, a lane's
+    rows from ``cut`` on add ``+0.0``, which leaves its sums as they
+    are.  The running sums go in row 0 and the rows are added one after
+    another, so each sum comes out as if its terms were added step by
+    step: over two or more lanes ``np.add.reduce`` adds rows in order,
+    over one lane it adds pairwise, so one lane takes
+    ``np.add.accumulate``.
     """
-    y = np.log(levels)
-    shift = np.arange(first, first + len(levels)) * dt - t_shift
-    return (np.add.accumulate(np.vstack((y_run, y)))[-1],
-            np.add.accumulate(np.vstack((ty_run, y * shift[:, None])))[-1])
+    y = np.log(terms[1:], out=terms[1:])
+    if cut is not None:
+        y[np.arange(1, len(terms))[:, None] >= cut] = 0.0
+    add = np.add.reduce if terms.shape[1] > 1 else lambda t: np.add.accumulate(t)[-1]
+    terms[0] = y_run
+    y_run = add(terms)
+    y *= (np.arange(first, first + len(y)) * dt - t_shift)[:, None]
+    terms[0] = ty_run
+    return y_run, add(terms)
 
 
 def simulate_batches(specs: Sequence[EnsembleSpec],
@@ -391,22 +407,36 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     draws take at most 32 MiB per master seed in the batch.  A stream's
     draws do not depend on how its steps are split into blocks, so every
     path comes out as if simulated alone.  The live lanes of a spec stay in
-    one contiguous slice of numpy arrays, and a lane that ends is dropped.
-    A step makes one call for each run of consecutive specs whose models
-    carry one law (the built-in models do), on per-lane parameters, and
-    one for each other model, on its own live levels.
+    one contiguous slice of numpy arrays.  A step makes one call for each
+    run of consecutive specs whose models carry one law (the built-in
+    models do), on per-lane parameters, and one for each other model, on
+    its own live levels.
+
+    The arrays step in chunks of at most ``_CHUNK_STEPS`` steps of a
+    block, each step writing its levels into the next row of one buffer.
+    After each chunk one pass over the buffer finds each lane's first
+    level outside ``(0, threshold)``, settles the lanes that ended,
+    records the chunk's recorded steps, adds every lane's slope terms up
+    to its end and drops the lanes that ended.  The terms are added with
+    one ``np.add.reduce`` over the rows, which adds them in step order,
+    so each sum has the bits of a step-by-step one.  A lane that ended
+    steps on to the end of its chunk, and nothing reads those levels.  A
+    built-in law takes any level; a model without a law (a user's
+    callable, or a ``dataclasses.replace`` copy) could raise on a level
+    it would never see step by step, so in a batch that holds one, a
+    chunk ends with the first step that ends a lane.
 
     Once a spec has at most ``_FEW_LANES`` live lanes in a pass, at its
-    start or when lanes end, those lanes leave the arrays, where most of
-    a step would be numpy's fixed cost per call.  Each finishes alone in
-    :func:`em_path`'s loop on Python floats, reading the draws left in
-    the block and then a copy of its stream's generator, and shares the
-    bookkeeping of ended lanes, slopes and recorded rows with the
-    arrays.  Models built from ``+ - * /`` and numpy ufuncs give the
-    same bits on floats as on arrays; Python's ``**`` may round
-    differently from numpy's array ``power``.  The switch depends only
-    on the spec's own lanes, so such a model's spec, too, gives the same
-    bits alone as beside others.
+    start or at the step where lanes end, inside a chunk too, those lanes
+    leave the arrays, where most of a step would be numpy's fixed cost
+    per call.  Each finishes alone in :func:`em_path`'s loop on Python
+    floats, reading the draws left in the block and then a copy of its
+    stream's generator, and shares the bookkeeping of ended lanes,
+    slopes and recorded rows with the arrays.  Models built from
+    ``+ - * /`` and numpy ufuncs give the same bits on floats as on
+    arrays; Python's ``**`` may round differently from numpy's array
+    ``power``.  The switch depends only on the spec's own lanes, so such
+    a model's spec, too, gives the same bits alone as beside others.
     """
     given, specs = specs, list(specs) if np.iterable(specs) else []
     if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
@@ -444,12 +474,10 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
 
     rec_steps = None
     series = None
-    first_rec = n_steps + 1  # never reached unless recording
     if record_stride is not None:
         rec_steps = _record_lattice(n_steps, record_stride)
         series = np.full((n, len(rec_steps)), np.nan)
         series[:, 0] = A0
-        first_rec = min(record_stride, n_steps)
 
     def settle(gone, level, at, y, ty):
         """Book rows ``gone``, alive up to step ``at``: ``level`` ended each, or is a survivor's."""
@@ -468,7 +496,7 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
         and then a copy of its stream's generator in this pass, and book it."""
         values, end_step, end = _float_path(model, level, step, n_steps, dt, threshold,
                                             normals, copy.deepcopy(rngs[stream[row]]))
-        y, ty = _add_slope_terms(y, ty, values[:, None], step, dt, t_shift)
+        y, ty = _add_slope_terms(np.append(0.0, values)[:, None], y, ty, step, dt, t_shift)
         if series is not None:
             kept = slice(*np.searchsorted(rec_steps, (step, end_step + 1)))
             series[row, kept] = values[rec_steps[kept] - step]
@@ -505,9 +533,12 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
             a = np.full(lanes.size, float(A0))
             y_run = np.zeros(lanes.size)
             ty_run = np.zeros(lanes.size)
+            # a chunk's buffer of chunk + 2 rows of lanes: row 0 holds a
+            # step's drift term and then the slope sums, rows 1.. the levels
+            # from the chunk's first step on.  One row more, `spare`, holds a
+            # step's noise term
+            pool = np.empty((_CHUNK_STEPS + 3) * lanes.size)
             step = 0
-            rec_pos = 1
-            next_rec = first_rec
             while step < n_steps and lanes.size:
                 live_streams = np.unique(stream[lanes])
                 block = min(_BLOCK_STEPS, n_steps - step)
@@ -516,41 +547,80 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                 for col, s in enumerate(live_streams.tolist()):
                     draws[:, col] = rngs[s].standard_normal(block)
                 cols = np.searchsorted(live_streams, stream[lanes])
-                for row, z in enumerate(draws):
-                    y = np.log(a)
-                    y_run += y
-                    ty_run += y * (step * dt - t_shift)
-                    drift, diffusion = _live_coefficients(groups, a, step * dt)
-                    a_next = a + drift * dt + diffusion * sqdt * z[cols]
-                    ok = (a_next > 0.0) & (a_next < threshold)
-                    step += 1
-                    if np.count_nonzero(ok) < lanes.size:
-                        ended = ~ok
-                        settle(lanes[ended], a_next[ended], step - 1, y_run[ended], ty_run[ended])
-                        # a spec left with few live lanes sends them to finish alone
+                row = 0  # of the block's draws
+                while row < block and lanes.size:
+                    width = lanes.size
+                    chunk = min(_CHUNK_STEPS, block - row)
+                    levels = pool[:(chunk + 2) * width].reshape(chunk + 2, width)
+                    spare = pool[(chunk + 2) * width:(chunk + 3) * width]
+                    levels[1] = a
+                    # a model without a law sees no level that ended a lane: the
+                    # chunk ends with the first step that ends one
+                    guard = any(model._columns is None for model, *_ in groups)
+                    cut = None  # the row that ended each lane, chunk + 2 for none
+                    for j in range(chunk):
+                        a, a_next = levels[j + 1], levels[j + 2]
+                        drift, diffusion = _live_coefficients(groups, a, (step + j) * dt)
+                        # a + drift*dt + diffusion*sqdt*z, in that order
+                        np.multiply(drift, dt, out=levels[0])
+                        np.add(a, levels[0], out=a_next)
+                        np.multiply(diffusion, sqdt, out=spare)
+                        spare *= draws[row + j][cols]
+                        a_next += spare
+                        if guard:
+                            ok = (a_next > 0.0) & (a_next < threshold)
+                            if np.count_nonzero(ok) < width:
+                                chunk = j + 1
+                                cut = np.where(ok, chunk + 2, chunk + 1)
+                                break
+                    a = levels[chunk + 1]
+                    if not guard:
+                        inside = (levels[2:chunk + 2] > 0.0) & (levels[2:chunk + 2] < threshold)
+                        if not inside.all():
+                            cut = np.where(inside.all(axis=0), chunk + 2, inside.argmin(axis=0) + 2)
+                    if cut is not None:
+                        # a spec sends the lanes it has left to finish alone
+                        # from the row where at most _FEW_LANES are live
+                        alone = []
                         for model, lo, hi in slices:
-                            alone = lo + np.flatnonzero(ok[lo:hi])
-                            if alone.size > _FEW_LANES:
-                                continue
-                            ok[alone] = False
-                            for i in alone.tolist():
-                                left = draws[row + 1:, cols[i]]
-                                finish_alone(lanes[i], model, float(a_next[i]), step,
-                                             left.tolist(), y_run[i:i + 1], ty_run[i:i + 1])
+                            k = hi - lo - _FEW_LANES - 1
+                            at = int(np.partition(cut[lo:hi], k)[k])
+                            if at <= chunk + 1:
+                                going = lo + np.flatnonzero(cut[lo:hi] > at)
+                                cut[going] = at
+                                alone += [(model, i, at, float(levels[at, i])) for i in going.tolist()]
+                        ended = np.flatnonzero(cut <= chunk + 1)
+                        if alone:
+                            ended = np.setdiff1d(ended, [i for _, i, *_ in alone], assume_unique=True)
+                        ends = levels[cut[ended], ended]
+                    if series is not None:
+                        lo, hi = np.searchsorted(rec_steps, (step, step + chunk), "right")
+                        if hi > lo:
+                            rows = rec_steps[lo:hi] - step + 1
+                            rec = levels[rows]
+                            if cut is not None:
+                                rec[rows[:, None] >= cut] = np.nan
+                            series[lanes[:, None], np.arange(lo, hi)] = rec.T
+                    # a guarded chunk cuts no lane before its last row
+                    y_run, ty_run = _add_slope_terms(levels[:chunk + 1], y_run, ty_run, step, dt,
+                                                     t_shift, None if guard else cut)
+                    if cut is not None:
+                        settle(lanes[ended], ends, step + cut[ended] - 2, y_run[ended],
+                               ty_run[ended])
+                        for model, i, at, level in alone:
+                            finish_alone(lanes[i], model, level, step + at - 1,
+                                         draws[row + at - 1:, cols[i]].tolist(),
+                                         y_run[i:i + 1], ty_run[i:i + 1])
+                        ok = cut > chunk + 1
                         lanes = lanes[ok]
-                        a_next = a_next[ok]
+                        a = a[ok]
                         y_run = y_run[ok]
                         ty_run = ty_run[ok]
                         cols = cols[ok]
                         slices = _compact_slices(slices, ok)
                         groups = _groups(slices)
-                        if not lanes.size:
-                            break
-                    a = a_next
-                    if step == next_rec:
-                        series[lanes, rec_pos] = a
-                        rec_pos += 1
-                        next_rec = min(next_rec + record_stride, n_steps)
+                    step += chunk
+                    row += chunk
             if lanes.size:
                 y = np.log(a)
                 settle(lanes, a, n_steps, y_run + y, ty_run + y * (n_steps * dt - t_shift))

@@ -130,6 +130,28 @@ class TestParsing:
         with pytest.raises(DslSyntaxError, match=rf"out of range \(line 1, column {column}\)"):
             parse(source)
 
+    # 600 parentheses and 1 200 exponents nest past the limit; each is
+    # reported at the token of the expression one too deep, not as
+    # Python's RecursionError
+    @pytest.mark.parametrize("source,column", [
+        ("(" * 600 + "A" + ")" * 600, 201),
+        ("A" + "^A" * 1200, 401),
+        ("dA = " + "exp(" * 300 + "A" + ")" * 300, 806),
+        ("(" * 200 + "A" + ")" * 200, 201),
+    ])
+    def test_deep_nesting_rejected_at_its_position(self, source, column):
+        with pytest.raises(DslSyntaxError,
+                           match=rf"nests more than 200 deep, .*\(line 1, column {column}\)$"):
+            parse(source)
+
+    def test_nesting_just_under_the_limit_parses(self):
+        assert parse("(" * 199 + "A" + ")" * 199) == _A
+        tree = parse("A" + "^A" * 199)
+        assert parse(pretty_print(tree)) == tree
+        assert evaluate(tree, {"A": 1.0}) == 1.0
+        assert parse("dA = " + "-(" * 99 + "A" + ")" * 99).equations[0][1] == \
+            parse("-(" * 99 + "A" + ")" * 99)
+
     def test_non_finite_literal_on_a_later_line(self):
         with pytest.raises(DslSyntaxError, match=r"out of range.*line 2, column 10"):
             parse("dY = Y;\ndA = 2 * 1e400 * A")

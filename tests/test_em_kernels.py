@@ -173,6 +173,11 @@ MODELS = {
 # after that: 0 keeps every step on arrays and 10**6 steps every lane alone
 FEW_LANES = [0, sde._FEW_LANES, 10 ** 6]
 
+# the arrays step in chunks of at most sde._CHUNK_STEPS steps of a block, and
+# lanes end, leave for floats and are recorded once per chunk: chunks of 1 and
+# 7 steps put those events at every row of a chunk and on chunk edges
+CHUNK_STEPS = [1, 7, sde._CHUNK_STEPS]
+
 # models outside product form: Python's ** on a float and numpy's array
 # power may round differently in the last ulp
 POWER_MODELS = st.one_of(
@@ -193,14 +198,16 @@ class TestBatchMatchesMaskedLockstep:
            master_seed=st.integers(0, 2 ** 32 - 1),
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
            block=st.sampled_from([1, 7, 64, 4096]),
+           chunk=st.sampled_from(CHUNK_STEPS),
            few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
-    def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block, few,
+    def test_bitwise(self, model, n_paths, steps, master_seed, threshold, block, chunk, few,
                      record_points):
         spec = EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                             n_paths=n_paths, master_seed=master_seed,
                             threshold=threshold)
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_CHUNK_STEPS", chunk), \
                 mock.patch.object(sde, "_FEW_LANES", few):
             expected = oracle_batch(spec, record_points)
             got = simulate_batches([spec], record_points)[0]
@@ -214,15 +221,17 @@ class TestBatchMatchesMaskedLockstep:
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
            block=st.sampled_from([1, 7, 4096]),
            width=st.sampled_from([3, 4096]),
+           chunk=st.sampled_from(CHUNK_STEPS),
            few=st.sampled_from(FEW_LANES),
            record_points=st.one_of(st.none(), st.integers(1, 120)))
-    def test_bitwise_multi_spec(self, members, steps, threshold, block, width, few,
+    def test_bitwise_multi_spec(self, members, steps, threshold, block, width, chunk, few,
                                 record_points):
         specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
                               n_paths=n_paths, master_seed=seed, threshold=threshold)
                  for model, n_paths, seed in members]
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
                 mock.patch.object(sde, "_PASS_STREAMS", width), \
+                mock.patch.object(sde, "_CHUNK_STEPS", chunk), \
                 mock.patch.object(sde, "_FEW_LANES", few):
             expected = [oracle_batch(spec, record_points) for spec in specs]
             got = simulate_batches(specs, record_points=record_points)
@@ -240,10 +249,12 @@ class TestBatchMatchesMaskedLockstep:
            steps=st.integers(1, 300),
            threshold=st.sampled_from([2.0, 5.0, 1e9]),
            block=st.sampled_from([1, 7, 1024]),
+           chunk=st.sampled_from(CHUNK_STEPS),
            few=st.sampled_from([0, 3, 16]),
            record_points=st.sampled_from([None, 7]))
     def test_a_run_of_one_law_steps_as_its_models_alone(self, data, hyperbolic, gbm, user, steps,
-                                                         threshold, block, few, record_points):
+                                                         threshold, block, chunk, few,
+                                                         record_points):
         split = data.draw(st.integers(1, len(hyperbolic) - 1))
         models = hyperbolic[:split] + [user] + hyperbolic[split:]
         models.insert(data.draw(st.integers(0, len(models))), gbm)
@@ -256,6 +267,7 @@ class TestBatchMatchesMaskedLockstep:
         assert all(copy.model._columns is None for copy in copies)
         assert sum(spec.model._columns is not None for spec in specs) == len(specs) - 1
         with mock.patch.object(sde, "_BLOCK_STEPS", block), \
+                mock.patch.object(sde, "_CHUNK_STEPS", chunk), \
                 mock.patch.object(sde, "_FEW_LANES", few):
             got = simulate_batches(specs, record_points)
             by_callables = simulate_batches(copies, record_points)
@@ -282,6 +294,30 @@ class TestBatchMatchesMaskedLockstep:
         assert sizes == [40] * 100
         for batch in got[1:]:
             assert_batches_identical(got[0], batch)
+
+    @pytest.mark.parametrize("chunk", CHUNK_STEPS)
+    @pytest.mark.parametrize("few", [0, sde._FEW_LANES])
+    def test_a_callable_sees_no_level_that_ended_a_lane(self, chunk, few):
+        # a law's lanes step on to the end of their chunk after they end, but
+        # a batch with a model that carries no law ends each chunk at the
+        # first step that ends a lane, so this drift never raises
+        threshold = 5.0
+
+        def drift(a):
+            if not np.all((a > 0.0) & (a < threshold)):
+                raise ValueError("drift called on a level that ended its lane")
+            return 0.3 * a - 0.5
+
+        strict = StochasticModel(drift=drift, diffusion=lambda a: 0.9 * a, label="strict")
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=5.0, n_paths=n_paths,
+                              master_seed=7, threshold=threshold)
+                 for model, n_paths in ((hyperbolic_sde_model(1.0, 1.5), 60), (strict, 50))]
+        with mock.patch.object(sde, "_CHUNK_STEPS", chunk), \
+                mock.patch.object(sde, "_FEW_LANES", few):
+            got = simulate_batches(specs, 40)
+        for spec, batch in zip(specs, got, strict=True):
+            assert_batches_identical(oracle_batch(spec, 40), batch)
+            assert batch.absorbed.any() and batch.exploded.any()
 
     def test_a_pass_leaves_the_array_step_within_a_block(self):
         # four specs of more than sde._FEW_LANES paths on one master seed, so
@@ -329,6 +365,36 @@ class TestBatchMatchesMaskedLockstep:
             assert np.isnan(batch.final_levels[batch.exploded]).any()
         else:
             assert batch.exploded.any() and batch.survived.any()
+
+
+class TestSlopeSums:
+    # the batch kernel adds a chunk's slope terms at once; each sum must come
+    # out as the per-step += of the terms gives it, whatever order numpy's
+    # reduce would choose.  Levels span 1e-26..1e26, so an order that
+    # differs shows in the last bits
+    @settings(max_examples=80, deadline=None)
+    @given(lanes=st.integers(1, 40), rows=st.integers(1, 130), first=st.integers(0, 10 ** 4),
+           seed=st.integers(0, 2 ** 32 - 1), cuts=st.booleans())
+    def test_the_helper_adds_as_a_per_step_loop(self, lanes, rows, first, seed, cuts):
+        rng = np.random.default_rng(seed)
+        levels = np.exp(rng.normal(0.0, 20.0, (rows, lanes)))
+        levels[rng.random((rows, lanes)) < 0.1] = 1.0  # a term of 0.0
+        # a lane adds nothing from its row cut on, as a lane that ended
+        cut = rng.integers(1, rows + 2, lanes) if cuts else None
+        y_run, ty_run = rng.normal(0.0, 1e3, lanes), rng.normal(0.0, 1e5, lanes)
+        dt, t_shift = 0.01, 37.5
+        # rows of a longer buffer, as the kernel lays out a chunk
+        terms = np.empty((rows + 3) * lanes)[:(rows + 1) * lanes].reshape(rows + 1, lanes)
+        terms[1:] = levels
+        got = sde._add_slope_terms(terms, y_run, ty_run, first, dt, t_shift, cut)
+        want = y_run.copy(), ty_run.copy()
+        for i, level in enumerate(levels):
+            live = slice(None) if cut is None else i + 1 < cut
+            y = np.log(level)
+            want[0][live] += y[live]
+            want[1][live] += (y * ((first + i) * dt - t_shift))[live]
+        for have, expected in zip(got, want, strict=True):
+            assert have.tobytes() == expected.tobytes()
 
 
 def assert_row_is_path(batch, index, path, steps):
