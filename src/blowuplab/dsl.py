@@ -205,8 +205,9 @@ _BINARY = {"+": (1, 1, 2), "-": (1, 1, 2), "*": (2, 2, 3), "/": (2, 2, 3), "^": 
 # a negation binds at 3, its operand at the level of ``^``; atoms at 5
 _NEG_LEVEL, _NEG_FLOOR = 3, 4
 _ATOM_LEVEL = 5
-# how deep expressions may nest, in parentheses, calls, negations and
-# exponents: deeper input is a syntax error, not Python's RecursionError
+# how deep expressions may nest, in parentheses, calls, negations,
+# exponents and chains of operators: deeper input is a syntax error, not
+# Python's RecursionError in the parser, the printer or the compiler
 _MAX_NESTING = 200
 
 
@@ -215,6 +216,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0  # of the expressions being parsed
+        self.height = 0  # of the tree an expression or atom last returned
 
     @property
     def current(self) -> _Token:
@@ -274,22 +276,32 @@ class _Parser:
     def expr(self, floor: int = 1) -> Expr:
         """An expression binding at ``floor`` or tighter, by precedence
         climbing over :data:`_BINARY`.  The left floors are the printer's:
-        an operand this loop has built always meets them."""
+        an operand this loop has built always meets them.  An operator
+        puts the tree built so far one deeper, so a left-associative
+        chain nests as deep as it is long: the depth at which the tree is
+        parsed plus its height stays within the nesting limit, and a tree
+        that parses is never deeper than the limit."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise self.fail(f"expression nests more than {_MAX_NESTING} deep")
         if floor <= _NEG_LEVEL and self.match_op("-"):
             node = Neg(self.expr(_NEG_FLOOR))
+            self.height += 1
         else:
             node = self.atom()
         while (token := self.current).text in _BINARY and _BINARY[token.text][0] >= floor:
+            height = self.height
             self.advance()
+            if self.depth + height > _MAX_NESTING:
+                raise self.fail(f"expression nests more than {_MAX_NESTING} deep")
             node = BinOp(token.text, node, self.expr(_BINARY[token.text][2]))
+            self.height = max(height, self.height) + 1
         self.depth -= 1
         return node
 
     def atom(self) -> Expr:
         token = self.current
+        self.height = 1  # of a number or a name
         if token.kind == "NUMBER":
             self.advance()
             if not math.isfinite(float(token.text)):
@@ -302,6 +314,7 @@ class _Parser:
                 self.expect_op("(", f"after function {token.text!r}")
                 arg = self.expr()
                 self.expect_op(")", f"to close {token.text!r} call")
+                self.height += 1
                 return Call(token.text, arg)
             return Name(token.text)
         if self.match_op("("):
@@ -318,7 +331,8 @@ class _Parser:
 def parse(source: str) -> Expr | SystemSpec:
     """Parse source as a system if it contains ``=``, else as an expression.
 
-    Source off the grammar, or nested more than 200 expressions deep,
+    Source off the grammar, or nested more than 200 expressions deep
+    (each operator of a chain such as ``A + A + A`` counts as one more),
     raises :class:`~blowuplab.errors.DslSyntaxError` at the line and
     column of the token where parsing stopped.
     """

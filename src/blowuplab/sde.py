@@ -12,7 +12,11 @@ each shared stream once, and each spec's last few live lanes alone in
 :func:`em_path`'s loop; :class:`StochasticModel` says which models
 give the same bits on floats as on arrays.  The arrays step in chunks
 of up to 64 steps, and the lanes that end are found, settled, recorded
-and dropped, and their slope terms added, once per chunk.
+and dropped, their slope terms added and a spec's last few lanes sent
+to floats, once per chunk.  That a lane leaves at a chunk's end moves
+no bit: the built-in laws give the same bits on floats as on arrays,
+and a batch with another model ends each chunk at the first step that
+ends a lane.
 
 Discretized self-accelerating growth behaves qualitatively differently
 from its continuous limit: a path that wanders high enough takes one
@@ -76,8 +80,8 @@ _BLOCK_STEPS = 1024
 # Python floats, once at most this many of them are live there
 _FEW_LANES = 16
 # the batch kernel steps a block's rows in chunks of at most this many, and
-# tests, settles, records, adds the slope terms of and compacts its lanes
-# once per chunk
+# tests, settles, records, adds the slope terms of, hands over and compacts
+# its lanes once per chunk
 _CHUNK_STEPS = 64
 # the paths of each spec in one lockstep pass of the batch kernel, so a
 # block's draws take at most 32 MiB per master seed in the batch
@@ -414,20 +418,22 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
 
     The arrays step in chunks of at most ``_CHUNK_STEPS`` steps of a
     block, each step writing its levels into the next row of one buffer.
-    After each chunk one pass over the buffer finds each lane's first
-    level outside ``(0, threshold)``, settles the lanes that ended,
-    records the chunk's recorded steps, adds every lane's slope terms up
-    to its end and drops the lanes that ended.  The terms are added with
+    After each chunk one test of the buffer finds each lane's first
+    level outside ``(0, threshold)``, then the chunk settles the lanes
+    that ended, records its recorded steps, adds every lane's slope
+    terms up to its end, sends lanes to floats as below and drops the
+    lanes that left.  The terms are added with
     one ``np.add.reduce`` over the rows, which adds them in step order,
     so each sum has the bits of a step-by-step one.  A lane that ended
     steps on to the end of its chunk, and nothing reads those levels.  A
     built-in law takes any level; a model without a law (a user's
     callable, or a ``dataclasses.replace`` copy) could raise on a level
     it would never see step by step, so in a batch that holds one, a
-    chunk ends with the first step that ends a lane.
+    chunk ends with the first step that ends a lane, and only its last
+    row is tested.
 
     Once a spec has at most ``_FEW_LANES`` live lanes in a pass, at its
-    start or at the step where lanes end, inside a chunk too, those lanes
+    start or at the end of a chunk in which lanes ended, those lanes
     leave the arrays, where most of a step would be numpy's fixed cost
     per call.  Each finishes alone in :func:`em_path`'s loop on Python
     floats, reading the draws left in the block and then a copy of its
@@ -435,8 +441,12 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
     slopes and recorded rows with the arrays.  Models built from
     ``+ - * /`` and numpy ufuncs give the same bits on floats as on
     arrays; Python's ``**`` may round differently from numpy's array
-    ``power``.  The switch depends only on the spec's own lanes, so such
-    a model's spec, too, gives the same bits alone as beside others.
+    ``power``.  A batch of built-in laws may step a spec's last lanes on
+    arrays up to the chunk's end after its count fell, which moves no
+    bit.  A batch that holds another model ends its chunk at the step
+    where the count fell, so the switch depends only on the spec's own
+    lanes, and such a model's spec, too, gives the same bits alone as
+    beside others.
     """
     given, specs = specs, list(specs) if np.iterable(specs) else []
     if not specs or not all(isinstance(spec, EnsembleSpec) for spec in specs):
@@ -557,7 +567,6 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                     # a model without a law sees no level that ended a lane: the
                     # chunk ends with the first step that ends one
                     guard = any(model._columns is None for model, *_ in groups)
-                    cut = None  # the row that ended each lane, chunk + 2 for none
                     for j in range(chunk):
                         a, a_next = levels[j + 1], levels[j + 2]
                         drift, diffusion = _live_coefficients(groups, a, (step + j) * dt)
@@ -567,31 +576,19 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                         np.multiply(diffusion, sqdt, out=spare)
                         spare *= draws[row + j][cols]
                         a_next += spare
-                        if guard:
-                            ok = (a_next > 0.0) & (a_next < threshold)
-                            if np.count_nonzero(ok) < width:
-                                chunk = j + 1
-                                cut = np.where(ok, chunk + 2, chunk + 1)
-                                break
+                        if guard and np.count_nonzero((a_next > 0.0) & (a_next < threshold)) < width:
+                            chunk = j + 1
+                            break
                     a = levels[chunk + 1]
-                    if not guard:
-                        inside = (levels[2:chunk + 2] > 0.0) & (levels[2:chunk + 2] < threshold)
-                        if not inside.all():
-                            cut = np.where(inside.all(axis=0), chunk + 2, inside.argmin(axis=0) + 2)
-                    if cut is not None:
-                        # a spec sends the lanes it has left to finish alone
-                        # from the row where at most _FEW_LANES are live
-                        alone = []
-                        for model, lo, hi in slices:
-                            k = hi - lo - _FEW_LANES - 1
-                            at = int(np.partition(cut[lo:hi], k)[k])
-                            if at <= chunk + 1:
-                                going = lo + np.flatnonzero(cut[lo:hi] > at)
-                                cut[going] = at
-                                alone += [(model, i, at, float(levels[at, i])) for i in going.tolist()]
-                        ended = np.flatnonzero(cut <= chunk + 1)
-                        if alone:
-                            ended = np.setdiff1d(ended, [i for _, i, *_ in alone], assume_unique=True)
+                    # the rows that can end a lane: all of them, or a guarded
+                    # chunk's last
+                    top = chunk + 1 if guard else 2
+                    inside = (levels[top:chunk + 2] > 0.0) & (levels[top:chunk + 2] < threshold)
+                    cut = None  # the row that ended each lane, chunk + 2 for none
+                    if not inside.all():
+                        cut = np.where(inside.all(axis=0), chunk + 2, inside.argmin(axis=0) + top)
+                        ok = cut > chunk + 1
+                        ended = np.flatnonzero(~ok)
                         ends = levels[cut[ended], ended]
                     if series is not None:
                         lo, hi = np.searchsorted(rec_steps, (step, step + chunk), "right")
@@ -601,17 +598,20 @@ def simulate_batches(specs: Sequence[EnsembleSpec],
                             if cut is not None:
                                 rec[rows[:, None] >= cut] = np.nan
                             series[lanes[:, None], np.arange(lo, hi)] = rec.T
-                    # a guarded chunk cuts no lane before its last row
                     y_run, ty_run = _add_slope_terms(levels[:chunk + 1], y_run, ty_run, step, dt,
-                                                     t_shift, None if guard else cut)
+                                                     t_shift, cut)
                     if cut is not None:
                         settle(lanes[ended], ends, step + cut[ended] - 2, y_run[ended],
                                ty_run[ended])
-                        for model, i, at, level in alone:
-                            finish_alone(lanes[i], model, level, step + at - 1,
-                                         draws[row + at - 1:, cols[i]].tolist(),
-                                         y_run[i:i + 1], ty_run[i:i + 1])
-                        ok = cut > chunk + 1
+                        # a spec with at most _FEW_LANES live lanes left sends
+                        # them to finish alone from the chunk's last row
+                        for model, lo, hi in slices:
+                            if np.count_nonzero(ok[lo:hi]) <= _FEW_LANES:
+                                for i in (lo + np.flatnonzero(ok[lo:hi])).tolist():
+                                    finish_alone(lanes[i], model, float(a[i]), step + chunk,
+                                                 draws[row + chunk:, cols[i]].tolist(),
+                                                 y_run[i:i + 1], ty_run[i:i + 1])
+                                ok[lo:hi] = False
                         lanes = lanes[ok]
                         a = a[ok]
                         y_run = y_run[ok]

@@ -152,6 +152,45 @@ class TestParsing:
         assert parse("dA = " + "-(" * 99 + "A" + ")" * 99).equations[0][1] == \
             parse("-(" * 99 + "A" + ")" * 99)
 
+    # a flat chain of 1 000 operators parses to a tree 1 001 deep, which the
+    # printer and the compiler would walk into Python's RecursionError
+    @pytest.mark.parametrize("source,column", [
+        ("A" + "+A" * 1000, 401),
+        ("A" + "*A" * 1000, 401),
+        ("dA = A" + "-A" * 1000, 406),
+    ], ids=["sum", "product", "system"])
+    def test_a_long_chain_is_rejected_at_its_position(self, source, column):
+        with pytest.raises(DslSyntaxError,
+                           match=rf"nests more than 200 deep, .*\(line 1, column {column}\)$"):
+            parse(source)
+
+    def test_a_chain_just_under_the_limit_works(self):
+        tree = parse("A" + "+A" * 199)
+        assert parse(pretty_print(tree)) == tree
+        assert evaluate(tree, {"A": 1.0}) == 200.0
+        assert as_function(tree)(np.float64(0.5)) == 100.0
+        assert to_field(parse("dA = A" + "-A" * 199)).rate([1.0]).tolist() == [-198.0]
+
+    # each level's chain puts the chain it holds as many levels deeper: the
+    # first two trees are 199 and 181 deep, the others would be 751 to 1 001
+    @pytest.mark.parametrize("levels,terms,parses", [
+        (2, 99, True), (3, 60, True), (5, 150, False), (10, 100, False), (50, 20, False),
+    ])
+    def test_chains_inside_chains_nest_no_deeper_than_the_limit(self, levels, terms, parses):
+        source = "A"
+        for _ in range(levels):
+            source = "(" + source + "+A" * terms + ")"
+        if not parses:
+            with pytest.raises(DslSyntaxError, match="nests more than 200 deep"):
+                parse(source)
+            return
+
+        def height(node):
+            return 1 + max(height(node.left), height(node.right)) if isinstance(node, BinOp) else 1
+        tree = parse(source)
+        assert height(tree) == levels * terms + 1
+        assert parse(pretty_print(tree)) == tree
+
     def test_non_finite_literal_on_a_later_line(self):
         with pytest.raises(DslSyntaxError, match=r"out of range.*line 2, column 10"):
             parse("dY = Y;\ndA = 2 * 1e400 * A")

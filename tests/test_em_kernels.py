@@ -345,6 +345,81 @@ class TestBatchMatchesMaskedLockstep:
         assert got[2].absorbed[ends[2] > switches[2]].all()
         assert sum(batch.survived.sum() for batch in got[:3]) == 1
 
+    @staticmethod
+    def hand_overs(specs, chunk):
+        """The specs' stats, and the steps at which each spec's lanes left for floats."""
+        with mock.patch.object(sde, "_float_path", wraps=sde._float_path) as float_path, \
+                mock.patch.object(sde, "_BLOCK_STEPS", 100), \
+                mock.patch.object(sde, "_CHUNK_STEPS", chunk):
+            got = simulate_batches(specs, 30)
+        for spec, batch in zip(specs, got, strict=True):
+            assert_batches_identical(oracle_batch(spec, 30), batch)
+        steps = {id(spec.model): [] for spec in specs}
+        for call in float_path.call_args_list:
+            steps[id(call.args[0])].append(call.args[2])
+        return got, [steps[id(spec.model)] for spec in specs]
+
+    @pytest.mark.parametrize("chunk", CHUNK_STEPS)
+    def test_a_law_batch_hands_lanes_over_at_a_chunk_end(self, chunk):
+        # built-in laws give the same bits on floats as on arrays, so a
+        # spec's last lanes leave at the end of the chunk in which its live
+        # count fell to sde._FEW_LANES; a spec of few paths starts alone
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=6.0, n_paths=n_paths,
+                              master_seed=2, threshold=5.0)
+                 for model, n_paths in ((hyperbolic_sde_model(1.0, 1.5), 40),
+                                        (gbm_model(1.0, 1.0, 1.0), 30),
+                                        (hyperbolic_sde_model(0.5, 1.0), 8))]
+        _, steps = self.hand_overs(specs, chunk)
+        assert steps[2] == [0] * 8
+        assert steps[0] and steps[1]
+        # a 100-step block's chunks end at its multiples of chunk, and at 100
+        assert all(step % 100 % chunk == 0 for step in steps[0] + steps[1])
+
+    @pytest.mark.parametrize("chunk", CHUNK_STEPS)
+    def test_a_guarded_batch_hands_lanes_over_where_they_fall_to_few(self, chunk):
+        # a model without a law ends each chunk at the first step that ends
+        # a lane, so a spec's last lanes leave at the step where its live
+        # count fell to sde._FEW_LANES.  The last spec, a copy without a law
+        # whose lanes all survive, keeps every chunk guarded
+        calm = dataclasses.replace(gbm_model(0.01, 1.0, 0.1))
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=6.0, n_paths=n_paths,
+                              master_seed=2, threshold=5.0)
+                 for model, n_paths in ((absorbing_model(1.0), 30),
+                                        (gbm_model(1.0, 1.0, 1.0), 30),
+                                        (hyperbolic_sde_model(1.0, 1.5), 40), (calm, 20))]
+        got, steps = self.hand_overs(specs, chunk)
+        assert got[3].survived.all() and not steps[3]
+        for batch, handed in zip(got[:3], steps[:3]):
+            ends = np.where(batch.survived, np.inf, np.round(batch.event_times / 0.01))
+            switch = np.sort(ends)[ends.size - sde._FEW_LANES - 1]
+            assert handed
+            assert handed == [switch] * np.count_nonzero(ends > switch)
+
+    # a model outside product form may give other bits on floats than on
+    # arrays, so its spec's lanes must leave the arrays at the step they
+    # leave alone, whatever specs of built-in laws step beside it, each with
+    # more than sde._FEW_LANES paths
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), power=POWER_MODELS,
+           others=st.lists(st.one_of(MODELS["hyperbolic"], MODELS["gbm"]),
+                           min_size=1, max_size=3),
+           steps=st.integers(1, 300),
+           threshold=st.sampled_from([2.0, 5.0, 1e9]),
+           chunk=st.sampled_from(CHUNK_STEPS),
+           record_points=st.sampled_from([None, 7]))
+    def test_a_power_spec_steps_beside_others_as_alone(self, data, power, others, steps,
+                                                       threshold, chunk, record_points):
+        specs = [EnsembleSpec(model=model, A0=1.0, dt=0.01, t_end=steps * 0.01,
+                              n_paths=data.draw(st.integers(sde._FEW_LANES + 1, 40)),
+                              master_seed=data.draw(st.sampled_from([0, 1])), threshold=threshold)
+                 for model in [power] + others]
+        at = data.draw(st.integers(0, len(others)))
+        specs.insert(at, specs.pop(0))
+        with mock.patch.object(sde, "_CHUNK_STEPS", chunk):
+            got = simulate_batches(specs, record_points)[at]
+            alone = simulate_batches([specs[at]], record_points)[0]
+        assert_batches_identical(alone, got)
+
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_every_model_reaches_its_ending(self, name):
         # the property above only means something if the models end lanes
